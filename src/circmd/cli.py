@@ -28,9 +28,9 @@ from .lemmas import REGISTRY, check_lemma, manifest
 from .resolve import is_resolving, representation
 from .solver import (
     BudgetExceededError,
-    DEFAULT_BUDGET,
     SearchOptions,
     brute_force_dim,
+    default_budget,
     exact_dim,
     find_basis_of_size,
 )
@@ -78,10 +78,9 @@ def _parse_vertex_set(spec: str, n: int, parser: argparse.ArgumentParser) -> lis
 def _cmd_dim(args, parser) -> int:
     started = time.perf_counter()
     params = {"n": args.n, "t": args.t, "method": args.method,
-              "max_k": args.max_k, "workers": args.workers, "budget": args.budget}
+              "max_k": args.max_k, "budget": args.budget}
     g = make_consecutive(args.n, args.t)
-    opts = SearchOptions(max_k=args.max_k, worker_count=args.workers,
-                         budget=args.budget)
+    opts = SearchOptions(max_k=args.max_k, budget=args.budget)
     method = args.method
     try:
         if method in ("auto", "formula"):
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=None,
                        help="max candidate sets per search level "
                             "(default from CIRCMD_BUDGET)")
 
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--method", choices=("auto", "formula", "search", "oracle"),
                        default="auto")
     p_dim.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p_dim.add_argument("--workers", type=int, default=1)
     add_budget(p_dim)
     p_dim.set_defaults(func=_cmd_dim)
 
@@ -299,6 +297,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "budget" in vars(args) and args.budget is None:
+            args.budget = default_budget()  # a bad CIRCMD_BUDGET is a usage error
         return args.func(args, parser)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")

@@ -1,14 +1,21 @@
-"""Exact metric dimension by symmetry-reduced branch-and-prune search.
+"""Exact metric dimension by a separator-mask branch-and-prune search.
 
 Two routes are provided and deliberately kept separate:
 
-- ``exact_dim``: iterative deepening over the basis size.  Vertex 0 is
-  fixed in every candidate (rotations act transitively), candidates are
+- ``exact_dim``: iterative deepening over the basis size, each size
+  searched by the kernel ``find_basis_of_size`` also uses.  Vertex 0 is
+  fixed in every candidate (rotations act transitively) and candidates are
   canonicalized under the reflection v -> -v (an automorphism of every
-  circulant with a symmetric step set), partial sets are pruned when the
-  representation classes they induce cannot be refined down to singletons
-  with the remaining slots, and for consecutive step sets the "every
-  basis hits every adjacent-pair resolver set" constraint is propagated.
+  circulant with a symmetric step set).  The search works on separator
+  masks: sep(u, v) = {x : d(x, u) != d(x, v)} as an n-bit integer, read
+  off one mask per difference, sep(u, u + delta) = sepdiff[delta] rotated
+  by u.  A candidate resolves the graph exactly when it hits the mask of
+  every pair, so each node keeps the masks of the pairs its landmarks
+  still leave colliding.  The last landmark is read off the AND of those
+  masks; inner nodes are pruned when the representation classes cannot be
+  refined down to singletons with the remaining slots (``use_class_prune``)
+  or when some colliding pair has no separator above the last pick
+  (``use_hitting_sets``).
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -19,16 +26,34 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
-from typing import Iterable, Optional
+from operator import and_
+from typing import Iterable, Optional, Sequence
 
 from .formulas import known_bounds
 from .graph import CirculantGraph
-from .resolve import Cluster, is_resolving, pair_resolvers, resolves_cluster
+from .resolve import Cluster, is_resolving, resolves_cluster
 
-DEFAULT_BUDGET = int(os.environ.get("CIRCMD_BUDGET", 20_000_000))
+DEFAULT_BUDGET = 20_000_000
+
+
+def default_budget() -> int:
+    """Per-level candidate budget: ``CIRCMD_BUDGET`` when set, else
+    ``DEFAULT_BUDGET``.  Read on every call, so a malformed value fails
+    the search that needs it, not the import."""
+    raw = os.environ.get("CIRCMD_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CIRCMD_BUDGET must be an integer, got {raw!r}") from None
+
+
+def _budget(budget: Optional[int]) -> int:
+    return default_budget() if budget is None else budget
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,14 +66,11 @@ class SearchOptions:
     use_symmetry: bool = True
     use_hitting_sets: bool = True
     use_class_prune: bool = True
-    worker_count: int = 1
-    budget: int = DEFAULT_BUDGET
+    budget: Optional[int] = None  # None: default_budget()
 
     def __post_init__(self):
         if self.max_k is not None and self.max_k < 1:
             raise ValueError("max_k must be at least 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -56,6 +78,7 @@ class DimResult:
     dim: int
     basis: tuple[int, ...]
     method: str  # "formula" | "search" | "oracle"
+    # search: inner nodes plus the last-level candidates tried
     nodes_explored: int = field(compare=False, default=0)
     lower_bound_used: int = 1
     exhausted_sizes: tuple[int, ...] = field(compare=False, default=())
@@ -79,159 +102,109 @@ def _search_lower_bound(g: CirculantGraph) -> int:
     return lb
 
 
-class _Refiner:
-    """Representation-class partition of V, refined landmark by landmark."""
-
-    def __init__(self, g: CirculantGraph):
-        self.g = g
-        self.n = g.n
-        self.labels: list[list[int]] = [[0] * g.n]
-
-    @property
-    def class_count(self) -> int:
-        return max(self.labels[-1]) + 1
-
-    def push(self, x: int) -> None:
-        row, n = self.g.dist_row, self.n
-        old = self.labels[-1]
-        keys: dict[tuple[int, int], int] = {}
-        new = [0] * n
-        for v in range(n):
-            key = (old[v], row[(v - x) % n])
-            new[v] = keys.setdefault(key, len(keys))
-        self.labels.append(new)
-
-    def pop(self) -> None:
-        self.labels.pop()
-
-
 def _is_reflection_canonical(n: int, candidate: tuple[int, ...]) -> bool:
     reflected = tuple(sorted((-v) % n for v in candidate))
     return candidate <= reflected
 
 
-class _HittingState:
-    """Tracks which adjacent-pair resolver sets R_i are already hit."""
+class _Kernel:
+    """Separator masks of one graph and the depth-first search over
+    candidate sets {0, w2, ...} of a fixed size, in ascending
+    lexicographic order.  Bit x of a mask stands for vertex x."""
 
-    def __init__(self, g: CirculantGraph):
-        n = g.n
-        resolver_sets = [pair_resolvers(g, i) for i in range(n)]
-        self.hits_of: list[list[int]] = [[] for _ in range(n)]
-        for i, R in enumerate(resolver_sets):
-            for x in R:
-                self.hits_of[x].append(i)
-        self.max_member = [max(R) for R in resolver_sets]
-        self.per_vertex = max(len(h) for h in self.hits_of)
-        self.unhit = [True] * n
-        self.unhit_count = n
-        self._trail: list[list[int]] = []
-
-    def push(self, x: int) -> None:
-        newly = []
-        for i in self.hits_of[x]:
-            if self.unhit[i]:
-                self.unhit[i] = False
-                newly.append(i)
-        self.unhit_count -= len(newly)
-        self._trail.append(newly)
-
-    def pop(self) -> None:
-        newly = self._trail.pop()
-        for i in newly:
-            self.unhit[i] = True
-        self.unhit_count += len(newly)
-
-    def prune(self, last_vertex: int, remaining: int) -> bool:
-        """True when no lexicographic extension can hit every unhit R_i."""
-        if self.unhit_count > remaining * self.per_vertex:
-            return True
-        if self.unhit_count:
-            for i, unhit in enumerate(self.unhit):
-                if unhit and self.max_member[i] <= last_vertex:
-                    return True
-        return False
-
-
-class _StripeSearch:
-    """Depth-first search over candidate sets {0, w2, ...} for fixed size k."""
-
-    def __init__(self, g: CirculantGraph, k: int, opts: SearchOptions):
-        self.g = g
-        self.k = k
-        self.opts = opts
+    def __init__(self, g: CirculantGraph, opts: SearchOptions):
+        n, row = g.n, g.dist_row
+        self.n, self.opts = n, opts
+        self.row2 = row + row
+        self.base = g.diameter + 1
+        self.full = (1 << n) - 1
+        spheres: list[list[int]] = [[] for _ in range(self.base)]
+        for y, d in enumerate(row):
+            spheres[d].append(y)
+        self.by_dist = [sum(1 << y for y in s) for s in spheres]
+        self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
-        self.hitting = None
-        if opts.use_hitting_sets and g.is_consecutive:
-            self.hitting = _HittingState(g)
+        # pairs left colliding by {0}: two vertices at one distance from 0
+        self.root_pairs = [self.sep(u, v) for s in spheres
+                           for u, v in itertools.combinations(s, 2)]
 
-    def run(self, second_elements: Iterable[int]) -> Optional[tuple[int, ...]]:
-        g, k = self.g, self.k
-        refiner = _Refiner(g)
-        refiner.push(0)
-        if self.hitting is not None:
-            self.hitting.push(0)
+    def _rotate(self, mask: int, u: int) -> int:
+        """The mask shifted by u around Z_n: bit y moves to bit y + u."""
+        return ((mask << u) | (mask >> (self.n - u))) & self.full
+
+    def sep(self, u: int, v: int) -> int:
+        """Mask of the vertices x with d(x, u) != d(x, v)."""
+        delta = (v - u) % self.n
+        mask = self.sepdiff[delta]
+        if mask is None:
+            # y keeps its distance when y and y - delta lie on one sphere
+            same = 0
+            for m in self.by_dist:
+                same |= m & self._rotate(m, delta)
+            mask = self.sepdiff[delta] = self.full ^ same
+        return self._rotate(mask, u)
+
+    def search(self, k: int) -> Optional[tuple[int, ...]]:
+        """Lexicographically least resolving k-set containing 0, or None."""
         self.nodes += 1
         if k == 1:
-            return (0,) if refiner.class_count == g.n else None
-        for w2 in second_elements:
-            found = self._extend(refiner, [0, w2], w2)
+            return None if self.root_pairs else (0,)
+        labels = self.row2[:self.n] if self.opts.use_class_prune else None
+        return self._descend(labels, self.root_pairs, (0,), k - 1)
+
+    def _descend(self, labels: Optional[Sequence[int]], pairs: list[int],
+                 chosen: tuple[int, ...], remaining: int
+                 ) -> Optional[tuple[int, ...]]:
+        """Extend ``chosen`` by ``remaining`` vertices above its last one.
+
+        ``labels`` gives each vertex's representation class as
+        label * (diameter + 1) + distance over the landmarks; ``pairs``
+        holds the separator masks of the pairs no landmark separates.
+        """
+        if remaining == 1:
+            return self._last(pairs, chosen)
+        n, base, row2 = self.n, self.base, self.row2
+        hitting = self.opts.use_hitting_sets
+        reach = base ** (remaining - 1)
+        # leave room for the remaining - 1 vertices above the next pick
+        for v in range(chosen[-1] + 1, n - remaining + 1):
+            self.nodes += 1
+            bit = 1 << v
+            kept = [m for m in pairs if not m & bit]
+            if hitting and kept and min(kept) >> (v + 1) == 0:
+                continue
+            refined = None
+            if labels is not None and remaining > 2:
+                rotated = row2[n - v:2 * n - v]  # d(v, y) at index y
+                refined = [a * base + d for a, d in zip(labels, rotated)]
+                if len(set(refined)) * reach < n:
+                    continue
+            found = self._descend(refined, kept, chosen + (v,), remaining - 1)
             if found is not None:
                 return found
         return None
 
-    def _extend(self, refiner: _Refiner, chosen: list[int], last: int
-                ) -> Optional[tuple[int, ...]]:
-        g, k, opts = self.g, self.k, self.opts
-        self.nodes += 1
-        refiner.push(last)
-        if self.hitting is not None:
-            self.hitting.push(last)
-        try:
-            remaining = k - len(chosen)
-            classes = refiner.class_count
-            if remaining == 0:
-                if classes != g.n:
-                    return None
-                candidate = tuple(chosen)
-                if opts.use_symmetry and not _is_reflection_canonical(g.n, candidate):
-                    return None
+    def _last(self, pairs: list[int], chosen: tuple[int, ...]
+              ) -> Optional[tuple[int, ...]]:
+        """The least vertex above the last pick that separates every
+        colliding pair and keeps the candidate reflection-canonical."""
+        last = chosen[-1]
+        mask = reduce(and_, pairs, self.full) >> (last + 1)
+        while mask:
+            low = mask & -mask
+            self.nodes += 1
+            candidate = chosen + (last + low.bit_length(),)
+            if not self.opts.use_symmetry or _is_reflection_canonical(self.n, candidate):
                 return candidate
-            if opts.use_class_prune:
-                if classes * (g.diameter + 1) ** remaining < g.n:
-                    return None
-            if self.hitting is not None and self.hitting.prune(last, remaining):
-                return None
-            # leave room for the remaining - 1 vertices above the next pick
-            for v in range(last + 1, g.n - remaining + 1):
-                found = self._extend(refiner, chosen + [v], v)
-                if found is not None:
-                    return found
-            return None
-        finally:
-            refiner.pop()
-            if self.hitting is not None:
-                self.hitting.pop()
+            mask ^= low
+        return None
 
 
-def _search_at_size(g: CirculantGraph, k: int, opts: SearchOptions
-                    ) -> tuple[Optional[tuple[int, ...]], int]:
-    """Lexicographically least resolving k-set containing 0, plus node count."""
-    seconds = range(1, g.n)
-    if opts.worker_count == 1 or k == 1:
-        search = _StripeSearch(g, k, opts)
-        return search.run(seconds), search.nodes
-
-    stripes = [list(seconds)[w::opts.worker_count] for w in range(opts.worker_count)]
-
-    def run_stripe(stripe: list[int]) -> tuple[Optional[tuple[int, ...]], int]:
-        search = _StripeSearch(g, k, opts)
-        return search.run(stripe), search.nodes
-
-    with ThreadPoolExecutor(max_workers=opts.worker_count) as pool:
-        results = list(pool.map(run_stripe, stripes))
-    nodes = sum(n for _, n in results)
-    successes = [basis for basis, _ in results if basis is not None]
-    return (min(successes) if successes else None), nodes
+def _check_budget(g: CirculantGraph, k: int, opts: SearchOptions) -> None:
+    budget = _budget(opts.budget)
+    if comb(g.n - 1, k - 1) > budget:
+        raise BudgetExceededError(
+            f"C({g.n - 1}, {k - 1}) candidates exceed budget {budget}")
 
 
 def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimResult:
@@ -239,25 +212,21 @@ def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimRe
 
     Deepens k from the best available lower bound; within each k the
     enumeration is ascending lexicographic, so the returned basis is the
-    least resolving set containing 0 and the result is independent of the
-    worker count.
+    least resolving set containing 0.
     """
     lb = _search_lower_bound(g)
-    nodes = 0
+    kernel = _Kernel(g, opts)
     exhausted = []
     k = lb
     while True:
         if opts.max_k is not None and k > opts.max_k:
             raise BudgetExceededError(
                 f"no resolving set of size <= {opts.max_k} found for {g}")
-        if comb(g.n - 1, k - 1) > opts.budget:
-            raise BudgetExceededError(
-                f"C({g.n - 1}, {k - 1}) candidates exceed budget {opts.budget}")
-        basis, level_nodes = _search_at_size(g, k, opts)
-        nodes += level_nodes
+        _check_budget(g, k, opts)
+        basis = kernel.search(k)
         if basis is not None:
             return DimResult(dim=k, basis=basis, method="search",
-                             nodes_explored=nodes, lower_bound_used=lb,
+                             nodes_explored=kernel.nodes, lower_bound_used=lb,
                              exhausted_sizes=tuple(exhausted))
         exhausted.append(k)
         k += 1
@@ -273,20 +242,18 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     """
     if k < 1:
         raise ValueError("basis size must be at least 1")
-    if comb(g.n - 1, k - 1) > opts.budget:
-        raise BudgetExceededError(
-            f"C({g.n - 1}, {k - 1}) candidates exceed budget {opts.budget}")
-    basis, _ = _search_at_size(g, k, opts)
-    return basis
+    _check_budget(g, k, opts)
+    return _Kernel(g, opts).search(k)
 
 
-def brute_force_dim(g: CirculantGraph, budget: int = DEFAULT_BUDGET) -> DimResult:
+def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResult:
     """Independent oracle: lexicographic sweep of all k-subsets containing 0.
 
     Fixing 0 is the only reduction used (valid by vertex-transitivity).
     Refuses instances where some level would enumerate more than ``budget``
     subsets.
     """
+    budget = _budget(budget)
     nodes = 0
     exhausted = []
     for k in range(1, g.n + 1):
@@ -312,7 +279,7 @@ class MinResolversResult:
 
 def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
                   max_size: Optional[int] = None,
-                  budget: int = DEFAULT_BUDGET) -> MinResolversResult:
+                  budget: Optional[int] = None) -> MinResolversResult:
     """Smallest X inside ``allowed`` that resolves every block internally.
 
     Searches ascending sizes, so the reported size is exact.  With
@@ -325,6 +292,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
         raise ValueError("allowed set must be nonempty")
     if resolves_cluster(g, pool, cluster) is not None:
         return MinResolversResult(size=None, witness=None)
+    budget = _budget(budget)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
     for m in range(0, limit + 1):
         if comb(len(pool), m) > budget:

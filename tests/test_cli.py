@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circmd
 from circmd.cli import main
+from circmd.solver import DEFAULT_BUDGET, default_budget
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +94,29 @@ def test_budget_exceeded_exits_3(capsys):
                              "--method", "search", "--budget", "10")
     assert code == 3
     assert "budget" in payload["result"]["error"]
+
+
+def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, capsys):
+    src = Path(circmd.__file__).resolve().parents[1]
+    env = dict(os.environ, CIRCMD_BUDGET="abc", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", "import circmd"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setenv("CIRCMD_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--n", "13", "--t", "4"])
+    assert exc.value.code == 2
+    assert "CIRCMD_BUDGET" in capsys.readouterr().err
+
+
+def test_budget_env_is_read_when_a_command_runs(monkeypatch, capsys):
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    assert default_budget() == DEFAULT_BUDGET == 20_000_000
+    monkeypatch.setenv("CIRCMD_BUDGET", "10")
+    code, payload = run_json(capsys, "dim", "--n", "30", "--t", "4",
+                             "--method", "search")
+    assert code == 3
+    assert payload["parameters"]["budget"] == 10
 
 
 def test_table_formats_agree(capsys):

@@ -1,9 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmd.graph import CirculantGraph, make_consecutive
-from circmd.resolve import Cluster, is_resolving
+from circmd.resolve import (
+    Cluster,
+    is_resolving,
+    pair_resolvers,
+    pair_resolvers_arithmetic,
+)
 from circmd.solver import (
     BudgetExceededError,
     DimResult,
@@ -13,6 +20,7 @@ from circmd.solver import (
     find_basis_of_size,
     min_resolvers,
 )
+from circmd.solver import _Kernel
 
 
 def test_exact_matches_oracle_on_small_orders():
@@ -38,13 +46,6 @@ def test_dim_result_equality_ignores_search_effort():
     b = DimResult(4, (0, 1, 2, 3), "search", nodes_explored=99,
                   exhausted_sizes=(3,))
     assert a == b
-
-
-def test_worker_count_does_not_change_the_result():
-    g = make_consecutive(21, 4)
-    baseline = exact_dim(g, SearchOptions(worker_count=1))
-    for workers in (2, 3, 5):
-        assert exact_dim(g, SearchOptions(worker_count=workers)) == baseline
 
 
 @given(st.integers(min_value=10, max_value=20),
@@ -84,6 +85,37 @@ def test_find_basis_of_size():
     assert len(basis) == 5 and is_resolving(g, basis) is None
     with pytest.raises(ValueError):
         find_basis_of_size(g, 0)
+
+
+def test_kernel_adjacent_pair_masks_match_pair_resolvers():
+    for t in range(1, 6):
+        for n in range(10, 61):
+            g = make_consecutive(n, t)
+            kernel = _Kernel(g, SearchOptions())
+            for i in range(n):
+                mask = kernel.sep(i, (i + 1) % n)
+                members = frozenset(x for x in g.vertices if mask >> x & 1)
+                assert members == pair_resolvers(g, i), (n, t, i)
+                if t == 4:
+                    assert members == pair_resolvers_arithmetic(g, i), (n, i)
+
+
+def _first_resolving_by_sweep(g, k):
+    for rest in itertools.combinations(range(1, g.n), k - 1):
+        if is_resolving(g, (0,) + rest) is None:
+            return (0,) + rest
+    return None
+
+
+def test_find_basis_of_size_matches_plain_sweep():
+    step_sets = [(1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5),
+                 (1, 5), (2, 3), (1, 3, 4)]
+    for steps in step_sets:
+        for n in range(7, 17):
+            g = CirculantGraph(n, steps)
+            for k in range(1, 6):
+                assert find_basis_of_size(g, k) == _first_resolving_by_sweep(g, k), \
+                    (n, steps, k)
 
 
 def test_min_resolvers_example():
