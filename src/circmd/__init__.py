@@ -9,7 +9,6 @@ from .constructions import ConstructionReport, basis_t4, verify_construction_ran
 from .formulas import BoundsReport, formula_dim, known_bounds
 from .graph import (
     CirculantGraph,
-    diameter,
     diameter_set,
     distance_bfs,
     distance_closed_form,
@@ -66,7 +65,6 @@ __all__ = [
     "brute_force_dim",
     "check_all",
     "check_lemma",
-    "diameter",
     "diameter_set",
     "distance_bfs",
     "distance_closed_form",

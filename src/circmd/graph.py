@@ -139,10 +139,6 @@ def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
     return _bfs_row(g.n, g.steps, i)[j]
 
 
-def diameter(g: CirculantGraph) -> int:
-    return g.diameter
-
-
 def split_8k_r(n: int) -> tuple[int, int]:
     """Write n = 8k + r with k >= 1 and r in {2..9}; requires n >= 10."""
     if n < 10:

@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graph import CirculantGraph, make_consecutive
-from .resolve import Cluster, is_cluster_for, is_resolving
-from .solver import brute_force_dim, min_resolvers
+from .graph import CirculantGraph, make_consecutive, split_8k_r
+from .resolve import Cluster, equivalence_classes, is_cluster_for
+from .solver import brute_force_dim, find_basis_of_size, min_resolvers
 
 # translation offsets at which each template is re-instantiated; shift
 # covariance is a tested invariant elsewhere, these just re-probe it here
@@ -75,11 +75,6 @@ class LemmaReport:
         return not self.failed
 
 
-def _split(n: int) -> tuple[int, int]:
-    k = (n - 2) // 8
-    return k, n - 8 * k
-
-
 def instantiate(d: LemmaDescriptor, n: int, params: dict
                 ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
     """Concrete (graph, cluster, allowed set) for one parameter tuple.
@@ -88,7 +83,7 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
     """
     if d.kind != "cluster":
         raise ValueError(f"descriptor {d.id!r} has no cluster template")
-    k, r = _split(n)
+    k, r = split_8k_r(n)
     if r not in d.residues:
         raise ValueError(f"{d.id!r} admits residues {d.residues}, got n={n} (r={r})")
     g = make_consecutive(n, 4)
@@ -149,30 +144,32 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, params: dict
         f"{result.witness} resolves the cluster with {result.size} < {required}")
 
 
+def _gap_witness(g: CirculantGraph, gap: int) -> Optional[tuple[int, ...]]:
+    """At most 3 more vertices that make {0, gap} a resolving set, or None."""
+    classes = Cluster(equivalence_classes(g, (0, gap)))
+    allowed = set(g.vertices) - {0, gap}
+    return min_resolvers(g, classes, allowed, max_size=3).witness
+
+
 def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
     """Every resolving 5-set must have pairwise circular gaps >= r - 5.
 
-    Rotations preserve both properties, so 5-sets containing 0 suffice.
-    Where no 5-set resolves at all the claim is vacuous.
+    A rotation takes a resolving 5-set with a pair ``gap`` apart to one
+    containing 0 and gap, so one search per small gap decides the claim.
+    Where no 5-set resolves the claim is vacuous.
     """
     g = make_consecutive(n, 4)
-    _, r = _split(n)
-    min_gap = r - 5
-    found_any = False
-    for rest in itertools.combinations(range(1, n), 4):
-        B = (0,) + rest
-        if is_resolving(g, B) is not None:
-            continue
-        found_any = True
-        for i, j in itertools.combinations(B, 2):
-            gap = min((j - i) % n, (i - j) % n)
-            if gap < min_gap:
-                return InstantiationResult(
-                    d.id, n, (), "fail",
-                    f"resolving set {B} has gap {gap} < {min_gap}")
-    if not found_any:
+    if find_basis_of_size(g, 5) is None:
         return InstantiationResult(d.id, n, (), "vacuous",
                                    "no resolving set of size 5 exists")
+    min_gap = split_8k_r(n)[1] - 5
+    for gap in range(1, min_gap):
+        witness = _gap_witness(g, gap)
+        if witness is not None:
+            B = tuple(sorted((0, gap) + witness))
+            return InstantiationResult(
+                d.id, n, (), "fail",
+                f"resolving set {B} has gap {gap} < {min_gap}")
     return InstantiationResult(d.id, n, (), "pass")
 
 
@@ -478,7 +475,7 @@ def window_bound_counterexample(n: int) -> tuple[tuple[int, ...], tuple[int, ...
     (window subset, resolving pair); both probes' representations are
     (2, k), (2, k+1), (1, k+1), (1, k) in subset order.
     """
-    k, r = _split(n)
+    k, r = split_8k_r(n)
     if r == 3:
         return (0, 1, 2, 3), (6, 4 * k + 3)
     if r == 4:

@@ -15,7 +15,8 @@ Two routes are provided and deliberately kept separate:
   masks; inner nodes are pruned when the representation classes cannot be
   refined down to singletons with the remaining slots (``use_class_prune``)
   or when some colliding pair has no separator above the last pick
-  (``use_hitting_sets``).
+  (``use_hitting_sets``).  ``min_resolvers`` runs on it too, with the pairs
+  inside each block and the candidates limited to the allowed set.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -34,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from .formulas import known_bounds
 from .graph import CirculantGraph
-from .resolve import Cluster, is_resolving, resolves_cluster
+from .resolve import Cluster, is_resolving
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -108,32 +109,33 @@ def _is_reflection_canonical(n: int, candidate: tuple[int, ...]) -> bool:
 
 
 class _Kernel:
-    """Separator masks of one graph and the depth-first search over
-    candidate sets {0, w2, ...} of a fixed size, in ascending
-    lexicographic order.  Bit x of a mask stands for vertex x."""
+    """Separator masks of one graph, limited to the sorted candidate
+    ``pool`` (default all vertices), and the depth-first search over pool
+    subsets in ascending lexicographic order.  Bit x stands for vertex x."""
 
-    def __init__(self, g: CirculantGraph, opts: SearchOptions):
+    def __init__(self, g: CirculantGraph, opts: SearchOptions,
+                 pool: Optional[Sequence[int]] = None):
         n, row = g.n, g.dist_row
         self.n, self.opts = n, opts
+        self.pool = range(n) if pool is None else pool
         self.row2 = row + row
         self.base = g.diameter + 1
         self.full = (1 << n) - 1
-        spheres: list[list[int]] = [[] for _ in range(self.base)]
+        self.pool_mask = sum(1 << v for v in self.pool)
+        self.spheres: list[list[int]] = [[] for _ in range(self.base)]
         for y, d in enumerate(row):
-            spheres[d].append(y)
-        self.by_dist = [sum(1 << y for y in s) for s in spheres]
+            self.spheres[d].append(y)
+        self.by_dist = [sum(1 << y for y in s) for s in self.spheres]
         self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
-        # pairs left colliding by {0}: two vertices at one distance from 0
-        self.root_pairs = [self.sep(u, v) for s in spheres
-                           for u, v in itertools.combinations(s, 2)]
+        self.root_pairs: Optional[list[int]] = None
 
     def _rotate(self, mask: int, u: int) -> int:
         """The mask shifted by u around Z_n: bit y moves to bit y + u."""
         return ((mask << u) | (mask >> (self.n - u))) & self.full
 
     def sep(self, u: int, v: int) -> int:
-        """Mask of the vertices x with d(x, u) != d(x, v)."""
+        """Mask of the pool vertices x with d(x, u) != d(x, v)."""
         delta = (v - u) % self.n
         mask = self.sepdiff[delta]
         if mask is None:
@@ -142,32 +144,35 @@ class _Kernel:
             for m in self.by_dist:
                 same |= m & self._rotate(m, delta)
             mask = self.sepdiff[delta] = self.full ^ same
-        return self._rotate(mask, u)
+        return self._rotate(mask, u) & self.pool_mask
 
     def search(self, k: int) -> Optional[tuple[int, ...]]:
         """Lexicographically least resolving k-set containing 0, or None."""
         self.nodes += 1
-        if k == 1:
-            return None if self.root_pairs else (0,)
+        if self.root_pairs is None:  # the pairs {0} leaves colliding
+            self.root_pairs = [self.sep(u, v) for s in self.spheres
+                               for u, v in itertools.combinations(s, 2)]
         labels = self.row2[:self.n] if self.opts.use_class_prune else None
-        return self._descend(labels, self.root_pairs, (0,), k - 1)
+        return self._descend(labels, self.root_pairs, (0,), k - 1, 1)
 
     def _descend(self, labels: Optional[Sequence[int]], pairs: list[int],
-                 chosen: tuple[int, ...], remaining: int
+                 chosen: tuple[int, ...], remaining: int, start: int = 0
                  ) -> Optional[tuple[int, ...]]:
-        """Extend ``chosen`` by ``remaining`` vertices above its last one.
+        """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``.
 
         ``labels`` gives each vertex's representation class as
         label * (diameter + 1) + distance over the landmarks; ``pairs``
         holds the separator masks of the pairs no landmark separates.
         """
+        if remaining == 0:
+            return None if pairs else chosen
         if remaining == 1:
             return self._last(pairs, chosen)
-        n, base, row2 = self.n, self.base, self.row2
+        n, base, row2, pool = self.n, self.base, self.row2, self.pool
         hitting = self.opts.use_hitting_sets
         reach = base ** (remaining - 1)
         # leave room for the remaining - 1 vertices above the next pick
-        for v in range(chosen[-1] + 1, n - remaining + 1):
+        for i, v in enumerate(pool[start:len(pool) - remaining + 1], start):
             self.nodes += 1
             bit = 1 << v
             kept = [m for m in pairs if not m & bit]
@@ -179,17 +184,17 @@ class _Kernel:
                 refined = [a * base + d for a, d in zip(labels, rotated)]
                 if len(set(refined)) * reach < n:
                     continue
-            found = self._descend(refined, kept, chosen + (v,), remaining - 1)
+            found = self._descend(refined, kept, chosen + (v,), remaining - 1, i + 1)
             if found is not None:
                 return found
         return None
 
     def _last(self, pairs: list[int], chosen: tuple[int, ...]
               ) -> Optional[tuple[int, ...]]:
-        """The least vertex above the last pick that separates every
+        """The least pool vertex above the last pick that separates every
         colliding pair and keeps the candidate reflection-canonical."""
-        last = chosen[-1]
-        mask = reduce(and_, pairs, self.full) >> (last + 1)
+        last = chosen[-1] if chosen else -1
+        mask = reduce(and_, pairs, self.pool_mask) >> (last + 1)
         while mask:
             low = mask & -mask
             self.nodes += 1
@@ -290,7 +295,10 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
-    if resolves_cluster(g, pool, cluster) is not None:
+    kernel = _Kernel(g, SearchOptions(use_symmetry=False), pool)
+    pairs = [kernel.sep(u, v) for block in cluster.blocks
+             for u, v in itertools.combinations(block, 2)]
+    if not all(pairs):
         return MinResolversResult(size=None, witness=None)
     budget = _budget(budget)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
@@ -298,7 +306,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
         if comb(len(pool), m) > budget:
             raise BudgetExceededError(
                 f"C({len(pool)}, {m}) subsets exceed budget {budget}")
-        for X in itertools.combinations(pool, m):
-            if resolves_cluster(g, X, cluster) is None:
-                return MinResolversResult(size=m, witness=X)
+        witness = kernel._descend(None, pairs, (), m)
+        if witness is not None:
+            return MinResolversResult(size=m, witness=witness)
     return MinResolversResult(size=None, witness=None, capped=True)

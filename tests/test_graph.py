@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from circmd.graph import (
     CirculantGraph,
     canonical_steps,
-    diameter,
     diameter_set,
     distance_bfs,
     distance_closed_form,
@@ -84,7 +83,7 @@ def test_distance_row_example():
 def test_diameter_is_k_plus_one():
     for n in range(10, 42):
         k, r = split_8k_r(n)
-        assert diameter(make_consecutive(n, 4)) == k + 1
+        assert make_consecutive(n, 4).diameter == k + 1
 
 
 def test_split_8k_r_covers_residues_2_to_9():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from circmd.graph import make_consecutive
@@ -5,13 +7,14 @@ from circmd.lemmas import (
     ANCHOR_PROBES,
     REGISTRY,
     DegenerateInstantiationError,
+    _gap_witness,
     check_lemma,
     instantiate,
     manifest,
     window_bound_counterexample,
     window_tightness,
 )
-from circmd.resolve import Cluster, representation
+from circmd.resolve import Cluster, is_resolving, representation
 from circmd.solver import min_resolvers
 
 EXPECTED_IDS = {
@@ -127,3 +130,19 @@ def test_dim_lower_descriptors_pass():
         report = check_lemma(REGISTRY[did], (1,))
         assert report.ok
         assert all(r.status == "pass" for r in report.results)
+
+
+def test_basis_gap_rotation_reduction_matches_sweep():
+    # the battery never reaches a failing gap (min_gap <= 1 wherever a
+    # resolving 5-set exists), so check the reduction against every gap
+    for n in range(10, 24):
+        g = make_consecutive(n, 4)
+        swept = set()
+        for rest in itertools.combinations(range(1, n), 4):
+            B = (0,) + rest
+            if is_resolving(g, B) is None:
+                swept |= {min((j - i) % n, (i - j) % n)
+                          for i, j in itertools.combinations(B, 2)}
+        reduced = {gap for gap in range(1, n // 2 + 1)
+                   if _gap_witness(g, gap) is not None}
+        assert reduced == swept, n

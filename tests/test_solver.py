@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from circmd.resolve import (
     is_resolving,
     pair_resolvers,
     pair_resolvers_arithmetic,
+    resolves_cluster,
 )
 from circmd.solver import (
     BudgetExceededError,
     DimResult,
+    MinResolversResult,
     SearchOptions,
     brute_force_dim,
     exact_dim,
@@ -148,6 +151,37 @@ def test_min_resolvers_monotone_in_allowed():
     full = min_resolvers(g, cluster, g.vertices)
     shrunk = min_resolvers(g, cluster, set(g.vertices) - {0, 2})
     assert shrunk.size is None or shrunk.size >= full.size
+
+
+def _min_resolvers_by_sweep(g, cluster, allowed, max_size):
+    pool = sorted(set(allowed))
+    if resolves_cluster(g, pool, cluster) is not None:
+        return MinResolversResult(size=None, witness=None)
+    limit = len(pool) if max_size is None else min(max_size, len(pool))
+    for m in range(limit + 1):
+        for X in itertools.combinations(pool, m):
+            if resolves_cluster(g, X, cluster) is None:
+                return MinResolversResult(size=m, witness=X)
+    return MinResolversResult(size=None, witness=None, capped=True)
+
+
+def test_min_resolvers_matches_plain_sweep():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(400):
+        n, t = rng.randint(8, 29), rng.randint(1, 4)
+        g = make_consecutive(n, t)
+        vertices = rng.sample(range(n), rng.randint(1, 8))
+        inner = rng.sample(range(1, len(vertices)), rng.randrange(len(vertices)))
+        cuts = [0, *sorted(inner), len(vertices)]
+        cluster = Cluster(vertices[i:j] for i, j in zip(cuts, cuts[1:]))
+        allowed = rng.sample(range(n), rng.choice([1, 2, 3, n // 2, n]))
+        max_size = rng.choice([None, 1, 2, 3])
+        expected = _min_resolvers_by_sweep(g, cluster, allowed, max_size)
+        assert min_resolvers(g, cluster, allowed, max_size) == expected, \
+            (n, t, cluster, allowed, max_size)
+        outcomes.add("capped" if expected.capped else expected.size)
+    assert {None, "capped", 0, 1, 2, 3} <= outcomes
 
 
 def test_lower_bound_never_exceeds_dimension():
