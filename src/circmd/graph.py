@@ -72,11 +72,6 @@ class CirculantGraph:
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]
 
-    def neighbors(self, v: int):
-        for s in self.steps:
-            yield (v + s) % self.n
-            yield (v - s) % self.n
-
     @cached_property
     def diameter(self) -> int:
         return max(self.dist_row)

@@ -12,10 +12,8 @@ Two routes are provided and deliberately kept separate:
   by u.  A candidate resolves the graph exactly when it hits the mask of
   every pair, so each node keeps the masks of the pairs its landmarks
   still leave colliding.  The last landmark is read off the AND of those
-  masks; inner nodes are pruned when the representation classes cannot be
-  refined down to singletons with the remaining slots (``use_class_prune``)
-  or when some colliding pair has no separator above the last pick
-  (``use_hitting_sets``).  ``min_resolvers`` runs on it too, with the pairs
+  masks; an inner node is pruned when some colliding pair has no separator
+  above the last pick.  ``min_resolvers`` runs on it too, with the pairs
   inside each block and the candidates limited to the allowed set.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
@@ -53,10 +51,6 @@ def default_budget() -> int:
         raise ValueError(f"CIRCMD_BUDGET must be an integer, got {raw!r}") from None
 
 
-def _budget(budget: Optional[int]) -> int:
-    return default_budget() if budget is None else budget
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when a search would enumerate more candidates than allowed."""
 
@@ -65,8 +59,6 @@ class BudgetExceededError(RuntimeError):
 class SearchOptions:
     max_k: Optional[int] = None
     use_symmetry: bool = True
-    use_hitting_sets: bool = True
-    use_class_prune: bool = True
     budget: Optional[int] = None  # None: default_budget()
 
     def __post_init__(self):
@@ -115,15 +107,13 @@ class _Kernel:
 
     def __init__(self, g: CirculantGraph, opts: SearchOptions,
                  pool: Optional[Sequence[int]] = None):
-        n, row = g.n, g.dist_row
+        n = g.n
         self.n, self.opts = n, opts
         self.pool = range(n) if pool is None else pool
-        self.row2 = row + row
-        self.base = g.diameter + 1
         self.full = (1 << n) - 1
         self.pool_mask = sum(1 << v for v in self.pool)
-        self.spheres: list[list[int]] = [[] for _ in range(self.base)]
-        for y, d in enumerate(row):
+        self.spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
+        for y, d in enumerate(g.dist_row):
             self.spheres[d].append(y)
         self.by_dist = [sum(1 << y for y in s) for s in self.spheres]
         self.sepdiff: list[Optional[int]] = [None] * n
@@ -152,39 +142,26 @@ class _Kernel:
         if self.root_pairs is None:  # the pairs {0} leaves colliding
             self.root_pairs = [self.sep(u, v) for s in self.spheres
                                for u, v in itertools.combinations(s, 2)]
-        labels = self.row2[:self.n] if self.opts.use_class_prune else None
-        return self._descend(labels, self.root_pairs, (0,), k - 1, 1)
+        return self._descend(self.root_pairs, (0,), k - 1, 1)
 
-    def _descend(self, labels: Optional[Sequence[int]], pairs: list[int],
-                 chosen: tuple[int, ...], remaining: int, start: int = 0
-                 ) -> Optional[tuple[int, ...]]:
-        """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``.
-
-        ``labels`` gives each vertex's representation class as
-        label * (diameter + 1) + distance over the landmarks; ``pairs``
-        holds the separator masks of the pairs no landmark separates.
-        """
+    def _descend(self, pairs: list[int], chosen: tuple[int, ...],
+                 remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
+        """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``;
+        ``pairs`` holds the separator masks of the pairs still colliding."""
         if remaining == 0:
             return None if pairs else chosen
         if remaining == 1:
             return self._last(pairs, chosen)
-        n, base, row2, pool = self.n, self.base, self.row2, self.pool
-        hitting = self.opts.use_hitting_sets
-        reach = base ** (remaining - 1)
+        pool = self.pool
         # leave room for the remaining - 1 vertices above the next pick
         for i, v in enumerate(pool[start:len(pool) - remaining + 1], start):
             self.nodes += 1
             bit = 1 << v
             kept = [m for m in pairs if not m & bit]
-            if hitting and kept and min(kept) >> (v + 1) == 0:
+            # a pair with no separator above v, if any, has the least mask
+            if kept and min(kept) >> (v + 1) == 0:
                 continue
-            refined = None
-            if labels is not None and remaining > 2:
-                rotated = row2[n - v:2 * n - v]  # d(v, y) at index y
-                refined = [a * base + d for a, d in zip(labels, rotated)]
-                if len(set(refined)) * reach < n:
-                    continue
-            found = self._descend(refined, kept, chosen + (v,), remaining - 1, i + 1)
+            found = self._descend(kept, chosen + (v,), remaining - 1, i + 1)
             if found is not None:
                 return found
         return None
@@ -205,11 +182,14 @@ class _Kernel:
         return None
 
 
-def _check_budget(g: CirculantGraph, k: int, opts: SearchOptions) -> None:
-    budget = _budget(opts.budget)
-    if comb(g.n - 1, k - 1) > budget:
+def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
+    """Refuse a level that would enumerate more than ``budget`` (None:
+    ``default_budget()``) choices of ``picks`` vertices out of ``size``."""
+    if budget is None:
+        budget = default_budget()
+    if comb(size, picks) > budget:
         raise BudgetExceededError(
-            f"C({g.n - 1}, {k - 1}) candidates exceed budget {budget}")
+            f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
 def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimResult:
@@ -227,7 +207,7 @@ def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimRe
         if opts.max_k is not None and k > opts.max_k:
             raise BudgetExceededError(
                 f"no resolving set of size <= {opts.max_k} found for {g}")
-        _check_budget(g, k, opts)
+        _check_budget(g.n - 1, k - 1, opts.budget)
         basis = kernel.search(k)
         if basis is not None:
             return DimResult(dim=k, basis=basis, method="search",
@@ -247,7 +227,7 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     """
     if k < 1:
         raise ValueError("basis size must be at least 1")
-    _check_budget(g, k, opts)
+    _check_budget(g.n - 1, k - 1, opts.budget)
     return _Kernel(g, opts).search(k)
 
 
@@ -258,13 +238,10 @@ def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResul
     Refuses instances where some level would enumerate more than ``budget``
     subsets.
     """
-    budget = _budget(budget)
     nodes = 0
     exhausted = []
     for k in range(1, g.n + 1):
-        if comb(g.n - 1, k - 1) > budget:
-            raise BudgetExceededError(
-                f"C({g.n - 1}, {k - 1}) subsets exceed budget {budget}")
+        _check_budget(g.n - 1, k - 1, budget)
         for rest in itertools.combinations(range(1, g.n), k - 1):
             nodes += 1
             if is_resolving(g, (0,) + rest) is None:
@@ -300,13 +277,10 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
              for u, v in itertools.combinations(block, 2)]
     if not all(pairs):
         return MinResolversResult(size=None, witness=None)
-    budget = _budget(budget)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
     for m in range(0, limit + 1):
-        if comb(len(pool), m) > budget:
-            raise BudgetExceededError(
-                f"C({len(pool)}, {m}) subsets exceed budget {budget}")
-        witness = kernel._descend(None, pairs, (), m)
+        _check_budget(len(pool), m, budget)
+        witness = kernel._descend(pairs, (), m)
         if witness is not None:
             return MinResolversResult(size=m, witness=witness)
     return MinResolversResult(size=None, witness=None, capped=True)

@@ -7,14 +7,17 @@ from circmd.lemmas import (
     ANCHOR_PROBES,
     REGISTRY,
     DegenerateInstantiationError,
+    _check_cluster_instantiation,
+    _find_inducing_set,
     _gap_witness,
+    _simple_cluster,
     check_lemma,
     instantiate,
     manifest,
     window_bound_counterexample,
     window_tightness,
 )
-from circmd.resolve import Cluster, is_resolving, representation
+from circmd.resolve import Cluster, is_cluster_for, is_resolving, representation
 from circmd.solver import min_resolvers
 
 EXPECTED_IDS = {
@@ -69,6 +72,26 @@ def test_fast_descriptors_pass_at_k1():
 def test_min_k_scoping_skips_small_orders():
     report = check_lemma(REGISTRY["m3-2-5-2"], (1,))
     assert report.results == ()
+
+
+def test_cluster_check_reports_vacuous_and_fail():
+    # a too-small witness makes a claim vacuous when no landmark set of
+    # size <= 3 induces the cluster, and false when one does
+    vacuous = _simple_cluster("nine", "block of nine", (5,), 9, [list(range(9))],
+                              presumes_cluster=True)
+    result = _check_cluster_instantiation(vacuous, 13, {"a": 0})
+    assert result.status == "vacuous"
+    g, cluster, _ = instantiate(vacuous, 13, {"a": 0})
+    assert _find_inducing_set(g, cluster) is None
+
+    false = _simple_cluster("pair", "one pair", (5,), 3, [[0, 1]],
+                            presumes_cluster=True)
+    result = _check_cluster_instantiation(false, 13, {"a": 0})
+    assert result.status == "fail"
+    assert result.detail == "(0,) resolves the cluster with 1 < 3"
+    g, cluster, _ = instantiate(false, 13, {"a": 0})
+    assert _find_inducing_set(g, cluster) == (2,)
+    assert is_cluster_for(g, (2,), cluster)
 
 
 def test_anchor_probes_are_translations():

@@ -51,15 +51,12 @@ def test_dim_result_equality_ignores_search_effort():
     assert a == b
 
 
-@given(st.integers(min_value=10, max_value=20),
-       st.booleans(), st.booleans(), st.booleans())
+@given(st.integers(min_value=10, max_value=20), st.booleans())
 @settings(deadline=None, max_examples=40)
-def test_pruning_options_do_not_change_the_result(n, sym, hits, classes):
+def test_pruning_options_do_not_change_the_result(n, sym):
     g = make_consecutive(n, 4)
     baseline = exact_dim(g)
-    opts = SearchOptions(use_symmetry=sym, use_hitting_sets=hits,
-                         use_class_prune=classes)
-    assert exact_dim(g, opts) == baseline
+    assert exact_dim(g, SearchOptions(use_symmetry=sym)) == baseline
 
 
 def test_nonconsecutive_steps_are_searchable():
@@ -79,6 +76,8 @@ def test_budget_guard_raises_before_enumerating():
         exact_dim(g, SearchOptions(budget=10))
     with pytest.raises(BudgetExceededError):
         brute_force_dim(g, budget=10)
+    with pytest.raises(BudgetExceededError, match=r"C\(30, 1\)"):
+        min_resolvers(g, Cluster([[0, 1]]), g.vertices, budget=10)
 
 
 def test_find_basis_of_size():
