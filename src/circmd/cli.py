@@ -107,6 +107,7 @@ def _cmd_dim(args, parser) -> int:
                   "basis": list(res.basis), "method": res.method,
                   "nodes_explored": res.nodes_explored,
                   "lower_bound_used": res.lower_bound_used,
+                  "exhausted_sizes": list(res.exhausted_sizes),
                   "bounds": _bounds_payload(args.n, args.t)}
         _emit("dim", params, result, started)
         return EXIT_OK

@@ -4,17 +4,18 @@ Two routes are provided and deliberately kept separate:
 
 - ``exact_dim``: iterative deepening over the basis size, each size
   searched by the kernel ``find_basis_of_size`` also uses.  Vertex 0 is
-  fixed in every candidate (rotations act transitively) and candidates are
-  canonicalized under the reflection v -> -v (an automorphism of every
-  circulant with a symmetric step set).  The search works on separator
-  masks: sep(u, v) = {x : d(x, u) != d(x, v)} as an n-bit integer, read
-  off one mask per difference, sep(u, u + delta) = sepdiff[delta] rotated
-  by u.  A candidate resolves the graph exactly when it hits the mask of
-  every pair, so each node keeps the masks of the pairs its landmarks
-  still leave colliding.  The last landmark is read off the AND of those
-  masks; an inner node is pruned when some colliding pair has no separator
-  above the last pick.  ``min_resolvers`` runs on it too, with the pairs
-  inside each block and the candidates limited to the allowed set.
+  fixed in every candidate (rotations act transitively).  The search works
+  on separator masks: sep(u, v) = {x : d(x, u) != d(x, v)} as an n-bit
+  integer, read off one mask per difference, sep(u, u + delta) =
+  sepdiff[delta] rotated by u.  A candidate resolves the graph exactly
+  when it hits the mask of every pair, so each node keeps the masks of the
+  pairs its landmarks still leave colliding, and the last landmark is read
+  off their AND.  Inner nodes are cut by the disjoint-sets bound of
+  hitting-set branch and bound: pack colliding pairs, narrowest first,
+  whose separators above the last pick are pairwise disjoint; the node is
+  cut when one is empty or the packing outnumbers the picks left.
+  ``min_resolvers`` runs on it too, with the pairs inside each block and
+  the candidates limited to the allowed set.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -58,7 +59,6 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class SearchOptions:
     max_k: Optional[int] = None
-    use_symmetry: bool = True
     budget: Optional[int] = None  # None: default_budget()
 
     def __post_init__(self):
@@ -95,20 +95,13 @@ def _search_lower_bound(g: CirculantGraph) -> int:
     return lb
 
 
-def _is_reflection_canonical(n: int, candidate: tuple[int, ...]) -> bool:
-    reflected = tuple(sorted((-v) % n for v in candidate))
-    return candidate <= reflected
-
-
 class _Kernel:
     """Separator masks of one graph, limited to the sorted candidate
     ``pool`` (default all vertices), and the depth-first search over pool
     subsets in ascending lexicographic order.  Bit x stands for vertex x."""
 
-    def __init__(self, g: CirculantGraph, opts: SearchOptions,
-                 pool: Optional[Sequence[int]] = None):
-        n = g.n
-        self.n, self.opts = n, opts
+    def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None):
+        self.n = n = g.n
         self.pool = range(n) if pool is None else pool
         self.full = (1 << n) - 1
         self.pool_mask = sum(1 << v for v in self.pool)
@@ -140,8 +133,9 @@ class _Kernel:
         """Lexicographically least resolving k-set containing 0, or None."""
         self.nodes += 1
         if self.root_pairs is None:  # the pairs {0} leaves colliding
-            self.root_pairs = [self.sep(u, v) for s in self.spheres
-                               for u, v in itertools.combinations(s, 2)]
+            self.root_pairs = sorted(
+                (self.sep(u, v) for s in self.spheres
+                 for u, v in itertools.combinations(s, 2)), key=int.bit_count)
         return self._descend(self.root_pairs, (0,), k - 1, 1)
 
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
@@ -158,28 +152,32 @@ class _Kernel:
             self.nodes += 1
             bit = 1 << v
             kept = [m for m in pairs if not m & bit]
-            # a pair with no separator above v, if any, has the least mask
-            if kept and min(kept) >> (v + 1) == 0:
-                continue
-            found = self._descend(kept, chosen + (v,), remaining - 1, i + 1)
-            if found is not None:
-                return found
+            # cut if a pair has no separator above v, or if `remaining` pairs
+            # have disjoint ones: the remaining - 1 later picks hit one each
+            need, used = remaining, 0
+            for m in kept:
+                m >>= v + 1
+                if not m & used:
+                    need = need - 1 if m else 0
+                    if not need:
+                        break
+                    used |= m
+            else:
+                found = self._descend(kept, chosen + (v,), remaining - 1, i + 1)
+                if found is not None:
+                    return found
         return None
 
     def _last(self, pairs: list[int], chosen: tuple[int, ...]
               ) -> Optional[tuple[int, ...]]:
-        """The least pool vertex above the last pick that separates every
-        colliding pair and keeps the candidate reflection-canonical."""
+        """``chosen`` plus the least pool vertex above the last pick that
+        separates every colliding pair, or None."""
         last = chosen[-1] if chosen else -1
         mask = reduce(and_, pairs, self.pool_mask) >> (last + 1)
-        while mask:
-            low = mask & -mask
-            self.nodes += 1
-            candidate = chosen + (last + low.bit_length(),)
-            if not self.opts.use_symmetry or _is_reflection_canonical(self.n, candidate):
-                return candidate
-            mask ^= low
-        return None
+        if not mask:
+            return None
+        self.nodes += 1
+        return chosen + (last + (mask & -mask).bit_length(),)
 
 
 def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
@@ -200,7 +198,7 @@ def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimRe
     least resolving set containing 0.
     """
     lb = _search_lower_bound(g)
-    kernel = _Kernel(g, opts)
+    kernel = _Kernel(g)
     exhausted = []
     k = lb
     while True:
@@ -228,7 +226,7 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     if k < 1:
         raise ValueError("basis size must be at least 1")
     _check_budget(g.n - 1, k - 1, opts.budget)
-    return _Kernel(g, opts).search(k)
+    return _Kernel(g).search(k)
 
 
 def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResult:
@@ -272,7 +270,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
-    kernel = _Kernel(g, SearchOptions(use_symmetry=False), pool)
+    kernel = _Kernel(g, pool)
     pairs = [kernel.sep(u, v) for block in cluster.blocks
              for u, v in itertools.combinations(block, 2)]
     if not all(pairs):

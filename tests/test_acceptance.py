@@ -5,7 +5,6 @@ independent.  The conftest summary hook prints `criterion N: PASS/FAIL`
 lines after the run.
 """
 
-import random
 import time
 from functools import lru_cache
 from itertools import combinations
@@ -16,7 +15,7 @@ from circmd.formulas import formula_dim
 from circmd.graph import _bfs_row, make_consecutive
 from circmd.lemmas import REGISTRY, check_all, window_tightness
 from circmd.resolve import is_resolving
-from circmd.solver import SearchOptions, brute_force_dim, exact_dim
+from circmd.solver import brute_force_dim, exact_dim
 
 from conftest import record_criterion
 
@@ -155,23 +154,8 @@ def test_acceptance_8_solver_soundness_battery():
         for n in range(2 * t + 2, 26):
             if exact_dim(make_consecutive(n, t)).dim != _brute_dim(n, t):
                 problems.append((n, t, "oracle mismatch"))
-    rng = random.Random(20240823)
-    node_diffs = 0
-    for _ in range(100):
-        t = rng.choice((2, 3, 4))
-        n = rng.randint(2 * t + 2, 20)
-        g = make_consecutive(n, t)
-        ref = exact_dim(g)
-        for flag in ("use_symmetry",):
-            ablated = exact_dim(g, SearchOptions(**{flag: False}))
-            if ablated.dim != ref.dim or ablated.basis != ref.basis:
-                problems.append((n, t, flag))
-            if ablated.nodes_explored != ref.nodes_explored:
-                node_diffs += 1
     _verdict(8, not problems,
-             f"exact = oracle for n <= 25, t in 2..4; "
-             f"100-instance ablation kept every answer "
-             f"({node_diffs} runs changed node counts); problems: "
+             f"exact = oracle for n <= 25, t in 2..4; problems: "
              f"{problems or 'none'}")
 
 

@@ -52,6 +52,16 @@ def test_dim_search_method(capsys):
     assert payload["result"]["dim"] == 5
 
 
+def test_dim_search_reports_exhausted_sizes(capsys):
+    code, payload = run_json(capsys, "dim", "--n", "21", "--t", "4",
+                             "--method", "search")
+    assert code == 0
+    result = payload["result"]
+    assert result["exhausted_sizes"] == list(
+        range(result["lower_bound_used"], result["dim"]))
+    assert result["exhausted_sizes"]
+
+
 def test_dim_formula_abstains_with_exit_1(capsys):
     code, payload = run_json(capsys, "dim", "--n", "8", "--t", "4",
                              "--method", "formula")
