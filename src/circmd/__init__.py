@@ -27,10 +27,8 @@ from .lemmas import (
 )
 from .resolve import (
     Cluster,
-    RepresentationVector,
     WitnessPair,
     equivalence_classes,
-    is_block,
     is_cluster_for,
     is_resolving,
     pair_resolvers,
@@ -40,7 +38,6 @@ from .resolve import (
 from .solver import (
     BudgetExceededError,
     DimResult,
-    SearchOptions,
     brute_force_dim,
     exact_dim,
     find_basis_of_size,
@@ -58,8 +55,6 @@ __all__ = [
     "DimResult",
     "LemmaDescriptor",
     "REGISTRY",
-    "RepresentationVector",
-    "SearchOptions",
     "WitnessPair",
     "basis_t4",
     "brute_force_dim",
@@ -73,7 +68,6 @@ __all__ = [
     "find_basis_of_size",
     "formula_dim",
     "instantiate",
-    "is_block",
     "is_cluster_for",
     "is_resolving",
     "known_bounds",

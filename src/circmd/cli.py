@@ -28,7 +28,6 @@ from .lemmas import REGISTRY, check_lemma, manifest
 from .resolve import is_resolving, representation
 from .solver import (
     BudgetExceededError,
-    SearchOptions,
     brute_force_dim,
     default_budget,
     exact_dim,
@@ -79,17 +78,18 @@ def _cmd_dim(args, parser) -> int:
     started = time.perf_counter()
     params = {"n": args.n, "t": args.t, "method": args.method,
               "max_k": args.max_k, "budget": args.budget}
+    if args.max_k is not None and args.max_k < 1:
+        parser.error("--max-k must be at least 1")
     g = make_consecutive(args.n, args.t)
-    opts = SearchOptions(max_k=args.max_k, budget=args.budget)
     method = args.method
     try:
         if method in ("auto", "formula"):
             dim = formula_dim(args.n, args.t)
             if dim is not None:
                 if args.t == 4:
-                    basis = basis_t4(args.n, opts).basis
+                    basis = basis_t4(args.n, budget=args.budget).basis
                 else:
-                    basis = find_basis_of_size(g, dim, opts)
+                    basis = find_basis_of_size(g, dim, budget=args.budget)
                 result = {"n": args.n, "t": args.t, "dim": dim,
                           "basis": list(basis), "method": "formula",
                           "bounds": _bounds_payload(args.n, args.t)}
@@ -102,7 +102,7 @@ def _cmd_dim(args, parser) -> int:
         if method == "oracle":
             res = brute_force_dim(g, budget=args.budget)
         else:
-            res = exact_dim(g, opts)
+            res = exact_dim(g, max_k=args.max_k, budget=args.budget)
         result = {"n": args.n, "t": args.t, "dim": res.dim,
                   "basis": list(res.basis), "method": res.method,
                   "nodes_explored": res.nodes_explored,
@@ -129,8 +129,8 @@ def _cmd_verify(args, parser) -> int:
         "resolving": False,
         "witness_pair": [witness.u, witness.v],
         "representations": {
-            str(witness.u): list(representation(g, witness.u, landmarks).coords),
-            str(witness.v): list(representation(g, witness.v, landmarks).coords),
+            str(witness.u): list(representation(g, witness.u, landmarks)),
+            str(witness.v): list(representation(g, witness.v, landmarks)),
         },
     }
     _emit("verify", params, result, started)
@@ -148,7 +148,7 @@ def _table_rows(args) -> list[dict]:
         row = {"n": n, "n_mod_8": n % 8, "formula_dim": fd,
                "searched_dim": None, "agreement": None, "note": note}
         if args.check:
-            searched = exact_dim(g, SearchOptions(budget=args.budget)).dim
+            searched = exact_dim(g, budget=args.budget).dim
             row["searched_dim"] = searched
             row["agreement"] = (fd == searched) if fd is not None else None
         rows.append(row)
@@ -198,7 +198,7 @@ def _cmd_construct(args, parser) -> int:
     started = time.perf_counter()
     params = {"n": args.n}
     try:
-        report = basis_t4(args.n, SearchOptions(budget=args.budget))
+        report = basis_t4(args.n, budget=args.budget)
     except BudgetExceededError as exc:
         _emit("construct", params, {"error": str(exc)}, started)
         return EXIT_BUDGET

@@ -23,7 +23,7 @@ from typing import Optional
 from .formulas import formula_dim
 from .graph import CirculantGraph, make_consecutive
 from .resolve import is_resolving
-from .solver import SearchOptions, exact_dim, find_basis_of_size
+from .solver import exact_dim, find_basis_of_size
 
 REMARK_19_PUBLISHED = (0, 2, 7, 19)
 
@@ -61,7 +61,7 @@ def _report(g: CirculantGraph, basis: tuple[int, ...], source: str,
         matches_formula=target is not None and len(basis) == target, note=note)
 
 
-def basis_t4(n: int, opts: SearchOptions = SearchOptions()) -> ConstructionReport:
+def basis_t4(n: int, budget: Optional[int] = None) -> ConstructionReport:
     """A verified metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")
@@ -73,7 +73,7 @@ def basis_t4(n: int, opts: SearchOptions = SearchOptions()) -> ConstructionRepor
     if n == 19:
         # The published 4-set contains vertex 19 = 0 (mod 19), a duplicate
         # of vertex 0; rederive an honest 4-element witness by search.
-        basis = find_basis_of_size(g, 4, opts)
+        basis = find_basis_of_size(g, 4, budget=budget)
         assert basis is not None
         collapsed = sorted({v % 19 for v in REMARK_19_PUBLISHED})
         return _report(
@@ -86,11 +86,11 @@ def basis_t4(n: int, opts: SearchOptions = SearchOptions()) -> ConstructionRepor
         return _report(g, family_basis_8k7((n - 7) // 8), "upper-8k7")
     target = formula_dim(n, 4)
     if target is not None:
-        basis = find_basis_of_size(g, target, opts)
+        basis = find_basis_of_size(g, target, budget=budget)
         assert basis is not None
         return _report(g, basis, "search-fallback")
     # complete-graph fringe n in {6..9}: no formula, full exact search
-    result = exact_dim(g, opts)
+    result = exact_dim(g, budget=budget)
     return _report(g, result.basis, "search-fallback",
                    note="complete-graph fringe: dimension from exact search")
 

@@ -203,6 +203,8 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
                 ) -> LemmaReport:
     """Validate one descriptor over all admissible orders for the given k."""
     k_range = sorted(set(k_range))
+    if not k_range:
+        raise ValueError("k_range must be nonempty")
     if any(k < 1 for k in k_range):
         raise ValueError("k values must be at least 1")
     results: list[InstantiationResult] = []

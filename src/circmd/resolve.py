@@ -17,16 +17,6 @@ from .graph import CirculantGraph, split_8k_r
 
 
 @dataclass(frozen=True)
-class RepresentationVector:
-    landmarks: tuple[int, ...]
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.landmarks) != len(self.coords):
-            raise ValueError("coordinate count must match landmark count")
-
-
-@dataclass(frozen=True)
 class WitnessPair:
     """Two distinct vertices sharing a representation; a failure certificate."""
 
@@ -68,14 +58,15 @@ def _coords(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, .
     return tuple(row[(v - x) % n] for x in landmarks)
 
 
-def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> RepresentationVector:
+def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, ...]:
+    """r(v|X): the distances from v to the landmarks, in their order."""
     landmarks = tuple(landmarks)
     if not landmarks:
         raise ValueError("landmark list must be nonempty")
     for x in (v, *landmarks):
         if not 0 <= x < g.n:
             raise ValueError(f"vertex must lie in [0, {g.n}), got {x}")
-    return RepresentationVector(landmarks, _coords(g, v, landmarks))
+    return _coords(g, v, landmarks)
 
 
 def _least_collision(g: CirculantGraph, vertices: Iterable[int],
@@ -108,16 +99,6 @@ def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[lis
     for v in g.vertices:
         classes.setdefault(_coords(g, v, X), []).append(v)
     return sorted(classes.values(), key=lambda c: c[0])
-
-
-def is_block(g: CirculantGraph, landmarks: Iterable[int], block: Iterable[int]) -> bool:
-    """True iff all block members share one representation under the landmarks."""
-    A = sorted(set(block))
-    if not A:
-        raise ValueError("block must be nonempty")
-    X = sorted(set(landmarks))
-    ref = _coords(g, A[0], X)
-    return all(_coords(g, v, X) == ref for v in A[1:])
 
 
 def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster) -> bool:

@@ -2,24 +2,25 @@
 
 Two routes are provided and deliberately kept separate:
 
-- ``exact_dim``: iterative deepening over the basis size, each size
-  searched by the kernel ``find_basis_of_size`` also uses.  Vertex 0 is
-  fixed in every candidate (rotations act transitively).  The search works
-  on separator masks: sep(u, v) = {x : d(x, u) != d(x, v)} as an n-bit
-  integer, read off one mask per difference, sep(u, u + delta) =
-  sepdiff[delta] rotated by u.  A candidate resolves the graph exactly
-  when it hits the mask of every pair, so each node keeps the masks of the
-  pairs its landmarks still leave colliding, and the last landmark is read
+- The kernel: a set resolves given vertex pairs exactly when it hits the
+  separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)} as an
+  n-bit integer, sep(u, u + delta) = sepdiff[delta] rotated by u.  Its
+  one entry takes the pairs' masks and a range of sizes and, size by
+  size, runs the budget guard and a lexicographic depth-first search over
+  subsets of a candidate pool; the first hit set found is the least.  A
+  node keeps the masks its picks leave unhit, and the last pick is read
   off their AND.  Inner nodes are cut by the disjoint-sets bound of
-  hitting-set branch and bound: pack colliding pairs, narrowest first,
-  whose separators above the last pick are pairwise disjoint; the node is
-  cut when one is empty or the packing outnumbers the picks left.
-  ``min_resolvers`` runs on it too, with the pairs inside each block and
-  the candidates limited to the allowed set.
+  hitting-set branch and bound: pack unhit masks, narrowest first, that
+  are pairwise disjoint above the last pick; cut when one is empty there
+  or the packing outnumbers the picks left.  ``exact_dim`` and
+  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
+  pool is 1..n-1 and the pairs are those on one sphere around 0.
+  ``min_resolvers`` passes the pairs inside each block and the allowed
+  set as the pool.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
-  ``exact_dim`` and serves as the independent oracle.
+  the kernel and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 from operator import and_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import known_bounds
 from .graph import CirculantGraph
@@ -57,20 +58,10 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SearchOptions:
-    max_k: Optional[int] = None
-    budget: Optional[int] = None  # None: default_budget()
-
-    def __post_init__(self):
-        if self.max_k is not None and self.max_k < 1:
-            raise ValueError("max_k must be at least 1")
-
-
-@dataclass(frozen=True)
 class DimResult:
     dim: int
     basis: tuple[int, ...]
-    method: str  # "formula" | "search" | "oracle"
+    method: str  # "search" | "oracle"
     # search: inner nodes plus the last-level candidates tried
     nodes_explored: int = field(compare=False, default=0)
     lower_bound_used: int = 1
@@ -101,17 +92,25 @@ class _Kernel:
     subsets in ascending lexicographic order.  Bit x stands for vertex x."""
 
     def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None):
+        self.g = g
         self.n = n = g.n
         self.pool = range(n) if pool is None else pool
         self.full = (1 << n) - 1
-        self.pool_mask = sum(1 << v for v in self.pool)
-        self.spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
-        for y, d in enumerate(g.dist_row):
-            self.spheres[d].append(y)
-        self.by_dist = [sum(1 << y for y in s) for s in self.spheres]
+        # filled by the first sep, so a search the budget guard refuses
+        # builds no mask; _last needs pool_mask only once a pair is hit (a
+        # search that starts with no pairs, in min_resolvers, ends at size 0)
+        self.by_dist: list[int] = []
+        self.pool_mask = 0
         self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
-        self.root_pairs: Optional[list[int]] = None
+        self.exhausted: list[int] = []
+
+    def spheres(self) -> list[list[int]]:
+        """Vertices by distance from vertex 0."""
+        spheres: list[list[int]] = [[] for _ in range(self.g.diameter + 1)]
+        for y, d in enumerate(self.g.dist_row):
+            spheres[d].append(y)
+        return spheres
 
     def _rotate(self, mask: int, u: int) -> int:
         """The mask shifted by u around Z_n: bit y moves to bit y + u."""
@@ -119,6 +118,9 @@ class _Kernel:
 
     def sep(self, u: int, v: int) -> int:
         """Mask of the pool vertices x with d(x, u) != d(x, v)."""
+        if not self.by_dist:
+            self.by_dist = [sum(1 << y for y in s) for s in self.spheres()]
+            self.pool_mask = sum(1 << x for x in self.pool)
         delta = (v - u) % self.n
         mask = self.sepdiff[delta]
         if mask is None:
@@ -129,14 +131,31 @@ class _Kernel:
             mask = self.sepdiff[delta] = self.full ^ same
         return self._rotate(mask, u) & self.pool_mask
 
-    def search(self, k: int) -> Optional[tuple[int, ...]]:
-        """Lexicographically least resolving k-set containing 0, or None."""
-        self.nodes += 1
-        if self.root_pairs is None:  # the pairs {0} leaves colliding
-            self.root_pairs = sorted(
-                (self.sep(u, v) for s in self.spheres
-                 for u, v in itertools.combinations(s, 2)), key=int.bit_count)
-        return self._descend(self.root_pairs, (0,), k - 1, 1)
+    def sphere_pairs(self) -> Iterator[int]:
+        """Masks of the pairs on one sphere around vertex 0: the pairs
+        that {0} leaves colliding."""
+        for s in self.spheres():
+            for u, v in itertools.combinations(s, 2):
+                yield self.sep(u, v)
+
+    def hit(self, pairs: Iterable[int], sizes: Iterable[int],
+            budget: Optional[int]) -> Optional[tuple[int, ...]]:
+        """Least pool subset that hits every mask in ``pairs``, of the
+        first size in ``sizes`` that has one, or None.  Sizes found empty
+        go to ``exhausted``.  Each size passes the budget guard before it
+        is searched, and ``pairs`` is read only after the first one has,
+        then sorted narrowest first for the packing cut."""
+        ordered: Optional[list[int]] = None
+        for size in sizes:
+            _check_budget(len(self.pool), size, budget)
+            if ordered is None:
+                ordered = sorted(pairs, key=int.bit_count)
+            self.nodes += 1
+            found = self._descend(ordered, (), size)
+            if found is not None:
+                return found
+            self.exhausted.append(size)
+        return None
 
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
                  remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
@@ -190,34 +209,39 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
             f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
-def exact_dim(g: CirculantGraph, opts: SearchOptions = SearchOptions()) -> DimResult:
+def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
+                     budget: Optional[int]
+                     ) -> tuple[_Kernel, Optional[tuple[int, ...]]]:
+    """The kernel on the pool range(1, n) and the pairs {0} leaves
+    colliding, and 0 plus its least hit set: the least resolving set
+    containing 0 of 1 + p vertices, p the first of ``picks`` that has one."""
+    kernel = _Kernel(g, range(1, g.n))
+    found = kernel.hit(kernel.sphere_pairs(), picks, budget)
+    return kernel, None if found is None else (0,) + found
+
+
+def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
+              budget: Optional[int] = None) -> DimResult:
     """Exact metric dimension with a witness basis.
 
-    Deepens k from the best available lower bound; within each k the
-    enumeration is ascending lexicographic, so the returned basis is the
-    least resolving set containing 0.
+    Deepens k from the best available lower bound up to ``max_k`` (None:
+    n); within each k the enumeration is ascending lexicographic, so the
+    returned basis is the least resolving set containing 0.
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError("max_k must be at least 1")
     lb = _search_lower_bound(g)
-    kernel = _Kernel(g)
-    exhausted = []
-    k = lb
-    while True:
-        if opts.max_k is not None and k > opts.max_k:
-            raise BudgetExceededError(
-                f"no resolving set of size <= {opts.max_k} found for {g}")
-        _check_budget(g.n - 1, k - 1, opts.budget)
-        basis = kernel.search(k)
-        if basis is not None:
-            return DimResult(dim=k, basis=basis, method="search",
-                             nodes_explored=kernel.nodes, lower_bound_used=lb,
-                             exhausted_sizes=tuple(exhausted))
-        exhausted.append(k)
-        k += 1
+    kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget)
+    if basis is None:
+        raise BudgetExceededError(
+            f"no resolving set of size <= {max_k} found for {g}")
+    return DimResult(dim=len(basis), basis=basis, method="search",
+                     nodes_explored=kernel.nodes, lower_bound_used=lb,
+                     exhausted_sizes=tuple(p + 1 for p in kernel.exhausted))
 
 
 def find_basis_of_size(g: CirculantGraph, k: int,
-                       opts: SearchOptions = SearchOptions()
-                       ) -> Optional[tuple[int, ...]]:
+                       budget: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """Least resolving k-set containing 0, or None if none exists.
 
     Skips the iterative deepening of ``exact_dim``; useful when the
@@ -225,8 +249,7 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     """
     if k < 1:
         raise ValueError("basis size must be at least 1")
-    _check_budget(g.n - 1, k - 1, opts.budget)
-    return _Kernel(g).search(k)
+    return _basis_with_zero(g, (k - 1,), budget)[1]
 
 
 def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResult:
@@ -276,9 +299,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     if not all(pairs):
         return MinResolversResult(size=None, witness=None)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
-    for m in range(0, limit + 1):
-        _check_budget(len(pool), m, budget)
-        witness = kernel._descend(pairs, (), m)
-        if witness is not None:
-            return MinResolversResult(size=m, witness=witness)
-    return MinResolversResult(size=None, witness=None, capped=True)
+    witness = kernel.hit(pairs, range(limit + 1), budget)
+    if witness is None:
+        return MinResolversResult(size=None, witness=None, capped=True)
+    return MinResolversResult(size=len(witness), witness=witness)

@@ -106,6 +106,19 @@ def test_budget_exceeded_exits_3(capsys):
     assert "budget" in payload["result"]["error"]
 
 
+def test_dim_max_k_below_one_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--n", "13", "--t", "4", "--method", "search", "--max-k", "0"])
+    assert exc.value.code == 2
+
+
+def test_dim_search_past_max_k_exits_3(capsys):
+    code, payload = run_json(capsys, "dim", "--n", "10", "--t", "4",
+                             "--method", "search", "--max-k", "4")
+    assert code == 3
+    assert "size <= 4" in payload["result"]["error"]
+
+
 def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, capsys):
     src = Path(circmd.__file__).resolve().parents[1]
     env = dict(os.environ, CIRCMD_BUDGET="abc", PYTHONPATH=str(src))
@@ -180,3 +193,10 @@ def test_check_lemmas_unknown_id_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["check-lemmas", "--id", "no-such-lemma"])
     assert exc.value.code == 2
+
+
+def test_check_lemmas_empty_k_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-lemmas", "--id", "thm-general-t", "--k-max", "0"])
+    assert exc.value.code == 2
+    assert "k_range must be nonempty" in capsys.readouterr().err

@@ -107,7 +107,7 @@ def test_window_bound_fails_for_residues_3_and_4():
     for n in (11, 12, 19, 20, 27, 28, 35, 36):
         subset, probes = window_bound_counterexample(n)
         g = make_consecutive(n, 4)
-        reps = [representation(g, v, probes).coords for v in subset]
+        reps = [representation(g, v, probes) for v in subset]
         assert len(set(reps)) == len(subset)  # 2 probes resolve a 4-set
         assert len(probes) == 2 < len(subset) - 1
     with pytest.raises(ValueError):
@@ -153,6 +153,12 @@ def test_dim_lower_descriptors_pass():
         report = check_lemma(REGISTRY[did], (1,))
         assert report.ok
         assert all(r.status == "pass" for r in report.results)
+
+
+def test_check_lemma_refuses_an_empty_k_range():
+    for did in ("thm-general-t", "min-dist-789", "Obs-0123"):
+        with pytest.raises(ValueError, match="k_range must be nonempty"):
+            check_lemma(REGISTRY[did], [])
 
 
 def test_basis_gap_rotation_reduction_matches_sweep():

@@ -7,7 +7,6 @@ from circmd.resolve import (
     Cluster,
     WitnessPair,
     equivalence_classes,
-    is_block,
     is_cluster_for,
     is_resolving,
     pair_resolvers,
@@ -27,9 +26,7 @@ def landmark_sets(n_max=40):
 
 def test_representation_example():
     g = make_consecutive(13, 4)
-    rep = representation(g, 6, (0, 1, 4))
-    assert rep.coords == (2, 2, 1)
-    assert rep.landmarks == (0, 1, 4)
+    assert representation(g, 6, (0, 1, 4)) == (2, 2, 1)
 
 
 def test_witness_pair_rejects_equal_vertices():
@@ -81,12 +78,6 @@ def test_equivalence_classes_example():
     g = make_consecutive(13, 4)
     assert equivalence_classes(g, (0,)) == [
         [0], [1, 2, 3, 4, 9, 10, 11, 12], [5, 6, 7, 8]]
-
-
-def test_block_detection():
-    g = make_consecutive(13, 4)
-    assert is_block(g, (0,), (5, 6, 7, 8))
-    assert not is_block(g, (0,), (4, 5))
 
 
 def test_cluster_rejects_overlap_and_empty():

@@ -16,7 +16,6 @@ from circmd.solver import (
     BudgetExceededError,
     DimResult,
     MinResolversResult,
-    SearchOptions,
     brute_force_dim,
     exact_dim,
     find_basis_of_size,
@@ -72,17 +71,34 @@ def test_nonconsecutive_steps_are_searchable():
 def test_max_k_raises_when_exceeded():
     g = make_consecutive(10, 4)
     with pytest.raises(BudgetExceededError):
-        exact_dim(g, SearchOptions(max_k=3))
+        exact_dim(g, max_k=3)
+    with pytest.raises(ValueError, match="max_k must be at least 1"):
+        exact_dim(g, max_k=0)
 
 
 def test_budget_guard_raises_before_enumerating():
     g = make_consecutive(30, 4)
     with pytest.raises(BudgetExceededError):
-        exact_dim(g, SearchOptions(budget=10))
+        exact_dim(g, budget=10)
     with pytest.raises(BudgetExceededError):
         brute_force_dim(g, budget=10)
     with pytest.raises(BudgetExceededError, match=r"C\(30, 1\)"):
         min_resolvers(g, Cluster([[0, 1]]), g.vertices, budget=10)
+    with pytest.raises(BudgetExceededError, match=r"C\(29, 3\)"):
+        find_basis_of_size(g, 4, budget=10)
+
+
+def test_budget_refusal_builds_no_separator_mask(monkeypatch):
+    def no_mask(*args):
+        raise AssertionError("separator mask built before the budget guard")
+
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    monkeypatch.setattr(_Kernel, "sep", no_mask)
+    g = make_consecutive(400, 4)
+    with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
+        exact_dim(g)
+    with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
+        find_basis_of_size(g, 6)
 
 
 def test_find_basis_of_size():
