@@ -1,7 +1,7 @@
 """Metric dimension of circulant graphs C(n, +/-{1..t}).
 
-Closed-form dimensions and bounds, exact symmetry-reduced search with an
-independent brute-force oracle, explicit basis constructions, and an
+Closed-form dimensions and bounds, exact search that fixes vertex 0 with
+an independent brute-force oracle, explicit basis constructions, and an
 empirically validated registry of the lower-bound lemma battery.
 """
 

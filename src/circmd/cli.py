@@ -7,7 +7,7 @@ render CSV or Markdown of the same values.  Exit codes:
     0  success
     1  verification failure (set not resolving, lemma check failed, ...)
     2  usage error (bad flags, malformed vertex set)
-    3  budget exceeded
+    3  budget exceeded, or no basis within ``--max-k``
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(command: str, parameters: dict, result, started: float) -> None:
-    envelope = {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-        "version": __version__,
-    }
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _bounds_payload(n: int, t: int) -> Optional[dict]:
     if t < 2 or n < 2 * t + 2:
         return None
@@ -59,82 +47,62 @@ def _bounds_payload(n: int, t: int) -> Optional[dict]:
     return {"lower": b.lower, "upper": b.upper, "provenance": list(b.provenance)}
 
 
-def _parse_vertex_set(spec: str, n: int, parser: argparse.ArgumentParser) -> list[int]:
+def _parse_vertex_set(spec: str, n: int) -> list[int]:
     try:
         raw = [int(part) for part in spec.split(",") if part.strip() != ""]
     except ValueError:
-        parser.error(f"vertex set {spec!r} is not a comma-separated integer list")
+        raise ValueError(f"vertex set {spec!r} is not a comma-separated "
+                         "integer list") from None
     if not raw:
-        parser.error("vertex set is empty")
+        raise ValueError("vertex set is empty")
     reduced = [v % n for v in raw]
     if len(set(reduced)) != len(reduced):
         # duplicates mod n are rejected, not merged: a printed witness that
         # collapses (e.g. containing both 0 and n) should fail loudly
-        parser.error(f"vertex set {spec!r} contains duplicates mod {n}")
+        raise ValueError(f"vertex set {spec!r} contains duplicates mod {n}")
     return sorted(reduced)
 
 
-def _cmd_dim(args, parser) -> int:
-    started = time.perf_counter()
-    params = {"n": args.n, "t": args.t, "method": args.method,
-              "max_k": args.max_k, "budget": args.budget}
+def _cmd_dim(args) -> tuple[dict, int]:
     if args.max_k is not None and args.max_k < 1:
-        parser.error("--max-k must be at least 1")
+        raise ValueError("--max-k must be at least 1")
     g = make_consecutive(args.n, args.t)
-    method = args.method
-    try:
-        if method in ("auto", "formula"):
-            dim = formula_dim(args.n, args.t)
-            if dim is not None:
-                if args.t == 4:
-                    basis = basis_t4(args.n, budget=args.budget).basis
-                else:
-                    basis = find_basis_of_size(g, dim, budget=args.budget)
-                result = {"n": args.n, "t": args.t, "dim": dim,
-                          "basis": list(basis), "method": "formula",
-                          "bounds": _bounds_payload(args.n, args.t)}
-                _emit("dim", params, result, started)
-                return EXIT_OK
-            if method == "formula":
-                _emit("dim", params, {"error": "no closed-form dimension known "
-                                               f"for n={args.n}, t={args.t}"}, started)
-                return EXIT_VERIFICATION_FAILED
-        if method == "oracle":
-            res = brute_force_dim(g, budget=args.budget)
-        else:
-            res = exact_dim(g, max_k=args.max_k, budget=args.budget)
-        result = {"n": args.n, "t": args.t, "dim": res.dim,
-                  "basis": list(res.basis), "method": res.method,
-                  "nodes_explored": res.nodes_explored,
-                  "lower_bound_used": res.lower_bound_used,
-                  "exhausted_sizes": list(res.exhausted_sizes),
-                  "bounds": _bounds_payload(args.n, args.t)}
-        _emit("dim", params, result, started)
-        return EXIT_OK
-    except BudgetExceededError as exc:
-        _emit("dim", params, {"error": str(exc)}, started)
-        return EXIT_BUDGET
+    dim = formula_dim(args.n, args.t) if args.method in ("auto", "formula") else None
+    if dim is not None:
+        basis = (basis_t4(args.n, budget=args.budget).basis if args.t == 4
+                 else find_basis_of_size(g, dim, budget=args.budget))
+        found = {"dim": dim, "basis": list(basis), "method": "formula"}
+    elif args.method == "formula":
+        return {"error": "no closed-form dimension known "
+                         f"for n={args.n}, t={args.t}"}, EXIT_VERIFICATION_FAILED
+    else:
+        res = (brute_force_dim(g, budget=args.budget) if args.method == "oracle"
+               else exact_dim(g, max_k=args.max_k, budget=args.budget))
+        found = {"dim": res.dim, "basis": list(res.basis), "method": res.method,
+                 "nodes_explored": res.nodes_explored,
+                 "lower_bound_used": res.lower_bound_used,
+                 "exhausted_sizes": list(res.exhausted_sizes)}
+    if args.max_k is not None and found["dim"] > args.max_k:
+        raise BudgetExceededError(
+            f"no resolving set of size <= {args.max_k} found for {g}")
+    return {"n": args.n, "t": args.t, **found,
+            "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict, int]:
     g = make_consecutive(args.n, args.t)
-    landmarks = _parse_vertex_set(args.set, args.n, parser)
-    params = {"n": args.n, "t": args.t, "set": landmarks}
+    args.set = landmarks = _parse_vertex_set(args.set, args.n)  # echoed as parsed
     witness = is_resolving(g, landmarks)
     if witness is None:
-        _emit("verify", params, {"resolving": True, "size": len(landmarks)}, started)
-        return EXIT_OK
-    result = {
+        return {"resolving": True, "size": len(landmarks)}, EXIT_OK
+    return {
         "resolving": False,
         "witness_pair": [witness.u, witness.v],
         "representations": {
             str(witness.u): list(representation(g, witness.u, landmarks)),
             str(witness.v): list(representation(g, witness.v, landmarks)),
         },
-    }
-    _emit("verify", params, result, started)
-    return EXIT_VERIFICATION_FAILED
+    }, EXIT_VERIFICATION_FAILED
 
 
 def _table_rows(args) -> list[dict]:
@@ -174,73 +142,50 @@ def _render_md(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args, parser) -> int:
-    started = time.perf_counter()
+def _cmd_table(args) -> tuple[dict | str, int]:
     if args.n_min > args.n_max:
-        parser.error("--n-min must not exceed --n-max")
-    params = {"t": args.t, "n_min": args.n_min, "n_max": args.n_max,
-              "format": args.format, "check": args.check}
-    try:
-        rows = _table_rows(args)
-    except BudgetExceededError as exc:
-        _emit("table", params, {"error": str(exc)}, started)
-        return EXIT_BUDGET
-    if args.format == "json":
-        _emit("table", params, {"rows": rows}, started)
-    elif args.format == "csv":
-        sys.stdout.write(_render_csv(rows))
-    else:
-        sys.stdout.write(_render_md(rows))
-    return EXIT_OK
+        raise ValueError("--n-min must not exceed --n-max")
+    rows = _table_rows(args)
+    if args.format == "csv":
+        return _render_csv(rows), EXIT_OK
+    if args.format == "md":
+        return _render_md(rows), EXIT_OK
+    return {"rows": rows}, EXIT_OK
 
 
-def _cmd_construct(args, parser) -> int:
-    started = time.perf_counter()
-    params = {"n": args.n}
-    try:
-        report = basis_t4(args.n, budget=args.budget)
-    except BudgetExceededError as exc:
-        _emit("construct", params, {"error": str(exc)}, started)
-        return EXIT_BUDGET
+def _cmd_construct(args) -> tuple[dict, int]:
+    report = basis_t4(args.n, budget=args.budget)
     result = {"n": report.n, "basis": list(report.basis), "source": report.source,
               "verified": report.verified,
               "matches_formula": report.matches_formula, "note": report.note}
-    _emit("construct", params, result, started)
-    return EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
+    return result, EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_check_lemmas(args, parser) -> int:
-    started = time.perf_counter()
-    params = {"id": args.id, "k_max": args.k_max}
+def _cmd_check_lemmas(args) -> tuple[dict, int]:
     if args.id == "all":
         descriptors = list(REGISTRY.values())
     elif args.id in REGISTRY:
         descriptors = [REGISTRY[args.id]]
     else:
-        parser.error(f"unknown descriptor id {args.id!r}; "
-                     f"known ids: {', '.join(REGISTRY)}")
+        raise ValueError(f"unknown descriptor id {args.id!r}; "
+                         f"known ids: {', '.join(REGISTRY)}")
     k_range = range(1, args.k_max + 1)
     reports = []
     any_failure = False
-    try:
-        for d in descriptors:
-            report = check_lemma(d, k_range)
-            counts = {"pass": 0, "fail": 0, "vacuous": 0, "degenerate": 0}
-            for r in report.results:
-                counts[r.status] += 1
-            failures = [{"n": r.n, "params": dict(r.params), "detail": r.detail}
-                        for r in report.failed]
-            any_failure = any_failure or bool(failures)
-            reports.append({"id": d.id, "claim": d.claim,
-                            "instantiations": len(report.results),
-                            "counts": counts, "failures": failures})
-    except BudgetExceededError as exc:
-        _emit("check-lemmas", params, {"error": str(exc)}, started)
-        return EXIT_BUDGET
+    for d in descriptors:
+        report = check_lemma(d, k_range)
+        counts = {"pass": 0, "fail": 0, "vacuous": 0, "degenerate": 0}
+        for r in report.results:
+            counts[r.status] += 1
+        failures = [{"n": r.n, "params": dict(r.params), "detail": r.detail}
+                    for r in report.failed]
+        any_failure = any_failure or bool(failures)
+        reports.append({"id": d.id, "claim": d.claim,
+                        "instantiations": len(report.results),
+                        "counts": counts, "failures": failures})
     result = {"descriptors": reports, "registry_size": len(REGISTRY),
               "manifest": manifest() if args.id == "all" else None}
-    _emit("check-lemmas", params, result, started)
-    return EXIT_VERIFICATION_FAILED if any_failure else EXIT_OK
+    return result, EXIT_VERIFICATION_FAILED if any_failure else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,12 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         if "budget" in vars(args) and args.budget is None:
             args.budget = default_budget()  # a bad CIRCMD_BUDGET is a usage error
-        return args.func(args, parser)
+        result, code = args.func(args)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+    except BudgetExceededError as exc:
+        result, code = {"error": str(exc)}, EXIT_BUDGET
+    if isinstance(result, str):
+        sys.stdout.write(result)
+        return code
+    envelope = {
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "func")},
+        "result": result,
+        "timing_seconds": round(time.perf_counter() - started, 6),
+        "version": __version__,
+    }
+    json.dump(envelope, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ ANCHOR_PROBES = (0, 1)
 Blocks = list[list[int]]
 ParamGrid = Callable[[int, int], Iterable[dict]]
 BlocksFn = Callable[[int, int, dict], Blocks]
-AllowedFn = Callable[[int, int, dict], Optional[set[int]]]
+ExcludedFn = Callable[[int, int, dict], set[int]]
 
 
 class DegenerateInstantiationError(ValueError):
@@ -49,7 +49,7 @@ class LemmaDescriptor:
     presumes_cluster: bool = False
     param_grid: Optional[ParamGrid] = None
     blocks_fn: Optional[BlocksFn] = None
-    allowed_fn: Optional[AllowedFn] = None
+    excluded_fn: Optional[ExcludedFn] = None
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,9 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
         cluster = Cluster(blocks)
     except ValueError as exc:
         raise DegenerateInstantiationError(f"{d.id}: {exc}") from exc
-    if d.allowed_fn is None:
-        allowed = frozenset(g.vertices)
-    else:
-        restricted = d.allowed_fn(n, k, params)
-        allowed = frozenset(g.vertices) if restricted is None else (
-            frozenset(g.vertices) - {x % n for x in restricted})
+    allowed = frozenset(g.vertices)
+    if d.excluded_fn is not None:
+        allowed -= {x % n for x in d.excluded_fn(n, k, params)}
     return g, cluster, allowed
 
 
@@ -302,7 +299,7 @@ def _akbk8_blocks(n, k, p):
     return blocks
 
 
-def _akbk8_allowed(n, k, p):
+def _akbk8_excluded(n, k, p):
     return {p["a"] + x for x in range(0, 4 * p["m_prime"] + 2)}
 
 
@@ -343,7 +340,7 @@ def _l2223_blocks(n, k, p):
             [a + 4 * (k + ell) + j for j in (7, 8, 9)]]
 
 
-def _l2223_allowed(n, k, p):
+def _l2223_excluded(n, k, p):
     return {p["a"] + 2 + 4 * i for i in range(0, p["ell"] + 1)}
 
 
@@ -378,7 +375,7 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "[a, a+4m'+1]",
             claimed_min=3, residues=(8,), presumes_cluster=True,
             param_grid=_anchored(_akbk8_params), blocks_fn=_akbk8_blocks,
-            allowed_fn=_akbk8_allowed),
+            excluded_fn=_akbk8_excluded),
         LemmaDescriptor(
             id="L-7-Ak", kind="cluster",
             claim="for n = 8k+7: the full alternating ladder of adjacent "
@@ -398,7 +395,7 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "progression",
             claimed_min=3, residues=(7,), presumes_cluster=True,
             param_grid=_anchored(_l2223_params), blocks_fn=_l2223_blocks,
-            allowed_fn=_l2223_allowed),
+            excluded_fn=_l2223_excluded),
         _simple_cluster(
             "r5-0156", "for r in {2,5}: the 4-set {a,a+1,a+5,a+6} needs 2 "
             "resolvers", (2, 5), 2, [[0, 1, 5, 6]]),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,12 +45,23 @@ def test_dim_formula_attaches_verifiable_basis(capsys):
     assert verify_payload["result"]["resolving"] is True
 
 
-def test_dim_search_method(capsys):
-    code, payload = run_json(capsys, "dim", "--n", "13", "--t", "4",
-                             "--method", "search")
+@pytest.mark.parametrize("argv, method, dim", [
+    (("--n", "13", "--t", "4", "--method", "search"), "search", 5),
+    (("--n", "12", "--t", "3"), "formula", 4),  # find_basis_of_size route
+    (("--n", "10", "--t", "4", "--method", "oracle"), "oracle", 5),
+], ids=["search", "formula", "oracle"])
+def test_dim_search_method(capsys, argv, method, dim):
+    code, payload = run_json(capsys, "dim", *argv)
     assert code == 0
-    assert payload["result"]["method"] == "search"
-    assert payload["result"]["dim"] == 5
+    result = payload["result"]
+    assert result["method"] == method
+    assert result["dim"] == dim == len(result["basis"])
+    if method == "oracle":
+        assert result["exhausted_sizes"] == [1, 2, 3, 4]
+    n, t = argv[1], argv[3]
+    basis = ",".join(str(v) for v in result["basis"])
+    verify_code, _ = run_json(capsys, "verify", "--n", n, "--t", t, "--set", basis)
+    assert verify_code == 0
 
 
 def test_dim_search_reports_exhausted_sizes(capsys):
@@ -99,11 +111,20 @@ def test_usage_error_on_bad_flags():
     assert exc.value.code == 2
 
 
-def test_budget_exceeded_exits_3(capsys):
-    code, payload = run_json(capsys, "dim", "--n", "30", "--t", "4",
-                             "--method", "search", "--budget", "10")
+@pytest.mark.parametrize("argv", [
+    ("dim", "--n", "30", "--t", "4", "--method", "search", "--budget", "10"),
+    ("table", "--t", "4", "--n-min", "30", "--n-max", "30", "--check",
+     "--budget", "10"),
+    ("construct", "--n", "30", "--budget", "10"),
+    ("check-lemmas", "--id", "Obs-0123", "--k-max", "1"),  # has no --budget
+], ids=["dim", "table", "construct", "check-lemmas"])
+def test_budget_exceeded_exits_3(monkeypatch, capsys, argv):
+    if "--budget" not in argv:
+        monkeypatch.setenv("CIRCMD_BUDGET", "10")
+    code, payload = run_json(capsys, *argv)
     assert code == 3
-    assert "budget" in payload["result"]["error"]
+    assert re.fullmatch(r"C\(\d+, \d+\) candidates exceed budget 10",
+                        payload["result"]["error"])
 
 
 def test_dim_max_k_below_one_is_usage_error():
@@ -112,11 +133,19 @@ def test_dim_max_k_below_one_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_dim_search_past_max_k_exits_3(capsys):
-    code, payload = run_json(capsys, "dim", "--n", "10", "--t", "4",
-                             "--method", "search", "--max-k", "4")
-    assert code == 3
-    assert "size <= 4" in payload["result"]["error"]
+@pytest.mark.parametrize("argv, max_k, code", [
+    (("--n", "10", "--method", "search"), 4, 3),
+    (("--n", "21"), 2, 3),  # auto takes the formula route
+    (("--n", "21", "--method", "oracle"), 2, 3),
+    (("--n", "21"), 5, 0),
+], ids=["search", "auto", "oracle", "within"])
+def test_dim_search_past_max_k_exits_3(capsys, argv, max_k, code):
+    got, payload = run_json(capsys, "dim", "--t", "4", *argv, "--max-k", str(max_k))
+    assert got == code
+    if code == 3:
+        assert f"size <= {max_k}" in payload["result"]["error"]
+    else:
+        assert payload["result"]["dim"] == max_k
 
 
 def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, capsys):
