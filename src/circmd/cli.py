@@ -68,23 +68,26 @@ def _cmd_dim(args) -> tuple[dict, int]:
         raise ValueError("--max-k must be at least 1")
     g = make_consecutive(args.n, args.t)
     dim = formula_dim(args.n, args.t) if args.method in ("auto", "formula") else None
-    if dim is not None:
+    if dim is None and args.method == "formula":
+        return {"error": "no closed-form dimension known "
+                         f"for n={args.n}, t={args.t}"}, EXIT_VERIFICATION_FAILED
+    res = None
+    if dim is None:
+        res = (brute_force_dim(g, budget=args.budget) if args.method == "oracle"
+               else exact_dim(g, max_k=args.max_k, budget=args.budget))
+        dim = res.dim
+    if args.max_k is not None and dim > args.max_k:  # before any basis is built
+        raise BudgetExceededError(
+            f"no resolving set of size <= {args.max_k} found for {g}")
+    if res is None:
         basis = (basis_t4(args.n, budget=args.budget).basis if args.t == 4
                  else find_basis_of_size(g, dim, budget=args.budget))
         found = {"dim": dim, "basis": list(basis), "method": "formula"}
-    elif args.method == "formula":
-        return {"error": "no closed-form dimension known "
-                         f"for n={args.n}, t={args.t}"}, EXIT_VERIFICATION_FAILED
     else:
-        res = (brute_force_dim(g, budget=args.budget) if args.method == "oracle"
-               else exact_dim(g, max_k=args.max_k, budget=args.budget))
         found = {"dim": res.dim, "basis": list(res.basis), "method": res.method,
                  "nodes_explored": res.nodes_explored,
                  "lower_bound_used": res.lower_bound_used,
                  "exhausted_sizes": list(res.exhausted_sizes)}
-    if args.max_k is not None and found["dim"] > args.max_k:
-        raise BudgetExceededError(
-            f"no resolving set of size <= {args.max_k} found for {g}")
     return {"n": args.n, "t": args.t, **found,
             "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
 
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem = sub.add_parser("check-lemmas", help="validate the lemma registry")
     p_lem.add_argument("--id", type=str, default="all")
     p_lem.add_argument("--k-max", type=int, default=1, dest="k_max")
-    p_lem.set_defaults(func=_cmd_check_lemmas)
+    # no --budget flag: the solver reads CIRCMD_BUDGET, and main echoes it
+    p_lem.set_defaults(func=_cmd_check_lemmas, budget=None)
 
     return parser
 

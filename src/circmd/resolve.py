@@ -6,6 +6,9 @@ The machinery below also covers the finer notions used by the lower-bound
 arguments: the equivalence "same representation under S", blocks (subsets
 of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
+
+Each check builds r(v|X) for all v once per call by zipping one rotated
+copy of dist_row per landmark; no n x n table is formed or cached.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .graph import CirculantGraph, split_8k_r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class WitnessPair:
     """Two distinct vertices sharing a representation; a failure certificate."""
 
@@ -52,10 +55,11 @@ class Cluster:
         return frozenset().union(*self.blocks)
 
 
-def _coords(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, ...]:
-    row = g.dist_row
-    n = g.n
-    return tuple(row[(v - x) % n] for x in landmarks)
+def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> list[tuple[int, ...]]:
+    """Entry v is r(v|X), zipped from one rotated copy of dist_row per landmark."""
+    row, n = g.dist_row, g.n
+    columns = [row[-x % n:] + row[:-x % n] for x in landmarks]
+    return list(zip(*columns)) if columns else [()] * n
 
 
 def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, ...]:
@@ -66,53 +70,48 @@ def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple
     for x in (v, *landmarks):
         if not 0 <= x < g.n:
             raise ValueError(f"vertex must lie in [0, {g.n}), got {x}")
-    return _coords(g, v, landmarks)
+    return _reps(g, landmarks)[v]
 
 
-def _least_collision(g: CirculantGraph, vertices: Iterable[int],
-                     landmarks: Sequence[int]) -> Optional[WitnessPair]:
-    """Lexicographically least pair of vertices with equal representations."""
-    first_seen: dict[tuple[int, ...], int] = {}
-    best: Optional[tuple[int, int]] = None
-    for v in sorted(vertices):
-        rep = _coords(g, v, landmarks)
-        u = first_seen.setdefault(rep, v)
-        if u != v and (best is None or (u, v) < best):
-            best = (u, v)
-    return WitnessPair(*best) if best else None
+def _least_collision(keys: Sequence[tuple[int, ...]],
+                     vertices: Sequence[int]) -> Optional[WitnessPair]:
+    """Lexicographically least pair of sorted vertices with equal keys;
+    keys[i] is the representation of vertices[i]."""
+    last = dict(zip(keys, vertices))
+    if len(last) == len(vertices):
+        return None
+    for i, (u, key) in enumerate(zip(vertices, keys)):
+        if last[key] != u:
+            return WitnessPair(u, vertices[keys.index(key, i + 1)])
+
+
+def _landmark_set(landmarks: Iterable[int]) -> set[int]:
+    X = set(landmarks)
+    if not X:
+        raise ValueError("landmark set must be nonempty")
+    return X
 
 
 def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[WitnessPair]:
     """None when the set resolves the graph, else the least unresolved pair."""
-    X = sorted(set(landmarks))
-    if not X:
-        raise ValueError("landmark set must be nonempty")
-    return _least_collision(g, g.vertices, X)
+    return _least_collision(_reps(g, _landmark_set(landmarks)), g.vertices)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:
     """Partition of V by equal representation, classes ordered by least member."""
-    X = sorted(set(landmarks))
-    if not X:
-        raise ValueError("landmark set must be nonempty")
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(_coords(g, v, X), []).append(v)
-    return sorted(classes.values(), key=lambda c: c[0])
+    for v, rep in enumerate(_reps(g, _landmark_set(landmarks))):
+        classes.setdefault(rep, []).append(v)
+    return list(classes.values())
 
 
 def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster) -> bool:
     """True iff each block is a block under the landmarks and the blocks
     lie in pairwise distinct representation classes."""
-    X = sorted(set(landmarks))
-    reps = []
-    for block in cluster.blocks:
-        members = sorted(block)
-        ref = _coords(g, members[0], X)
-        if any(_coords(g, v, X) != ref for v in members[1:]):
-            return False
-        reps.append(ref)
-    return len(set(reps)) == len(reps)
+    reps = _reps(g, set(landmarks))
+    block_reps = [{reps[v] for v in block} for block in cluster.blocks]
+    return (all(len(r) == 1 for r in block_reps)
+            and len(set().union(*block_reps)) == len(block_reps))
 
 
 def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
@@ -123,13 +122,10 @@ def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
     blocks are permitted.  An empty landmark set resolves nothing, so it
     succeeds exactly when all blocks are singletons.
     """
-    X = sorted(set(landmarks))
-    best: Optional[WitnessPair] = None
-    for block in cluster.blocks:
-        w = _least_collision(g, block, X)
-        if w is not None and (best is None or (w.u, w.v) < (best.u, best.v)):
-            best = w
-    return best
+    reps = _reps(g, set(landmarks))
+    blocks = [sorted(block) for block in cluster.blocks]
+    stuck = (_least_collision([reps[v] for v in b], b) for b in blocks)
+    return min(filter(None, stuck), default=None)
 
 
 def pair_resolvers(g: CirculantGraph, i: int) -> frozenset[int]:

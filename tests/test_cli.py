@@ -125,6 +125,7 @@ def test_budget_exceeded_exits_3(monkeypatch, capsys, argv):
     assert code == 3
     assert re.fullmatch(r"C\(\d+, \d+\) candidates exceed budget 10",
                         payload["result"]["error"])
+    assert payload["parameters"]["budget"] == 10
 
 
 def test_dim_max_k_below_one_is_usage_error():
@@ -138,7 +139,8 @@ def test_dim_max_k_below_one_is_usage_error():
     (("--n", "21"), 2, 3),  # auto takes the formula route
     (("--n", "21", "--method", "oracle"), 2, 3),
     (("--n", "21"), 5, 0),
-], ids=["search", "auto", "oracle", "within"])
+    (("--n", "80"), 2, 3),  # formula_dim 6 refuses before basis_t4's fallback
+], ids=["search", "auto", "oracle", "within", "before-basis"])
 def test_dim_search_past_max_k_exits_3(capsys, argv, max_k, code):
     got, payload = run_json(capsys, "dim", "--t", "4", *argv, "--max-k", str(max_k))
     assert got == code

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmd.graph import make_consecutive, split_8k_r
+from circmd.graph import CirculantGraph, make_consecutive, split_8k_r
 from circmd.resolve import (
     Cluster,
     WitnessPair,
@@ -109,6 +112,54 @@ def test_empty_landmarks_resolve_only_singletons():
     g = make_consecutive(13, 4)
     assert resolves_cluster(g, (), Cluster([[1], [5]])) is None
     assert resolves_cluster(g, (), Cluster([[1, 2]])) is not None
+
+
+def _reference_pairs(g, X, vertices):
+    """Colliding pairs u < v of the given vertices, in lexicographic order,
+    found by comparing distance tuples pair by pair."""
+    def same(u, v):
+        return tuple(g.dist(u, x) for x in X) == tuple(g.dist(v, x) for x in X)
+    return [(u, v) for u, v in itertools.combinations(sorted(vertices), 2)
+            if same(u, v)]
+
+
+def _random_case(rng):
+    n = rng.randint(3, 40)
+    if rng.random() < 0.5:
+        g = make_consecutive(n, rng.randint(1, n // 2))
+    else:
+        while True:
+            steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(3, n // 2)))
+            try:
+                g = CirculantGraph(n, tuple(steps))
+                break
+            except ValueError:  # disconnected step set
+                pass
+    X = [rng.randrange(n) for _ in range(rng.randint(1, 5))]  # unsorted, may repeat
+    if rng.random() < 0.1:
+        X = rng.sample(range(n), n)  # all of V
+    return g, X
+
+
+def test_resolve_matches_pairwise_reference():
+    rng = random.Random(909)
+    for _ in range(400):
+        g, X = _random_case(rng)
+        pairs = _reference_pairs(g, X, g.vertices)
+        w = is_resolving(g, X)
+        assert (None if w is None else (w.u, w.v)) == (pairs[0] if pairs else None)
+        least = {v: v for v in g.vertices}
+        for u, v in reversed(pairs):  # the least partner of v is set last
+            least[v] = u
+        assert equivalence_classes(g, X) == [
+            [v for v in g.vertices if least[v] == r] for r in g.vertices if least[r] == r]
+        perm = rng.sample(range(g.n), g.n)
+        cuts = sorted(rng.sample(range(1, g.n), min(g.n - 1, rng.randint(1, 4))))
+        cluster = Cluster(perm[a:b] for a, b in zip([0, *cuts], [*cuts, g.n]))
+        Y = X if rng.random() < 0.8 else []
+        stuck = [p for b in cluster.blocks for p in _reference_pairs(g, Y, b)]
+        w = resolves_cluster(g, Y, cluster)
+        assert (None if w is None else (w.u, w.v)) == min(stuck, default=None)
 
 
 def test_pair_resolvers_example():

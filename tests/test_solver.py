@@ -63,6 +63,18 @@ def test_search_answers_are_pinned():
     assert nodes < 70_000
 
 
+def test_oracle_answers_are_pinned():
+    # the oracle's plain enumeration must not move: dim, basis, exhausted
+    # sizes and node count for t = 1..4, n = 2t+2..20 (12,789 nodes)
+    digest = hashlib.sha256()
+    for t in range(1, 5):
+        for n in range(2 * t + 2, 21):
+            r = brute_force_dim(make_consecutive(n, t))
+            digest.update(repr((t, n, r.dim, r.basis, r.exhausted_sizes,
+                                r.nodes_explored)).encode())
+    assert digest.hexdigest().startswith("a1c435c758a0af3b")
+
+
 def test_nonconsecutive_steps_are_searchable():
     g = CirculantGraph(12, (1, 5))
     assert exact_dim(g).dim == brute_force_dim(g).dim
