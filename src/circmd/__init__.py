@@ -38,6 +38,7 @@ from .resolve import (
 from .solver import (
     BudgetExceededError,
     DimResult,
+    NoBasisWithinError,
     brute_force_dim,
     exact_dim,
     find_basis_of_size,
@@ -54,6 +55,7 @@ __all__ = [
     "ConstructionReport",
     "DimResult",
     "LemmaDescriptor",
+    "NoBasisWithinError",
     "REGISTRY",
     "WitnessPair",
     "basis_t4",

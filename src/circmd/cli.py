@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from .lemmas import REGISTRY, check_lemma, manifest
 from .resolve import is_resolving, representation
 from .solver import (
     BudgetExceededError,
+    NoBasisWithinError,
     brute_force_dim,
     default_budget,
     exact_dim,
@@ -71,23 +73,19 @@ def _cmd_dim(args) -> tuple[dict, int]:
     if dim is None and args.method == "formula":
         return {"error": "no closed-form dimension known "
                          f"for n={args.n}, t={args.t}"}, EXIT_VERIFICATION_FAILED
-    res = None
-    if dim is None:
-        res = (brute_force_dim(g, budget=args.budget) if args.method == "oracle"
-               else exact_dim(g, max_k=args.max_k, budget=args.budget))
-        dim = res.dim
-    if args.max_k is not None and dim > args.max_k:  # before any basis is built
-        raise BudgetExceededError(
-            f"no resolving set of size <= {args.max_k} found for {g}")
-    if res is None:
-        basis = (basis_t4(args.n, budget=args.budget).basis if args.t == 4
-                 else find_basis_of_size(g, dim, budget=args.budget))
-        found = {"dim": dim, "basis": list(basis), "method": "formula"}
-    else:
+    if dim is None:  # both searches stop at --max-k themselves
+        search = brute_force_dim if args.method == "oracle" else exact_dim
+        res = search(g, max_k=args.max_k, budget=args.budget)
         found = {"dim": res.dim, "basis": list(res.basis), "method": res.method,
                  "nodes_explored": res.nodes_explored,
                  "lower_bound_used": res.lower_bound_used,
                  "exhausted_sizes": list(res.exhausted_sizes)}
+    elif args.max_k is not None and dim > args.max_k:  # before any basis is built
+        raise NoBasisWithinError(f"no resolving set of size <= {args.max_k} found for {g}")
+    else:
+        basis = (basis_t4(args.n, budget=args.budget).basis if args.t == 4
+                 else find_basis_of_size(g, dim, budget=args.budget))
+        found = {"dim": dim, "basis": list(basis), "method": "formula"}
     return {"n": args.n, "t": args.t, **found,
             "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
 
@@ -191,6 +189,7 @@ def _cmd_check_lemmas(args) -> tuple[dict, int]:
     return result, EXIT_VERIFICATION_FAILED if any_failure else EXIT_OK
 
 
+@functools.cache  # parse_args fills a fresh namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circmd",

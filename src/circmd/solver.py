@@ -21,6 +21,10 @@ Two routes are provided and deliberately kept separate:
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
   the kernel and serves as the independent oracle.
+
+Both routes stop at ``max_k``: exhausting every size up to it raises
+``NoBasisWithinError``, a proof that dim > max_k; a plain
+``BudgetExceededError`` is the budget guard's refusal and proves nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ def default_budget() -> int:
 
 class BudgetExceededError(RuntimeError):
     """Raised when a search would enumerate more candidates than allowed."""
+
+
+class NoBasisWithinError(BudgetExceededError):
+    """Raised when every size up to ``max_k`` was searched and none resolves."""
 
 
 @dataclass(frozen=True)
@@ -233,8 +241,7 @@ def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
     lb = _search_lower_bound(g)
     kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget)
     if basis is None:
-        raise BudgetExceededError(
-            f"no resolving set of size <= {max_k} found for {g}")
+        raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
     return DimResult(dim=len(basis), basis=basis, method="search",
                      nodes_explored=kernel.nodes, lower_bound_used=lb,
                      exhausted_sizes=tuple(p + 1 for p in kernel.exhausted))
@@ -252,16 +259,17 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     return _basis_with_zero(g, (k - 1,), budget)[1]
 
 
-def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResult:
-    """Independent oracle: lexicographic sweep of all k-subsets containing 0.
-
-    Fixing 0 is the only reduction used (valid by vertex-transitivity).
-    Refuses instances where some level would enumerate more than ``budget``
-    subsets.
+def brute_force_dim(g: CirculantGraph, max_k: Optional[int] = None,
+                    budget: Optional[int] = None) -> DimResult:
+    """Independent oracle: lexicographic sweep of all k-subsets containing 0,
+    k = 1..``max_k`` (None: n).  Fixing 0 is the only reduction used (valid
+    by vertex-transitivity).  Refuses any level of more than ``budget`` subsets.
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError("max_k must be at least 1")
     nodes = 0
     exhausted = []
-    for k in range(1, g.n + 1):
+    for k in range(1, (max_k or g.n) + 1):
         _check_budget(g.n - 1, k - 1, budget)
         for rest in itertools.combinations(range(1, g.n), k - 1):
             nodes += 1
@@ -270,7 +278,7 @@ def brute_force_dim(g: CirculantGraph, budget: Optional[int] = None) -> DimResul
                                  nodes_explored=nodes, lower_bound_used=1,
                                  exhausted_sizes=tuple(exhausted))
         exhausted.append(k)
-    raise AssertionError("the full vertex set always resolves the graph")
+    raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import circmd
-from circmd.cli import main
+from circmd.cli import build_parser, main
 from circmd.solver import DEFAULT_BUDGET, default_budget
 
 
@@ -117,7 +117,9 @@ def test_usage_error_on_bad_flags():
      "--budget", "10"),
     ("construct", "--n", "30", "--budget", "10"),
     ("check-lemmas", "--id", "Obs-0123", "--k-max", "1"),  # has no --budget
-], ids=["dim", "table", "construct", "check-lemmas"])
+    # the dim-lower check passes only on an exhausted sweep, not on a refusal
+    ("check-lemmas", "--id", "thm-vetrik-lb", "--k-max", "1"),
+], ids=["dim", "table", "construct", "check-lemmas", "check-lemmas-dim-lower"])
 def test_budget_exceeded_exits_3(monkeypatch, capsys, argv):
     if "--budget" not in argv:
         monkeypatch.setenv("CIRCMD_BUDGET", "10")
@@ -140,7 +142,9 @@ def test_dim_max_k_below_one_is_usage_error():
     (("--n", "21", "--method", "oracle"), 2, 3),
     (("--n", "21"), 5, 0),
     (("--n", "80"), 2, 3),  # formula_dim 6 refuses before basis_t4's fallback
-], ids=["search", "auto", "oracle", "within", "before-basis"])
+    # the oracle stops at K: C(39, 2) fits the budget, C(39, 3) would not
+    (("--n", "40", "--method", "oracle", "--budget", "1000"), 3, 3),
+], ids=["search", "auto", "oracle", "within", "before-basis", "oracle-budget"])
 def test_dim_search_past_max_k_exits_3(capsys, argv, max_k, code):
     got, payload = run_json(capsys, "dim", "--t", "4", *argv, "--max-k", str(max_k))
     assert got == code
@@ -148,6 +152,18 @@ def test_dim_search_past_max_k_exits_3(capsys, argv, max_k, code):
         assert f"size <= {max_k}" in payload["result"]["error"]
     else:
         assert payload["result"]["dim"] == max_k
+
+
+def test_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    assert build_parser() is build_parser()
+    run_json(capsys, "dim", "--n", "10", "--t", "4", "--method", "oracle",
+             "--max-k", "5", "--budget", "1000")
+    run_json(capsys, "verify", "--n", "10", "--t", "4", "--set", "0,1,2,3,4")
+    code, payload = run_json(capsys, "dim", "--n", "13", "--t", "4")
+    assert code == 0
+    assert payload["parameters"] == {"n": 13, "t": 4, "method": "auto",
+                                     "max_k": None, "budget": DEFAULT_BUDGET}
 
 
 def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, capsys):

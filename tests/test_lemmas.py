@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+import circmd.lemmas as lemmas
 from circmd.graph import make_consecutive
 from circmd.lemmas import (
     ANCHOR_PROBES,
@@ -153,6 +155,25 @@ def test_dim_lower_descriptors_pass():
         report = check_lemma(REGISTRY[did], (1,))
         assert report.ok
         assert all(r.status == "pass" for r in report.results)
+
+
+def test_dim_lower_reports_are_pinned():
+    # the oracle stops below each bound; the reports for k = 1..4 are those
+    # of the full sweep to the dimension
+    digest = hashlib.sha256()
+    for d in REGISTRY.values():
+        if d.kind == "dim-lower":
+            digest.update(repr(check_lemma(d, (1, 2, 3, 4))).encode())
+    assert digest.hexdigest().startswith("ae7abe0bc6edfae6")
+
+
+def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch):
+    # every cycle has dimension 2, below the bound t of thm-general-t for t >= 3
+    monkeypatch.setattr(lemmas, "make_consecutive", lambda n, t: make_consecutive(n, 1))
+    report = check_lemma(REGISTRY["thm-general-t"], (1,))
+    details = {dict(r.params)["t"]: r.detail for r in report.failed}
+    assert details == {3: "dim 2 < 3", 4: "dim 2 < 4", 5: "dim 2 < 5"}
+    assert all(r.status == "pass" for r in report.results if dict(r.params)["t"] == 2)
 
 
 def test_check_lemma_refuses_an_empty_k_range():

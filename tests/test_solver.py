@@ -16,6 +16,7 @@ from circmd.solver import (
     BudgetExceededError,
     DimResult,
     MinResolversResult,
+    NoBasisWithinError,
     brute_force_dim,
     exact_dim,
     find_basis_of_size,
@@ -75,6 +76,27 @@ def test_oracle_answers_are_pinned():
     assert digest.hexdigest().startswith("a1c435c758a0af3b")
 
 
+def test_oracle_max_k_stops_the_sweep():
+    def answer(r):
+        return r.dim, r.basis, r.exhausted_sizes, r.nodes_explored
+
+    for t in range(2, 5):
+        for n in range(2 * t + 2, 21):
+            g = make_consecutive(n, t)
+            full = brute_force_dim(g)
+            for max_k in (full.dim, full.dim + 1, n):
+                assert answer(brute_force_dim(g, max_k)) == answer(full), (n, t, max_k)
+            with pytest.raises(NoBasisWithinError, match=f"size <= {full.dim - 1} "):
+                brute_force_dim(g, full.dim - 1)
+    g = make_consecutive(20, 4)
+    for max_k in (None, 2):  # C(19, 1) > 10: the guard refuses, proving nothing
+        with pytest.raises(BudgetExceededError, match=r"C\(19, 1\)") as exc:
+            brute_force_dim(g, max_k, budget=10)
+        assert type(exc.value) is BudgetExceededError
+    with pytest.raises(ValueError, match="max_k must be at least 1"):
+        brute_force_dim(g, 0)
+
+
 def test_nonconsecutive_steps_are_searchable():
     g = CirculantGraph(12, (1, 5))
     assert exact_dim(g).dim == brute_force_dim(g).dim
@@ -82,7 +104,7 @@ def test_nonconsecutive_steps_are_searchable():
 
 def test_max_k_raises_when_exceeded():
     g = make_consecutive(10, 4)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(NoBasisWithinError, match="size <= 3"):
         exact_dim(g, max_k=3)
     with pytest.raises(ValueError, match="max_k must be at least 1"):
         exact_dim(g, max_k=0)
