@@ -167,6 +167,14 @@ def test_dim_lower_reports_are_pinned():
     assert digest.hexdigest().startswith("ae7abe0bc6edfae6")
 
 
+def test_cluster_and_basis_gap_reports_are_pinned():
+    digest = hashlib.sha256()
+    for d in REGISTRY.values():
+        if d.kind != "dim-lower":
+            digest.update(repr(check_lemma(d, (1, 2, 3))).encode())
+    assert digest.hexdigest().startswith("06d4312c9d4e666c")
+
+
 def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch):
     # every cycle has dimension 2, below the bound t of thm-general-t for t >= 3
     monkeypatch.setattr(lemmas, "make_consecutive", lambda n, t: make_consecutive(n, 1))
