@@ -18,6 +18,7 @@ set of at most 3 vertices induces one, a set the kernel searches for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -76,6 +77,13 @@ class LemmaReport:
         return not self.failed
 
 
+@functools.lru_cache(maxsize=1)
+def _graph(n: int) -> CirculantGraph:
+    """C(n, +-{1..4}).  ``check_lemma`` visits the orders one at a time,
+    so one graph serves every instantiation at an order."""
+    return make_consecutive(n, 4)
+
+
 def instantiate(d: LemmaDescriptor, n: int, params: dict
                 ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
     """Concrete (graph, cluster, allowed set) for one parameter tuple,
@@ -88,7 +96,7 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
     k, r = split_8k_r(n)
     if r not in d.residues:
         raise ValueError(f"{d.id!r} admits residues {d.residues}, got n={n} (r={r})")
-    g = make_consecutive(n, 4)
+    g = _graph(n)
     a = params["a"]
     blocks = [[(a + x) % n for x in b] for b in d.blocks_fn(n, k, params)]
     for b in blocks:
@@ -163,7 +171,7 @@ def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
     containing 0 and gap, so one search per small gap decides the claim.
     Where no s-set resolves the claim is vacuous.
     """
-    g = make_consecutive(n, 4)
+    g = _graph(n)
     size = d.claimed_min
     if find_basis_of_size(g, size) is None:
         return InstantiationResult(d.id, n, (), "vacuous",

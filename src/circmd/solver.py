@@ -15,8 +15,19 @@ Two routes are provided and deliberately kept separate:
   or the packing outnumbers the picks left.  ``exact_dim`` and
   ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
   pool is 1..n-1 and the pairs are those on one sphere around 0.
+  ``exact_dim`` also searches each rotation class of sets about once (the
+  orbit cut; isomorph rejection as in orderly generation).  Read a set
+  0 < c1 < ... < cj as its cyclic gaps (c1, c2 - c1, ..., n - cj):
+  lexicographic order on sets is lexicographic order on gaps, and turning
+  the set to another member containing 0 rotates the gaps.  So the gaps
+  of the least resolving set are their own least rotation (a necklace)
+  and each prefix of them is a prenecklace; the search extends only
+  prenecklaces.  Its first hit is still the least set, and a size it
+  exhausts has no resolving set at all.  ``find_basis_of_size`` keeps
+  the plain search: it stops at its first hit, and the prefixes below
+  that are nearly all prenecklaces, so the cut would save almost nothing.
   ``min_resolvers`` passes the pairs inside each block and the allowed
-  set as the pool.
+  set as the pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -34,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
-from operator import and_
+from operator import and_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import known_bounds
@@ -70,7 +81,7 @@ class DimResult:
     dim: int
     basis: tuple[int, ...]
     method: str  # "search" | "oracle"
-    # search: inner nodes plus the last-level candidates tried
+    # search: inner nodes plus the last-level hits
     nodes_explored: int = field(compare=False, default=0)
     lower_bound_used: int = 1
     exhausted_sizes: tuple[int, ...] = field(compare=False, default=())
@@ -99,7 +110,8 @@ class _Kernel:
     ``pool`` (default all vertices), and the depth-first search over pool
     subsets in ascending lexicographic order.  Bit x stands for vertex x."""
 
-    def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None):
+    def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None,
+                 orbit: bool = False):
         self.g = g
         self.n = n = g.n
         self.pool = range(n) if pool is None else pool
@@ -112,6 +124,9 @@ class _Kernel:
         self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
         self.exhausted: list[int] = []
+        # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
+        # pool range(1, n) and the sphere pairs around 0
+        self.orbit = orbit
 
     def spheres(self) -> list[list[int]]:
         """Vertices by distance from vertex 0."""
@@ -152,7 +167,8 @@ class _Kernel:
         first size in ``sizes`` that has one, or None.  Sizes found empty
         go to ``exhausted``.  Each size passes the budget guard before it
         is searched, and ``pairs`` is read only after the first one has,
-        then sorted narrowest first for the packing cut."""
+        then sorted narrowest first for the packing cut.  With ``orbit``
+        set, inner picks keep to ``_orbit_range``."""
         ordered: Optional[list[int]] = None
         for size in sizes:
             _check_budget(len(self.pool), size, budget)
@@ -165,6 +181,22 @@ class _Kernel:
             self.exhausted.append(size)
         return None
 
+    def _orbit_range(self, chosen: tuple[int, ...], remaining: int
+                     ) -> tuple[int, int]:
+        """Least and greatest next pick v after ``chosen``, ``remaining``
+        picks still to place, that keep the gaps of {0} + chosen + (v,) a
+        prenecklace: no gap below the first (v <= n - remaining * g1, or
+        v <= n // (remaining + 1) at the root), and each gap at least the
+        one p places back, p the period of the gaps so far."""
+        if not chosen:
+            return 1, self.n // (remaining + 1)
+        gaps = list(map(sub, chosen, (0,) + chosen))
+        p = 1
+        for i in range(1, len(gaps)):
+            if gaps[i] > gaps[i - p]:
+                p = i + 1
+        return chosen[-1] + gaps[-p], self.n - remaining * gaps[0]
+
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
                  remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
         """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``;
@@ -175,7 +207,11 @@ class _Kernel:
             return self._last(pairs, chosen)
         pool = self.pool
         # leave room for the remaining - 1 vertices above the next pick
-        for i, v in enumerate(pool[start:len(pool) - remaining + 1], start):
+        end = len(pool) - remaining + 1
+        if self.orbit:  # pool[i] is vertex i + 1
+            low, high = self._orbit_range(chosen, remaining)
+            start, end = max(start, low - 1), min(end, high)
+        for i, v in enumerate(pool[start:end], start):
             self.nodes += 1
             bit = 1 << v
             kept = [m for m in pairs if not m & bit]
@@ -218,12 +254,12 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
-                     budget: Optional[int]
+                     budget: Optional[int], orbit: bool = False
                      ) -> tuple[_Kernel, Optional[tuple[int, ...]]]:
     """The kernel on the pool range(1, n) and the pairs {0} leaves
     colliding, and 0 plus its least hit set: the least resolving set
     containing 0 of 1 + p vertices, p the first of ``picks`` that has one."""
-    kernel = _Kernel(g, range(1, g.n))
+    kernel = _Kernel(g, range(1, g.n), orbit)
     found = kernel.hit(kernel.sphere_pairs(), picks, budget)
     return kernel, None if found is None else (0,) + found
 
@@ -239,7 +275,8 @@ def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
     lb = _search_lower_bound(g)
-    kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget)
+    kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget,
+                                     orbit=True)
     if basis is None:
         raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
     return DimResult(dim=len(basis), basis=basis, method="search",

@@ -216,6 +216,21 @@ def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch):
     assert all(r.status == "pass" for r in report.results if dict(r.params)["t"] == 2)
 
 
+def test_check_lemma_builds_one_graph_per_order(monkeypatch):
+    built = []
+
+    def counting(n, t):
+        built.append(n)
+        return make_consecutive(n, t)
+
+    monkeypatch.setattr(lemmas, "make_consecutive", counting)
+    lemmas._graph.cache_clear()
+    for did in ("L-2-4-3-r56", "min-dist-789"):
+        built.clear()
+        report = check_lemma(REGISTRY[did], (1, 2))
+        assert built == sorted({r.n for r in report.results}), did
+
+
 def test_check_lemma_refuses_an_empty_k_range():
     for did in ("thm-general-t", "min-dist-789", "Obs-0123"):
         with pytest.raises(ValueError, match="k_range must be nonempty"):

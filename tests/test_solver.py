@@ -22,7 +22,7 @@ from circmd.solver import (
     find_basis_of_size,
     min_resolvers,
 )
-from circmd.solver import _Kernel
+from circmd.solver import _Kernel, _basis_with_zero
 
 
 def test_exact_matches_oracle_on_small_orders():
@@ -52,8 +52,9 @@ def test_dim_result_equality_ignores_search_effort():
 
 def test_search_answers_are_pinned():
     # dim, lex-least basis and exhausted sizes for t = 4, n = 10..49; the
-    # node total bounds the work the inner-node cut leaves (107,774 with
-    # only the empty-separator rule)
+    # node total bounds the work the cuts leave: 21,578 with the orbit
+    # cut (52,269 with the packing cut alone, 107,774 with only the
+    # empty-separator rule)
     digest = hashlib.sha256()
     nodes = 0
     for n in range(10, 50):
@@ -61,7 +62,37 @@ def test_search_answers_are_pinned():
         digest.update(repr((n, r.dim, r.basis, r.exhausted_sizes)).encode())
         nodes += r.nodes_explored
     assert digest.hexdigest().startswith("252d51579314351c")
-    assert nodes < 70_000
+    assert nodes < 35_000
+
+
+def test_orbit_cut_agrees_with_oracle_off_consecutive_steps():
+    # exact_dim extends only prenecklace gap sequences: dim and the
+    # lex-least basis must still match the oracle's plain sweep
+    step_sets = [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
+                 (1, 5), (2, 3), (1, 3, 4), (2, 5), (1, 4)]
+    for steps in step_sets:
+        for n in range(7, 19):
+            g = CirculantGraph(n, steps)
+            res, oracle = exact_dim(g), brute_force_dim(g)
+            assert (res.dim, res.basis) == (oracle.dim, oracle.basis), g
+
+
+def test_orbit_cut_matches_the_plain_kernel():
+    # same basis and exhausted sizes as the kernel without the cut, on
+    # t = 2..6 (150 orders); the node totals are pinned, so a bound that
+    # is off by one but still sound, or a plain path that changes, shows
+    cut_nodes = plain_nodes = 0
+    for t, n_max in ((2, 43), (3, 43), (4, 49), (5, 31), (6, 29)):
+        for n in range(2 * t + 2, n_max + 1):
+            g = make_consecutive(n, t)
+            res = exact_dim(g)
+            kernel, basis = _basis_with_zero(
+                g, range(res.lower_bound_used - 1, n), None)
+            exhausted = tuple(p + 1 for p in kernel.exhausted)
+            assert (res.basis, res.exhausted_sizes) == (basis, exhausted), (n, t)
+            cut_nodes += res.nodes_explored
+            plain_nodes += kernel.nodes
+    assert (cut_nodes, plain_nodes) == (56_109, 127_982)
 
 
 def test_oracle_answers_are_pinned():
