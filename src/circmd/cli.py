@@ -65,6 +65,12 @@ def _parse_vertex_set(spec: str, n: int) -> list[int]:
     return sorted(reduced)
 
 
+def _unresolved_pair(g, basis) -> list[int]:
+    """The pair that a witness which failed its check leaves unresolved."""
+    witness = is_resolving(g, basis)
+    return [witness.u, witness.v]
+
+
 def _cmd_dim(args) -> tuple[dict, int]:
     if args.max_k is not None and args.max_k < 1:
         raise ValueError("--max-k must be at least 1")
@@ -83,9 +89,16 @@ def _cmd_dim(args) -> tuple[dict, int]:
     elif args.max_k is not None and dim > args.max_k:  # before any basis is built
         raise NoBasisWithinError(f"no resolving set of size <= {args.max_k} found for {g}")
     else:
-        basis = (basis_t4(args.n, budget=args.budget).basis if args.t == 4
-                 else find_basis_of_size(g, dim, budget=args.budget))
+        if args.t == 4:  # basis_t4 has checked its witness
+            report = basis_t4(args.n, budget=args.budget)
+            basis, verified = report.basis, report.verified
+        else:
+            basis = find_basis_of_size(g, dim, budget=args.budget)
+            verified = is_resolving(g, basis) is None
         found = {"dim": dim, "basis": list(basis), "method": "formula"}
+        if not verified:
+            return {"n": args.n, "t": args.t, **found, "verified": False,
+                    "witness_pair": _unresolved_pair(g, basis)}, EXIT_VERIFICATION_FAILED
     return {"n": args.n, "t": args.t, **found,
             "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
 
@@ -159,7 +172,10 @@ def _cmd_construct(args) -> tuple[dict, int]:
     result = {"n": report.n, "basis": list(report.basis), "source": report.source,
               "verified": report.verified,
               "matches_formula": report.matches_formula, "note": report.note}
-    return result, EXIT_OK if report.verified else EXIT_VERIFICATION_FAILED
+    if not report.verified:
+        result["witness_pair"] = _unresolved_pair(make_consecutive(args.n, 4), report.basis)
+        return result, EXIT_VERIFICATION_FAILED
+    return result, EXIT_OK
 
 
 def _cmd_check_lemmas(args) -> tuple[dict, int]:

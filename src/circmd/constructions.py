@@ -1,18 +1,23 @@
 """Explicit metric bases for C(n, +/-{1,2,3,4}) and their verification.
 
-Closed-form witnesses exist for two residue families and three sporadic
-orders:
+The closed-form witnesses live in one table.  ``SPORADIC`` holds single
+orders (tag ``remark-<n>``):
 
-    n = 8k + 9 (k >= 1):  {0, 1, 4, 7, 4k+6, 4k+7}
-    n = 8k + 7 (k >= 1):  {0, 1, 2, 3, 4, 5}
-    n = 5:                {0, 1, 2, 3}
-    n = 11:               {0, 2, 3, 10}
-    n = 19:               published as {0, 2, 7, 19}, but 19 = 0 (mod 19)
-                          collapses that set to three vertices; the
-                          lex-least 4-element basis {0, 2, 7, 14} stands in.
+    n = 5:   {0, 1, 2, 3}
+    n = 11:  {0, 2, 3, 10}
+    n = 19:  published as {0, 2, 7, 19}, but 19 = 0 (mod 19) collapses
+             that set to three vertices; the lex-least 4-element basis
+             {0, 2, 7, 14} stands in.
 
-All remaining residues get witnesses from a search constrained to the
-known dimension, tagged ``search-fallback``.
+``FAMILIES`` holds one affine rule per residue r: for n = 8k + r, k >= 1,
+each vertex is a + b*k.
+
+    n = 8k + 7 (upper-8k7):  {0, 1, 2, 3, 4, 5}
+    n = 8k + 9 (upper-8k9):  {0, 1, 4, 7, 4k+6, 4k+7}
+
+Every other order gets a witness from a search constrained to the known
+dimension, or from exact search on the complete-graph fringe n = 6..9,
+tagged ``search-fallback``.
 """
 
 from __future__ import annotations
@@ -27,29 +32,25 @@ from .solver import exact_dim, find_basis_of_size
 
 REMARK_19_PUBLISHED = (0, 2, 7, 19)
 
+SPORADIC = {5: (0, 1, 2, 3), 11: (0, 2, 3, 10), 19: (0, 2, 7, 14)}
+# residue r -> (source tag, (a, b) per vertex a + b*k of n = 8k + r)
+FAMILIES = {
+    7: ("upper-8k7", ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0))),
+    9: ("upper-8k9", ((0, 0), (1, 0), (4, 0), (7, 0), (6, 4), (7, 4))),
+}
+_NOTES = {19: (f"published witness {list(REMARK_19_PUBLISHED)} collapses to "
+               f"{sorted({v % 19 for v in REMARK_19_PUBLISHED})} mod 19; replaced "
+               f"by the lex-least basis {list(SPORADIC[19])}")}
+
 
 @dataclass(frozen=True)
 class ConstructionReport:
     n: int
     basis: tuple[int, ...]
-    source: str  # remark-5 | remark-11 | remark-19 | upper-8k7 | upper-8k9 | search-fallback
+    source: str  # remark-<n> (SPORADIC), a FAMILIES tag, or search-fallback
     verified: bool
     matches_formula: bool
     note: Optional[str] = None
-
-
-def family_basis_8k9(k: int) -> tuple[int, ...]:
-    """Witness {0, 1, 4, 7, 4k+6, 4k+7} for n = 8k + 9, k >= 1."""
-    if k < 1:
-        raise ValueError("family needs k >= 1")
-    return (0, 1, 4, 7, 4 * k + 6, 4 * k + 7)
-
-
-def family_basis_8k7(k: int) -> tuple[int, ...]:
-    """Witness {0, 1, 2, 3, 4, 5} for n = 8k + 7, k >= 1."""
-    if k < 1:
-        raise ValueError("family needs k >= 1")
-    return (0, 1, 2, 3, 4, 5)
 
 
 def _report(g: CirculantGraph, basis: tuple[int, ...], source: str,
@@ -61,67 +62,44 @@ def _report(g: CirculantGraph, basis: tuple[int, ...], source: str,
         matches_formula=target is not None and len(basis) == target, note=note)
 
 
+def _family(residue: int, k: int) -> tuple[int, ...]:
+    return tuple(a + b * k for a, b in FAMILIES[residue][1])
+
+
+def _table_entry(n: int) -> Optional[tuple]:
+    """(basis, source, note) from the table, or None if no row covers n."""
+    if n in SPORADIC:
+        return SPORADIC[n], f"remark-{n}", _NOTES.get(n)
+    for residue, (source, _) in FAMILIES.items():
+        k, rest = divmod(n - residue, 8)
+        if rest == 0 and k >= 1:
+            return _family(residue, k), source, None
+    return None
+
+
 def basis_t4(n: int, budget: Optional[int] = None) -> ConstructionReport:
     """A verified metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")
     g = make_consecutive(n, 4)
-    if n == 5:
-        return _report(g, (0, 1, 2, 3), "remark-5")
-    if n == 11:
-        return _report(g, (0, 2, 3, 10), "remark-11")
-    if n == 19:
-        # The published 4-set contains vertex 19 = 0 (mod 19), a duplicate
-        # of vertex 0; the lex-least 4-element basis replaces it.
-        basis = (0, 2, 7, 14)
-        collapsed = sorted({v % 19 for v in REMARK_19_PUBLISHED})
-        return _report(
-            g, basis, "remark-19",
-            note=(f"published witness {list(REMARK_19_PUBLISHED)} collapses to "
-                  f"{collapsed} mod 19; replaced by the lex-least basis "
-                  f"{list(basis)}"))
-    if n % 8 == 1 and n >= 17:
-        return _report(g, family_basis_8k9((n - 9) // 8), "upper-8k9")
-    if n % 8 == 7 and n >= 15:
-        return _report(g, family_basis_8k7((n - 7) // 8), "upper-8k7")
+    entry = _table_entry(n)
+    if entry is not None:
+        return _report(g, *entry)
     target = formula_dim(n, 4)
     if target is not None:
-        basis = find_basis_of_size(g, target, budget=budget)
-        assert basis is not None
-        return _report(g, basis, "search-fallback")
+        return _report(g, find_basis_of_size(g, target, budget=budget), "search-fallback")
     # complete-graph fringe n in {6..9}: no formula, full exact search
-    result = exact_dim(g, budget=budget)
-    return _report(g, result.basis, "search-fallback",
+    return _report(g, exact_dim(g, budget=budget).basis, "search-fallback",
                    note="complete-graph fringe: dimension from exact search")
 
 
-@dataclass(frozen=True)
-class RangeVerdict:
-    k: int
-    n: int
-    basis: tuple[int, ...]
-    resolving: bool
-    size_matches_formula: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.resolving and self.size_matches_formula
-
-
-def verify_construction_range(residue: int, k_max: int) -> list[RangeVerdict]:
-    """Check the closed-form family for n = 8k + residue, k = 1..k_max."""
-    if residue not in (7, 9):
-        raise ValueError(f"closed-form families exist for residues 7 and 9, got {residue}")
+def verify_construction_range(residue: int, k_max: int) -> list[ConstructionReport]:
+    """Check the table's family for n = 8k + residue, k = 1..k_max."""
+    if residue not in FAMILIES:
+        raise ValueError(f"closed-form families exist for residues "
+                         f"{sorted(FAMILIES)}, got {residue}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    family = family_basis_8k7 if residue == 7 else family_basis_8k9
-    verdicts = []
-    for k in range(1, k_max + 1):
-        n = 8 * k + residue
-        g = make_consecutive(n, 4)
-        basis = family(k)
-        verdicts.append(RangeVerdict(
-            k=k, n=n, basis=basis,
-            resolving=is_resolving(g, basis) is None,
-            size_matches_formula=len(basis) == formula_dim(n, 4)))
-    return verdicts
+    source = FAMILIES[residue][0]
+    return [_report(make_consecutive(8 * k + residue, 4), _family(residue, k), source)
+            for k in range(1, k_max + 1)]

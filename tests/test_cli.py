@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import circmd
+from circmd import constructions
 from circmd.cli import build_parser, main
 from circmd.solver import DEFAULT_BUDGET, default_budget
 
@@ -96,6 +97,24 @@ def test_verify_failure_exits_1_with_witness(capsys):
     assert result["witness_pair"] == [4, 9]
     reps = result["representations"]
     assert reps["4"] == reps["9"]
+
+
+def test_formula_witnesses_are_checked_before_printing(monkeypatch, capsys):
+    # a wrong 8k+7 row: {0,1,2,3,4,6} leaves 13 and 14 unresolved at n = 23
+    rule = tuple((a, 0) for a in (0, 1, 2, 3, 4, 6))
+    monkeypatch.setitem(constructions.FAMILIES, 7, ("upper-8k7", rule))
+    for argv in (("dim", "--n", "23", "--t", "4"), ("construct", "--n", "23")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1, argv
+        result = payload["result"]
+        assert result["basis"] == [0, 1, 2, 3, 4, 6]
+        assert result["verified"] is False
+        assert result["witness_pair"] == [13, 14]
+    # t != 4 checks find_basis_of_size's set with is_resolving
+    monkeypatch.setattr("circmd.cli.find_basis_of_size", lambda g, k, budget: (0, 1, 2))
+    code, payload = run_json(capsys, "dim", "--n", "12", "--t", "3")
+    assert code == 1
+    assert payload["result"]["verified"] is False
 
 
 def test_duplicate_vertices_mod_n_are_usage_error(capsys):

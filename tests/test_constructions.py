@@ -1,34 +1,39 @@
+import hashlib
+import re
+
 import pytest
 
 from circmd.constructions import (
+    FAMILIES,
     REMARK_19_PUBLISHED,
     basis_t4,
-    family_basis_8k7,
-    family_basis_8k9,
     verify_construction_range,
 )
 from circmd.formulas import formula_dim
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
-from circmd.solver import find_basis_of_size
+from circmd.solver import BudgetExceededError, find_basis_of_size
 
 
 def test_family_witnesses():
-    assert family_basis_8k9(1) == (0, 1, 4, 7, 10, 11)
-    assert family_basis_8k7(2) == (0, 1, 2, 3, 4, 5)
-    with pytest.raises(ValueError):
-        family_basis_8k9(0)
+    # the table rows at k = 1 and k = 2, through the range check
+    assert {r: [c.basis for c in verify_construction_range(r, 2)] for r in FAMILIES} == {
+        7: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
+        9: [(0, 1, 4, 7, 10, 11), (0, 1, 4, 7, 14, 15)],
+    }
+    assert basis_t4(25).basis == (0, 1, 4, 7, 14, 15)
 
 
 def test_families_resolve_and_match_formula():
-    for residue in (7, 9):
-        verdicts = verify_construction_range(residue, 30)
-        assert all(v.ok for v in verdicts)
-        assert [v.n for v in verdicts] == [8 * k + residue for k in range(1, 31)]
+    for residue, (source, _) in FAMILIES.items():
+        reports = verify_construction_range(residue, 30)
+        assert all(r.verified and r.matches_formula for r in reports)
+        assert {r.source for r in reports} == {source}
+        assert [r.n for r in reports] == [8 * k + residue for k in range(1, 31)]
 
 
 def test_verify_construction_range_validates_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(sorted(FAMILIES)))):
         verify_construction_range(6, 5)
     with pytest.raises(ValueError):
         verify_construction_range(7, 0)
@@ -78,3 +83,20 @@ def test_complete_fringe_uses_exact_search():
 def test_rejects_tiny_orders():
     with pytest.raises(ValueError):
         basis_t4(4)
+
+
+def test_basis_t4_answers_are_pinned(monkeypatch):
+    # basis, source tag, checks and note for n = 5..160, and the 15 orders
+    # the default budget refuses (80, 88, ..., 152, 154, 155, 157, 158,
+    # 160): those refusals are what `circmd dim --t 4` exits 3 on
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for n in range(5, 161):
+        try:
+            r = basis_t4(n)
+        except BudgetExceededError:
+            digest.update(repr((n, "refused")).encode())
+            continue
+        digest.update(repr((n, r.basis, r.source, r.verified,
+                            r.matches_formula, r.note)).encode())
+    assert digest.hexdigest().startswith("a5329bdc3185fd3b")
