@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from circmd.formulas import formula_dim
 from circmd.graph import CirculantGraph, make_consecutive
 from circmd.resolve import (
     Cluster,
@@ -204,6 +205,24 @@ def test_find_basis_of_size_matches_plain_sweep():
             for k in range(1, 6):
                 assert find_basis_of_size(g, k) == _first_resolving_by_sweep(g, k), \
                     (n, steps, k)
+
+
+def test_formula_route_witnesses_are_pinned(monkeypatch):
+    # the first-witness search `dim` and `basis_t4` run at the formula's
+    # size: basis and node count (8,516 in all) for t = 2, 3, 4 on three
+    # periods of small orders and, per residue, the largest order in
+    # 10..809 that the default budget answers
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    grid = {2: [*range(10, 22), 493, 806, 807, 808],
+            3: [*range(10, 28), 145, 490, 491, 492, 494, 495],
+            4: [*range(10, 34), 71, 72, 73, 146, 147, 149, 150, 492]}
+    digest = hashlib.sha256()
+    for t, orders in grid.items():
+        for n in orders:
+            g = make_consecutive(n, t)
+            kernel, basis = _basis_with_zero(g, (formula_dim(n, t) - 1,), None)
+            digest.update(repr((n, t, basis, kernel.nodes)).encode())
+    assert digest.hexdigest().startswith("d0e7ad12c293693d")
 
 
 def test_min_resolvers_example():
