@@ -4,15 +4,24 @@ Two routes are provided and deliberately kept separate:
 
 - The kernel: a set resolves given vertex pairs exactly when it hits the
   separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)} as an
-  n-bit integer, sep(u, u + delta) = sepdiff[delta] rotated by u.  Its
-  one entry takes the pairs' masks and a range of sizes and, size by
-  size, runs the budget guard and a lexicographic depth-first search over
-  subsets of a candidate pool; the first hit set found is the least.  A
-  node keeps the masks its picks leave unhit, and the last pick is read
-  off their AND.  Inner nodes are cut by the disjoint-sets bound of
-  hitting-set branch and bound: pack unhit masks, narrowest first, that
-  are pairwise disjoint above the last pick; cut when one is empty there
-  or the packing outnumbers the picks left.  ``exact_dim`` and
+  n-bit integer, sep(u, u + delta) = sepdiff[delta] rotated by u.  The
+  masks come from the bit-planes of the distance row: plane b holds the y
+  whose d(0, y) has bit b set, and d(0, y) != d(0, y - delta) exactly when
+  some plane differs at y, so sepdiff[delta] = OR_b (P_b ^ rot(P_b, delta)),
+  one rotation per plane (diameter.bit_length() of them).  Its one entry
+  takes the pairs' masks and a range of sizes and, size by size, runs the
+  budget guard and a lexicographic depth-first search over subsets of a
+  candidate pool; the first hit set found is the least.  A node keeps the
+  masks its picks leave unhit, and the last pick is read off their AND.
+  Inner nodes are cut by the disjoint-sets bound of hitting-set branch and
+  bound: pack unhit masks, narrowest first, that are pairwise disjoint
+  above the last pick; cut when one is empty there or the packing
+  outnumbers the picks left.  The entry drops repeated masks first, which
+  changes no answer and no node count: a repeat is unhit exactly when its
+  first copy is, and the packing reaches that copy first and either stops
+  there (it is empty above the last pick) or leaves it inside the union
+  of the packed masks (taken, or skipped for meeting it), where the repeat
+  then meets it.  ``exact_dim`` and
   ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
   pool is 1..n-1 and the pairs are those on one sphere around 0.
   ``exact_dim`` also searches each rotation class of sets about once (the
@@ -106,9 +115,10 @@ def _search_lower_bound(g: CirculantGraph) -> int:
 
 
 class _Kernel:
-    """Separator masks of one graph, limited to the sorted candidate
-    ``pool`` (default all vertices), and the depth-first search over pool
-    subsets in ascending lexicographic order.  Bit x stands for vertex x."""
+    """Separator masks of one graph, read off the bit-planes of its
+    distance row and limited to the sorted candidate ``pool`` (default all
+    vertices), and the depth-first search over pool subsets in ascending
+    lexicographic order.  Bit x stands for vertex x."""
 
     def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None,
                  orbit: bool = False):
@@ -116,10 +126,11 @@ class _Kernel:
         self.n = n = g.n
         self.pool = range(n) if pool is None else pool
         self.full = (1 << n) - 1
-        # filled by the first sep, so a search the budget guard refuses
-        # builds no mask; _last needs pool_mask only once a pair is hit (a
-        # search that starts with no pairs, in min_resolvers, ends at size 0)
-        self.by_dist: list[int] = []
+        # planes[b] has bit y set when bit b of d(0, y) is 1.  Filled by
+        # the first sep, so a search the budget guard refuses builds no
+        # mask; _last needs pool_mask only once a pair is hit (a search
+        # that starts with no pairs, in min_resolvers, ends at size 0)
+        self.planes: list[int] = []
         self.pool_mask = 0
         self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
@@ -140,18 +151,28 @@ class _Kernel:
         return ((mask << u) | (mask >> (self.n - u))) & self.full
 
     def sep(self, u: int, v: int) -> int:
-        """Mask of the pool vertices x with d(x, u) != d(x, v)."""
-        if not self.by_dist:
-            self.by_dist = [sum(1 << y for y in s) for s in self.spheres()]
+        """Mask of the pool vertices x with d(x, u) != d(x, v).  d(0, y)
+        and d(0, y - delta) differ exactly when some bit-plane differs at
+        y, so sepdiff[delta] = OR over planes P of P ^ rot(P, delta)."""
+        if not self.planes:
+            spheres = [0] * (self.g.diameter + 1)
+            for y, d in enumerate(self.g.dist_row):
+                spheres[d] |= 1 << y
+            self.planes = [0] * self.g.diameter.bit_length()
+            for d, sphere in enumerate(spheres):
+                b = 0
+                while d:  # sphere d joins the planes of the set bits of d
+                    if d & 1:
+                        self.planes[b] |= sphere
+                    d, b = d >> 1, b + 1
             self.pool_mask = sum(1 << x for x in self.pool)
         delta = (v - u) % self.n
         mask = self.sepdiff[delta]
         if mask is None:
-            # y keeps its distance when y and y - delta lie on one sphere
-            same = 0
-            for m in self.by_dist:
-                same |= m & self._rotate(m, delta)
-            mask = self.sepdiff[delta] = self.full ^ same
+            mask = 0
+            for plane in self.planes:
+                mask |= plane ^ self._rotate(plane, delta)
+            self.sepdiff[delta] = mask
         return self._rotate(mask, u) & self.pool_mask
 
     def sphere_pairs(self) -> Iterator[int]:
@@ -167,13 +188,16 @@ class _Kernel:
         first size in ``sizes`` that has one, or None.  Sizes found empty
         go to ``exhausted``.  Each size passes the budget guard before it
         is searched, and ``pairs`` is read only after the first one has,
-        then sorted narrowest first for the packing cut.  With ``orbit``
-        set, inner picks keep to ``_orbit_range``."""
+        then rid of repeats and sorted narrowest first for the packing cut.
+        A repeat changes no node: it is unhit exactly when its first copy
+        is, and the packing stops at that copy or leaves it in ``used``,
+        which the repeat then meets.  With ``orbit`` set, inner picks keep
+        to ``_orbit_range``."""
         ordered: Optional[list[int]] = None
         for size in sizes:
             _check_budget(len(self.pool), size, budget)
             if ordered is None:
-                ordered = sorted(pairs, key=int.bit_count)
+                ordered = sorted(dict.fromkeys(pairs), key=int.bit_count)
             self.nodes += 1
             found = self._descend(ordered, (), size)
             if found is not None:

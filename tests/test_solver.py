@@ -189,6 +189,27 @@ def test_kernel_adjacent_pair_masks_match_pair_resolvers():
                     assert members == pair_resolvers_arithmetic(g, i), (n, i)
 
 
+def test_kernel_masks_match_the_definition_for_every_shift():
+    # sep(u, u + delta) against {x : d(x, u) != d(x, u + delta)} for every
+    # delta, on closed-form and BFS rows; the diameters include 2^j - 1
+    # and 2^j, where the number of distance bit-planes grows
+    step_sets = [tuple(range(1, t + 1)) for t in range(1, 7)]
+    step_sets += [(1, 5), (2, 3), (1, 3, 4), (2, 5)]
+    diameters = set()
+    for steps in step_sets:
+        for n in range(7, 41):
+            g = CirculantGraph(n, steps)
+            diameters.add(g.diameter)
+            kernel = _Kernel(g)
+            for delta in range(n):
+                for u in (0, 1, n // 2):
+                    v = (u + delta) % n
+                    expected = sum(1 << x for x in g.vertices
+                                   if g.dist(x, u) != g.dist(x, v))
+                    assert kernel.sep(u, v) == expected, (g, u, v)
+    assert {1, 2, 3, 4, 7, 8, 15, 16} <= diameters
+
+
 def _first_resolving_by_sweep(g, k):
     for rest in itertools.combinations(range(1, g.n), k - 1):
         if is_resolving(g, (0,) + rest) is None:
@@ -286,6 +307,52 @@ def test_min_resolvers_matches_plain_sweep():
             (n, t, cluster, allowed, max_size)
         outcomes.add("capped" if expected.capped else expected.size)
     assert {None, "capped", 0, 1, 2, 3} <= outcomes
+
+
+def test_duplicate_masks_do_not_change_the_search():
+    # a repeated mask is unhit exactly when its first copy is, and never
+    # joins a packing, so repeats leave the found set, the exhausted sizes
+    # and the node count as they are: through hit, which drops them, and
+    # through its size loop run on the list with the repeats kept
+    def hit(kernel, pairs, sizes):
+        return kernel.hit(pairs, sizes, None), kernel.exhausted, kernel.nodes
+
+    def keep_repeats(kernel, pairs, sizes):
+        ordered = sorted(pairs, key=int.bit_count)
+        for size in sizes:
+            kernel.nodes += 1
+            found = kernel._descend(ordered, (), size)
+            if found is not None:
+                return found, kernel.exhausted, kernel.nodes
+            kernel.exhausted.append(size)
+        return None, kernel.exhausted, kernel.nodes
+
+    rng = random.Random(14)
+    cases = []
+    for n, t in ((13, 4), (24, 4), (26, 3), (37, 2)):
+        g = make_consecutive(n, t)
+        kernel = _Kernel(g)
+        uv = [(u, v) for s in kernel.spheres() for u, v in itertools.combinations(s, 2)]
+        cases.append((g, range(1, n), uv, range(n)))
+        for _ in range(5):  # pairs inside blocks, over a random allowed set
+            pool = sorted(rng.sample(range(n), rng.randint(n // 3, n)))
+            kernel = _Kernel(g, pool)
+            vertices = rng.sample(range(n), 8)
+            uv = [(u, v) for i in (0, 4)
+                  for u, v in itertools.combinations(vertices[i:i + 4], 2)
+                  if kernel.sep(u, v)]
+            cases.append((g, pool, uv, range(len(pool) + 1)))
+    exhausted = 0
+    for g, pool, uv, sizes in cases:
+        repeats = rng.choices(uv, k=2 * len(uv))
+        runs = []
+        for search, pairs in ((hit, uv), (hit, uv + repeats),
+                              (keep_repeats, uv + repeats)):
+            kernel = _Kernel(g, pool)
+            runs.append(search(kernel, [kernel.sep(u, v) for u, v in pairs], sizes))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (g, pool)
+        exhausted += len(runs[0][1])
+    assert exhausted >= len(cases)
 
 
 def test_lower_bound_never_exceeds_dimension():
