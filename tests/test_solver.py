@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -307,6 +308,31 @@ def test_min_resolvers_matches_plain_sweep():
             (n, t, cluster, allowed, max_size)
         outcomes.add("capped" if expected.capped else expected.size)
     assert {None, "capped", 0, 1, 2, 3} <= outcomes
+
+
+def test_kernel_on_sorted_pools_is_pinned():
+    # the min_resolvers path: sorted random pools, not range(1, n), on
+    # 1-3 step circulants; found set, exhausted sizes and node count
+    # (6,261 in all) for sizes drawn from 0..5, so that the draw holds
+    # sets found at once, found after exhausted sizes, and none found
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(7, 40)
+        steps = [n]
+        while math.gcd(n, *steps) != 1:  # connected
+            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
+        g = CirculantGraph(n, steps)
+        kernel = _Kernel(g, sorted(rng.sample(range(n), rng.randint(2, n))))
+        vertices = rng.sample(range(n), rng.randint(2, 7))
+        pairs = [kernel.sep(u, v) for u, v in itertools.combinations(vertices, 2)]
+        low = rng.randint(0, 5)
+        found = kernel.hit(pairs, range(low, rng.randint(low, 5) + 1), None)
+        outcomes.add("none" if found is None else bool(kernel.exhausted))
+        digest.update(repr((found, kernel.exhausted, kernel.nodes)).encode())
+    assert outcomes == {"none", False, True}
+    assert digest.hexdigest().startswith("a1a185d5631fa478")
 
 
 def test_duplicate_masks_do_not_change_the_search():
