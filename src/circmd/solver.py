@@ -12,16 +12,21 @@ Two routes are provided and deliberately kept separate:
   takes the pairs' masks and a range of sizes and, size by size, runs the
   budget guard and a lexicographic depth-first search over subsets of a
   candidate pool; the first hit set found is the least.  A node keeps the
-  masks its picks leave unhit, and the last pick is read off their AND.
-  Inner nodes are cut by the disjoint-sets bound of hitting-set branch and
-  bound: pack unhit masks, narrowest first, that are pairwise disjoint
-  above the last pick; cut when one is empty there or the packing
-  outnumbers the picks left.  The entry drops repeated masks first, which
-  changes no answer and no node count: a repeat is unhit exactly when its
-  first copy is, and the packing reaches that copy first and either stops
-  there (it is empty above the last pick) or leaves it inside the union
-  of the packed masks (taken, or skipped for meeting it), where the repeat
-  then meets it.  ``exact_dim`` and
+  masks its picks leave unhit.  Inner nodes are cut by the disjoint-sets
+  bound of hitting-set branch and bound: pack unhit masks, narrowest
+  first, that are pairwise disjoint above the last pick; cut when one is
+  empty there or the packing outnumbers the picks left.  The packing scans
+  a node's masks in place past those the pick hits, the order of the list
+  a child gets, so that list is built only for an uncut node.  With one
+  pick left after v the last pick is read off the AND of the unhit masks,
+  narrowest first, stopping once empty, and the packing is skipped: it
+  cuts only for a mask empty above v or two disjoint there, and then that
+  AND is empty too, so no answer or node count changes.  The entry drops
+  repeated masks first, which changes no answer and no node count: a
+  repeat is unhit exactly when its first copy is, and the packing reaches
+  that copy first and either stops there (it is empty above the last pick)
+  or leaves it inside the union of the packed masks (taken, or skipped for
+  meeting it), where the repeat then meets it.  ``exact_dim`` and
   ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
   pool is 1..n-1 and the pairs are those on one sphere around 0.
   ``exact_dim`` also searches each rotation class of sets about once (the
@@ -52,9 +57,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 from math import comb
-from operator import and_, sub
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import known_bounds
@@ -124,14 +128,14 @@ class _Kernel:
                  orbit: bool = False):
         self.g = g
         self.n = n = g.n
-        self.pool = range(n) if pool is None else pool
+        self.pool = pool = range(n) if pool is None else pool
         self.full = (1 << n) - 1
+        # not lazy: another kernel's masks for this graph and pool search the same
+        self.pool_mask = (sum(1 << x for x in pool) if not isinstance(pool, range)
+                          else (1 << pool.stop) - (1 << pool.start))
         # planes[b] has bit y set when bit b of d(0, y) is 1.  Filled by
-        # the first sep, so a search the budget guard refuses builds no
-        # mask; _last needs pool_mask only once a pair is hit (a search
-        # that starts with no pairs, in min_resolvers, ends at size 0)
+        # the first sep, so a search the budget guard refuses builds no mask
         self.planes: list[int] = []
-        self.pool_mask = 0
         self.sepdiff: list[Optional[int]] = [None] * n
         self.nodes = 0
         self.exhausted: list[int] = []
@@ -165,7 +169,6 @@ class _Kernel:
                     if d & 1:
                         self.planes[b] |= sphere
                     d, b = d >> 1, b + 1
-            self.pool_mask = sum(1 << x for x in self.pool)
         delta = (v - u) % self.n
         mask = self.sepdiff[delta]
         if mask is None:
@@ -224,12 +227,17 @@ class _Kernel:
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
                  remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
         """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``;
-        ``pairs`` holds the separator masks of the pairs still colliding."""
+        ``pairs`` holds the separator masks of the pairs still colliding.  The
+        packing scans them in place past the masks v hits, the order ``kept``
+        has.  Two picks left, v skips it for ``_last``: it cuts only for an
+        unhit mask empty above v or two disjoint there, when their AND is
+        empty too, so the answer and the nodes (one per v, one per hit) stay."""
         if remaining == 0:
             return None if pairs else chosen
-        if remaining == 1:
-            return self._last(pairs, chosen)
-        pool = self.pool
+        if remaining == 1:  # only a size-1 search starts here
+            w = self._last(pairs, 0, self.pool_mask)
+            return None if w < 0 else chosen + (w,)
+        pool, pool_mask = self.pool, self.pool_mask
         # leave room for the remaining - 1 vertices above the next pick
         end = len(pool) - remaining + 1
         if self.orbit:  # pool[i] is vertex i + 1
@@ -238,11 +246,17 @@ class _Kernel:
         for i, v in enumerate(pool[start:end], start):
             self.nodes += 1
             bit = 1 << v
-            kept = [m for m in pairs if not m & bit]
+            if remaining == 2:
+                w = self._last(pairs, bit, pool_mask & -(bit << 1))
+                if w >= 0:
+                    return chosen + (v, w)
+                continue
             # cut if a pair has no separator above v, or if `remaining` pairs
             # have disjoint ones: the remaining - 1 later picks hit one each
             need, used = remaining, 0
-            for m in kept:
+            for m in pairs:
+                if m & bit:
+                    continue
                 m >>= v + 1
                 if not m & used:
                     need = need - 1 if m else 0
@@ -250,21 +264,22 @@ class _Kernel:
                         break
                     used |= m
             else:
+                kept = [m for m in pairs if not m & bit]
                 found = self._descend(kept, chosen + (v,), remaining - 1, i + 1)
                 if found is not None:
                     return found
         return None
 
-    def _last(self, pairs: list[int], chosen: tuple[int, ...]
-              ) -> Optional[tuple[int, ...]]:
-        """``chosen`` plus the least pool vertex above the last pick that
-        separates every colliding pair, or None."""
-        last = chosen[-1] if chosen else -1
-        mask = reduce(and_, pairs, self.pool_mask) >> (last + 1)
-        if not mask:
-            return None
+    def _last(self, pairs: list[int], bit: int, mask: int) -> int:
+        """Least vertex of ``mask`` in each mask of ``pairs`` that ``bit`` misses,
+        or -1; ANDs narrowest first, stops once empty.  A hit counts a node."""
+        for m in pairs:
+            if not m & bit:
+                mask &= m
+                if not mask:
+                    return -1
         self.nodes += 1
-        return chosen + (last + (mask & -mask).bit_length(),)
+        return (mask & -mask).bit_length() - 1
 
 
 def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:

@@ -335,6 +335,34 @@ def test_kernel_on_sorted_pools_is_pinned():
     assert digest.hexdigest().startswith("a1a185d5631fa478")
 
 
+def test_masks_search_the_same_in_a_fresh_kernel():
+    # pool_mask is set when a kernel is built, not by its first sep: a
+    # fresh kernel with a zero one would read every size as exhausted,
+    # a false lower bound
+    g = make_consecutive(13, 4)
+    for pool in (range(1, 13), [0, 2, 3, 5, 8, 9, 11]):
+        builder = _Kernel(g, pool)
+        pairs = list(builder.sphere_pairs())
+        runs = []
+        for kernel in (builder, _Kernel(g, pool)):
+            found = kernel.hit(pairs, range(2, 6), None)
+            runs.append((found, kernel.exhausted, kernel.nodes))
+        assert runs[1] == runs[0] and runs[0][0] is not None, pool
+
+
+def test_last_pick_stays_in_the_pool():
+    # two picks left, v the second-to-last pool vertex: when v hits every
+    # pair the last pick is the top pool vertex; when that vertex misses
+    # an unhit mask there is none, never a vertex outside the pool
+    g = make_consecutive(13, 4)
+    for pool in ([3, 8], [1, 3, 8]):
+        def hit(pairs):
+            return _Kernel(g, pool).hit(pairs, (len(pool),), None)
+
+        assert hit([1 << 3 | 1 << 10, 1 << 3]) == tuple(pool)
+        assert hit([1 << 8 | 1 << 10, 1 << 10]) is None
+
+
 def test_duplicate_masks_do_not_change_the_search():
     # a repeated mask is unhit exactly when its first copy is, and never
     # joins a packing, so repeats leave the found set, the exhausted sizes
