@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -266,3 +267,24 @@ def test_check_lemmas_empty_k_range_is_usage_error(capsys):
         main(["check-lemmas", "--id", "thm-general-t", "--k-max", "0"])
     assert exc.value.code == 2
     assert "k_range must be nonempty" in capsys.readouterr().err
+
+
+def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
+    # argv, exit code and envelope (timing dropped) of `dim` on the auto and
+    # formula routes for t = 2, 3, 4 and of `construct`, including the
+    # budget refusals and the --max-k and --budget exits
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    runs = [("dim", "--n", str(n), "--t", str(t), *method)
+            for t, top in ((2, 200), (3, 119), (4, 160))
+            for n in range(5, top + 1)
+            for method in ((), ("--method", "formula"))]
+    runs += [("construct", "--n", str(n)) for n in range(5, 161)]
+    runs += [("dim", "--n", "21", "--t", "4", "--max-k", "4"),
+             ("dim", "--n", "80", "--t", "4", "--max-k", "2"),
+             ("construct", "--n", "30", "--budget", "10")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, payload = run_json(capsys, *argv)
+        del payload["timing_seconds"]
+        digest.update(repr((argv, code, json.dumps(payload, sort_keys=True))).encode())
+    assert digest.hexdigest().startswith("41449b5b7b0cb674")
