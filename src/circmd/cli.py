@@ -22,7 +22,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .constructions import basis_t4
+from .constructions import basis_t4, witness
 from .formulas import formula_dim, known_bounds
 from .graph import make_consecutive
 from .lemmas import REGISTRY, check_lemma, manifest
@@ -33,7 +33,6 @@ from .solver import (
     brute_force_dim,
     default_budget,
     exact_dim,
-    find_basis_of_size,
 )
 
 EXIT_OK = 0
@@ -65,12 +64,6 @@ def _parse_vertex_set(spec: str, n: int) -> list[int]:
     return sorted(reduced)
 
 
-def _unresolved_pair(g, basis) -> list[int]:
-    """The pair that a witness which failed its check leaves unresolved."""
-    witness = is_resolving(g, basis)
-    return [witness.u, witness.v]
-
-
 def _cmd_dim(args) -> tuple[dict, int]:
     if args.max_k is not None and args.max_k < 1:
         raise ValueError("--max-k must be at least 1")
@@ -89,16 +82,12 @@ def _cmd_dim(args) -> tuple[dict, int]:
     elif args.max_k is not None and dim > args.max_k:  # before any basis is built
         raise NoBasisWithinError(f"no resolving set of size <= {args.max_k} found for {g}")
     else:
-        if args.t == 4:  # basis_t4 has checked its witness
-            report = basis_t4(args.n, budget=args.budget)
-            basis, verified = report.basis, report.verified
-        else:
-            basis = find_basis_of_size(g, dim, budget=args.budget)
-            verified = is_resolving(g, basis) is None
-        found = {"dim": dim, "basis": list(basis), "method": "formula"}
-        if not verified:
+        report = witness(g, args.t, args.budget)
+        found = {"dim": dim, "basis": list(report.basis), "method": "formula"}
+        if not report.verified:
+            pair = report.unresolved
             return {"n": args.n, "t": args.t, **found, "verified": False,
-                    "witness_pair": _unresolved_pair(g, basis)}, EXIT_VERIFICATION_FAILED
+                    "witness_pair": [pair.u, pair.v]}, EXIT_VERIFICATION_FAILED
     return {"n": args.n, "t": args.t, **found,
             "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
 
@@ -173,7 +162,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
               "verified": report.verified,
               "matches_formula": report.matches_formula, "note": report.note}
     if not report.verified:
-        result["witness_pair"] = _unresolved_pair(make_consecutive(args.n, 4), report.basis)
+        result["witness_pair"] = [report.unresolved.u, report.unresolved.v]
         return result, EXIT_VERIFICATION_FAILED
     return result, EXIT_OK
 
@@ -244,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_budget(p_table)
     p_table.set_defaults(func=_cmd_table)
 
-    p_con = sub.add_parser("construct", help="emit a verified basis for t = 4")
+    p_con = sub.add_parser("construct", help="emit dim's verified formula-route witness "
+                           "for t = 4, from the t = 4 table or a search")
     p_con.add_argument("--n", type=int, required=True)
     add_budget(p_con)
     p_con.set_defaults(func=_cmd_construct)

@@ -1,7 +1,9 @@
-"""Explicit metric bases for C(n, +/-{1,2,3,4}) and their verification.
+"""Explicit metric bases for C(n, +/-{1..t}) and their verification.
 
-The closed-form witnesses live in one table.  ``SPORADIC`` holds single
-orders (tag ``remark-<n>``):
+``witness`` gives every formula-route basis: ``dim``'s formula route (any
+t) and ``construct`` (t = 4) both take theirs from it, and it checks each
+basis once.  Its t = 4 witnesses live in one table, which holds t = 4 rows
+only.  ``SPORADIC`` holds single orders (tag ``remark-<n>``):
 
     n = 5:   {0, 1, 2, 3}
     n = 11:  {0, 2, 3, 10}
@@ -15,9 +17,9 @@ each vertex is a + b*k.
     n = 8k + 7 (upper-8k7):  {0, 1, 2, 3, 4, 5}
     n = 8k + 9 (upper-8k9):  {0, 1, 4, 7, 4k+6, 4k+7}
 
-Every other order gets a witness from a search constrained to the known
-dimension, or from exact search on the complete-graph fringe n = 6..9,
-tagged ``search-fallback``.
+Every other order, and every order for t != 4, gets a witness from a
+search constrained to the formula's dimension, or from exact search where
+no formula applies (the complete-graph fringe), tagged ``search-fallback``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 from .formulas import formula_dim
 from .graph import CirculantGraph, make_consecutive
-from .resolve import is_resolving
+from .resolve import WitnessPair, is_resolving
 from .solver import exact_dim, find_basis_of_size
 
 REMARK_19_PUBLISHED = (0, 2, 7, 19)
@@ -48,49 +50,57 @@ class ConstructionReport:
     n: int
     basis: tuple[int, ...]
     source: str  # remark-<n> (SPORADIC), a FAMILIES tag, or search-fallback
-    verified: bool
     matches_formula: bool
     note: Optional[str] = None
+    unresolved: Optional[WitnessPair] = None  # the least pair the basis leaves
+
+    @property
+    def verified(self) -> bool:
+        return self.unresolved is None
 
 
-def _report(g: CirculantGraph, basis: tuple[int, ...], source: str,
+def _report(g: CirculantGraph, t: int, basis: tuple[int, ...], source: str,
             note: Optional[str] = None) -> ConstructionReport:
-    verified = is_resolving(g, basis) is None
-    target = formula_dim(g.n, 4)
     return ConstructionReport(
-        n=g.n, basis=tuple(sorted(basis)), source=source, verified=verified,
-        matches_formula=target is not None and len(basis) == target, note=note)
-
-
-def _family(residue: int, k: int) -> tuple[int, ...]:
-    return tuple(a + b * k for a, b in FAMILIES[residue][1])
+        n=g.n, basis=tuple(sorted(basis)), source=source,
+        matches_formula=formula_dim(g.n, t) == len(basis), note=note,
+        unresolved=is_resolving(g, basis))
 
 
 def _table_entry(n: int) -> Optional[tuple]:
-    """(basis, source, note) from the table, or None if no row covers n."""
+    """(basis, source, note) from the t = 4 table, or None if no row covers n."""
     if n in SPORADIC:
         return SPORADIC[n], f"remark-{n}", _NOTES.get(n)
-    for residue, (source, _) in FAMILIES.items():
+    for residue, (source, rule) in FAMILIES.items():
         k, rest = divmod(n - residue, 8)
         if rest == 0 and k >= 1:
-            return _family(residue, k), source, None
+            return tuple(a + b * k for a, b in rule), source, None
     return None
+
+
+def witness(g: CirculantGraph, t: int, budget: Optional[int] = None
+            ) -> ConstructionReport:
+    """A checked metric basis of g = C(n, +/-{1..t}) with its provenance
+    tag: the table row (t = 4 only), else the least basis of the formula's
+    size, else, where no formula applies, the one exact search finds.  The
+    requested t, not ``g.t``, picks the row: ``make_consecutive`` folds
+    steps beyond n // 2, so C(5, +/-{1..4}) has ``g.t == 2``."""
+    entry = _table_entry(g.n) if t == 4 else None
+    if entry is not None:
+        return _report(g, t, *entry)
+    target = formula_dim(g.n, t)
+    if target is not None:
+        return _report(g, t, find_basis_of_size(g, target, budget=budget),
+                       "search-fallback")
+    return _report(g, t, exact_dim(g, budget=budget).basis, "search-fallback",
+                   note="complete-graph fringe: dimension from exact search")
 
 
 def basis_t4(n: int, budget: Optional[int] = None) -> ConstructionReport:
     """A verified metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")
-    g = make_consecutive(n, 4)
-    entry = _table_entry(n)
-    if entry is not None:
-        return _report(g, *entry)
-    target = formula_dim(n, 4)
-    if target is not None:
-        return _report(g, find_basis_of_size(g, target, budget=budget), "search-fallback")
-    # complete-graph fringe n in {6..9}: no formula, full exact search
-    return _report(g, exact_dim(g, budget=budget).basis, "search-fallback",
-                   note="complete-graph fringe: dimension from exact search")
+    return witness(make_consecutive(n, 4), 4, budget)
 
 
 def verify_construction_range(residue: int, k_max: int) -> list[ConstructionReport]:
@@ -100,6 +110,4 @@ def verify_construction_range(residue: int, k_max: int) -> list[ConstructionRepo
                          f"{sorted(FAMILIES)}, got {residue}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    source = FAMILIES[residue][0]
-    return [_report(make_consecutive(8 * k + residue, 4), _family(residue, k), source)
-            for k in range(1, k_max + 1)]
+    return [basis_t4(8 * k + residue) for k in range(1, k_max + 1)]

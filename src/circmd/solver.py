@@ -2,44 +2,19 @@
 
 Two routes are provided and deliberately kept separate:
 
-- The kernel: a set resolves given vertex pairs exactly when it hits the
-  separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)} as an
-  n-bit integer, sep(u, u + delta) = sepdiff[delta] rotated by u.  The
-  masks come from the bit-planes of the distance row: plane b holds the y
-  whose d(0, y) has bit b set, and d(0, y) != d(0, y - delta) exactly when
-  some plane differs at y, so sepdiff[delta] = OR_b (P_b ^ rot(P_b, delta)),
-  one rotation per plane (diameter.bit_length() of them).  Its one entry
-  takes the pairs' masks and a range of sizes and, size by size, runs the
-  budget guard and a lexicographic depth-first search over subsets of a
-  candidate pool; the first hit set found is the least.  A node keeps the
-  masks its picks leave unhit.  Inner nodes are cut by the disjoint-sets
-  bound of hitting-set branch and bound: pack unhit masks, narrowest
-  first, that are pairwise disjoint above the last pick; cut when one is
-  empty there or the packing outnumbers the picks left.  The packing scans
-  a node's masks in place past those the pick hits, the order of the list
-  a child gets, so that list is built only for an uncut node.  With one
-  pick left after v the last pick is read off the AND of the unhit masks,
-  narrowest first, stopping once empty, and the packing is skipped: it
-  cuts only for a mask empty above v or two disjoint there, and then that
-  AND is empty too, so no answer or node count changes.  The entry drops
-  repeated masks first, which changes no answer and no node count: a
-  repeat is unhit exactly when its first copy is, and the packing reaches
-  that copy first and either stops there (it is empty above the last pick)
-  or leaves it inside the union of the packed masks (taken, or skipped for
-  meeting it), where the repeat then meets it.  ``exact_dim`` and
-  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
-  pool is 1..n-1 and the pairs are those on one sphere around 0.
-  ``exact_dim`` also searches each rotation class of sets about once (the
-  orbit cut; isomorph rejection as in orderly generation).  Read a set
-  0 < c1 < ... < cj as its cyclic gaps (c1, c2 - c1, ..., n - cj):
-  lexicographic order on sets is lexicographic order on gaps, and turning
-  the set to another member containing 0 rotates the gaps.  So the gaps
-  of the least resolving set are their own least rotation (a necklace)
-  and each prefix of them is a prenecklace; the search extends only
-  prenecklaces.  Its first hit is still the least set, and a size it
-  exhausts has no resolving set at all.  ``find_basis_of_size`` keeps
-  the plain search: it stops at its first hit, and the prefixes below
-  that are nearly all prenecklaces, so the cut would save almost nothing.
+- The kernel, ``_Kernel``: a set resolves given vertex pairs exactly when
+  it hits the separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)}
+  as an n-bit integer, which ``sep`` reads off the bit-planes of the
+  distance row.  Its one entry, ``hit``, takes the pairs' masks and a
+  range of sizes and, size by size, runs the budget guard and a
+  lexicographic depth-first search over subsets of a candidate pool
+  (``_descend``); the first hit set found is the least.  A node keeps the
+  masks its picks leave unhit; inner nodes are cut by the disjoint-sets
+  bound of hitting-set branch and bound, and the last pick is read off
+  the AND of the unhit masks.  ``exact_dim`` and ``find_basis_of_size``
+  fix vertex 0 (rotations act transitively): the pool is 1..n-1 and the
+  pairs are those on one sphere around 0.  ``exact_dim`` also searches
+  each rotation class of sets about once (the orbit cut, ``_orbit_range``).
   ``min_resolvers`` passes the pairs inside each block and the allowed
   set as the pool; it has no rotation to cut by.
 
@@ -155,9 +130,11 @@ class _Kernel:
         return ((mask << u) | (mask >> (self.n - u))) & self.full
 
     def sep(self, u: int, v: int) -> int:
-        """Mask of the pool vertices x with d(x, u) != d(x, v).  d(0, y)
-        and d(0, y - delta) differ exactly when some bit-plane differs at
-        y, so sepdiff[delta] = OR over planes P of P ^ rot(P, delta)."""
+        """Mask of the pool vertices x with d(x, u) != d(x, v): sepdiff[delta],
+        delta = v - u, rotated by u.  Plane b holds the y whose d(0, y) has
+        bit b set; d(0, y) and d(0, y - delta) differ exactly when some
+        plane differs at y, so sepdiff[delta] = OR over planes P of
+        P ^ rot(P, delta), one rotation per plane."""
         if not self.planes:
             spheres = [0] * (self.g.diameter + 1)
             for y, d in enumerate(self.g.dist_row):
@@ -192,10 +169,12 @@ class _Kernel:
         go to ``exhausted``.  Each size passes the budget guard before it
         is searched, and ``pairs`` is read only after the first one has,
         then rid of repeats and sorted narrowest first for the packing cut.
-        A repeat changes no node: it is unhit exactly when its first copy
-        is, and the packing stops at that copy or leaves it in ``used``,
-        which the repeat then meets.  With ``orbit`` set, inner picks keep
-        to ``_orbit_range``."""
+        A repeat changes no answer and no node count: it is unhit exactly
+        when its first copy is, and the packing reaches that copy first and
+        either stops there (it is empty above the last pick) or leaves it
+        in ``used`` (taken, or skipped for meeting it), which the repeat
+        then meets.  With ``orbit`` set, inner picks keep to
+        ``_orbit_range``."""
         ordered: Optional[list[int]] = None
         for size in sizes:
             _check_budget(len(self.pool), size, budget)
@@ -214,7 +193,13 @@ class _Kernel:
         picks still to place, that keep the gaps of {0} + chosen + (v,) a
         prenecklace: no gap below the first (v <= n - remaining * g1, or
         v <= n // (remaining + 1) at the root), and each gap at least the
-        one p places back, p the period of the gaps so far."""
+        one p places back, p the period of the gaps so far.  Read a set
+        0 < c1 < ... < cj as its cyclic gaps (c1, c2 - c1, ..., n - cj):
+        set order is gap order, and turning the set to another member
+        containing 0 rotates the gaps.  So the gaps of the least resolving
+        set are their own least rotation (a necklace) and each prefix of
+        them is a prenecklace: the search still finds the least set first,
+        and a size it exhausts has no resolving set at all."""
         if not chosen:
             return 1, self.n // (remaining + 1)
         gaps = list(map(sub, chosen, (0,) + chosen))
@@ -227,11 +212,14 @@ class _Kernel:
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
                  remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
         """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``;
-        ``pairs`` holds the separator masks of the pairs still colliding.  The
-        packing scans them in place past the masks v hits, the order ``kept``
-        has.  Two picks left, v skips it for ``_last``: it cuts only for an
-        unhit mask empty above v or two disjoint there, when their AND is
-        empty too, so the answer and the nodes (one per v, one per hit) stay."""
+        ``pairs`` holds the separator masks of the pairs still colliding,
+        narrowest first.  Pick v is cut by the packing: the unhit masks,
+        narrowest first, pairwise disjoint above v.  It scans ``pairs`` in
+        place past the masks v hits, the order ``kept`` has, so ``kept`` is
+        built only for an uncut v.  With two picks left v skips the packing
+        for ``_last``'s AND: the packing cuts only for an unhit mask empty
+        above v or two disjoint there, and then that AND is empty too, so
+        the answer and the nodes (one per v, one per hit) stay."""
         if remaining == 0:
             return None if pairs else chosen
         if remaining == 1:  # only a size-1 search starts here
@@ -328,7 +316,10 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     """Least resolving k-set containing 0, or None if none exists.
 
     Skips the iterative deepening of ``exact_dim``; useful when the
-    dimension is already known and only a witness is wanted.
+    dimension is already known and only a witness is wanted.  It keeps the
+    plain search, without the orbit cut: it stops at its first hit, and
+    the prefixes below that are nearly all prenecklaces, so the cut would
+    save almost nothing.
     """
     if k < 1:
         raise ValueError("basis size must be at least 1")

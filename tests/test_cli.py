@@ -112,7 +112,7 @@ def test_formula_witnesses_are_checked_before_printing(monkeypatch, capsys):
         assert result["verified"] is False
         assert result["witness_pair"] == [13, 14]
     # t != 4 checks find_basis_of_size's set with is_resolving
-    monkeypatch.setattr("circmd.cli.find_basis_of_size", lambda g, k, budget: (0, 1, 2))
+    monkeypatch.setattr("circmd.constructions.find_basis_of_size", lambda g, k, budget: (0, 1, 2))
     code, payload = run_json(capsys, "dim", "--n", "12", "--t", "3")
     assert code == 1
     assert payload["result"]["verified"] is False

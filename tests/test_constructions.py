@@ -8,6 +8,7 @@ from circmd.constructions import (
     REMARK_19_PUBLISHED,
     basis_t4,
     verify_construction_range,
+    witness,
 )
 from circmd.formulas import formula_dim
 from circmd.graph import make_consecutive
@@ -78,6 +79,18 @@ def test_complete_fringe_uses_exact_search():
     assert report.verified
     assert len(report.basis) == 7
     assert not report.matches_formula  # no formula to match on the fringe
+
+
+def test_witness_keys_the_table_on_the_requested_t():
+    # C(5, +/-{1..4}) folds to C(5, +/-{1, 2}); only the t = 4 request has a row
+    g = make_consecutive(5, 4)
+    assert g.t == 2
+    report = witness(g, 4)
+    assert report.source == "remark-5" and report.matches_formula
+    report = witness(g, 2)
+    assert report.source == "search-fallback" and not report.matches_formula
+    # n = 11 has a t = 4 row, which a t = 2 request does not read
+    assert witness(make_consecutive(11, 2), 2).source == "search-fallback"
 
 
 def test_rejects_tiny_orders():
