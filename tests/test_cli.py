@@ -288,3 +288,26 @@ def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
         del payload["timing_seconds"]
         digest.update(repr((argv, code, json.dumps(payload, sort_keys=True))).encode())
     assert digest.hexdigest().startswith("41449b5b7b0cb674")
+
+
+def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
+    # argv, exit code and envelope (timing dropped) of `dim` on the search
+    # and oracle routes, of auto where no formula applies, and of
+    # `table --check`, including the --max-k and --budget exits
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    runs = [("dim", "--n", str(n), "--t", str(t), "--method", "search")
+            for t in (2, 3, 4) for n in range(5, 41)]
+    runs += [("dim", "--n", str(n), "--t", "4", "--method", "oracle")
+             for n in range(5, 17)]
+    runs += [("dim", "--n", str(n), "--t", "4") for n in range(5, 10)]
+    runs += [("table", "--t", str(t), "--n-min", "5", "--n-max", "40", "--check")
+             for t in (2, 3, 4)]
+    runs += [("dim", "--n", "21", "--t", "4", "--method", "search", "--max-k", "4"),
+             ("dim", "--n", "30", "--t", "4", "--method", "search", "--budget", "10")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, payload = run_json(capsys, *argv)
+        del payload["timing_seconds"]
+        digest.update(repr((argv, code, json.dumps(payload, sort_keys=True))).encode())
+    assert len(runs) == 130
+    assert digest.hexdigest().startswith("f464ab1bd96fe3c6")
