@@ -13,8 +13,8 @@ Two routes are provided and deliberately kept separate:
   bound of hitting-set branch and bound, and the last pick is read off
   the AND of the unhit masks.  ``exact_dim`` and ``find_basis_of_size``
   fix vertex 0 (rotations act transitively): the pool is 1..n-1 and the
-  pairs are those on one sphere around 0.  ``exact_dim`` also searches
-  each rotation class of sets about once (the orbit cut, ``_orbit_range``).
+  pairs are those on one sphere around 0.  Both also search each
+  rotation class of sets about once (the orbit cut, ``_orbit_range``).
   ``min_resolvers`` passes the pairs inside each block and the allowed
   set as the pool; it has no rotation to cut by.
 
@@ -281,12 +281,13 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
-                     budget: Optional[int], orbit: bool = False
+                     budget: Optional[int]
                      ) -> tuple[_Kernel, Optional[tuple[int, ...]]]:
     """The kernel on the pool range(1, n) and the pairs {0} leaves
-    colliding, and 0 plus its least hit set: the least resolving set
-    containing 0 of 1 + p vertices, p the first of ``picks`` that has one."""
-    kernel = _Kernel(g, range(1, g.n), orbit)
+    colliding, with the orbit cut, and 0 plus its least hit set: the least
+    resolving set containing 0 of 1 + p vertices, p the first of ``picks``
+    that has one."""
+    kernel = _Kernel(g, range(1, g.n), orbit=True)
     found = kernel.hit(kernel.sphere_pairs(), picks, budget)
     return kernel, None if found is None else (0,) + found
 
@@ -302,8 +303,7 @@ def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
     lb = _search_lower_bound(g)
-    kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget,
-                                     orbit=True)
+    kernel, basis = _basis_with_zero(g, range(lb - 1, max_k or g.n), budget)
     if basis is None:
         raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
     return DimResult(dim=len(basis), basis=basis, method="search",
@@ -316,10 +316,7 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     """Least resolving k-set containing 0, or None if none exists.
 
     Skips the iterative deepening of ``exact_dim``; useful when the
-    dimension is already known and only a witness is wanted.  It keeps the
-    plain search, without the orbit cut: it stops at its first hit, and
-    the prefixes below that are nearly all prenecklaces, so the cut would
-    save almost nothing.
+    dimension is already known and only a witness is wanted.
     """
     if k < 1:
         raise ValueError("basis size must be at least 1")
