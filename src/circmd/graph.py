@@ -87,13 +87,14 @@ class CirculantGraph:
 def make_consecutive(n: int, t: int) -> CirculantGraph:
     """Build C(n, +/-{1, ..., t}).
 
-    Steps beyond n//2 fold back, so t >= n//2 yields the complete graph.
+    Steps beyond n//2 fold back, so t >= n//2 yields the complete graph;
+    only the steps up to n//2 are built, so a huge t costs nothing extra.
     """
     if n < 3:
         raise ValueError(f"order must be at least 3, got {n}")
     if t < 1:
         raise ValueError(f"max step must be at least 1, got {t}")
-    return CirculantGraph(n, tuple(range(1, t + 1)))
+    return CirculantGraph(n, tuple(range(1, min(t, n // 2) + 1)))
 
 
 def distance_closed_form(n: int, t: int, i: int, j: int) -> int:

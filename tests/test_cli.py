@@ -13,6 +13,7 @@ import pytest
 import circmd
 from circmd import constructions
 from circmd.cli import build_parser, main
+from circmd.graph import make_consecutive
 from circmd.solver import DEFAULT_BUDGET, default_budget
 
 
@@ -87,6 +88,15 @@ def test_dim_auto_falls_through_to_search_on_fringe(capsys):
     code, payload = run_json(capsys, "dim", "--n", "8", "--t", "4")
     assert code == 0
     assert payload["result"]["dim"] == 7
+
+
+def test_huge_t_folds_without_building_every_step(capsys):
+    # steps beyond n // 2 fold onto 1..n // 2; building them first took
+    # time and memory linear in t
+    assert make_consecutive(10, 10**12).steps == (1, 2, 3, 4, 5)
+    code, payload = run_json(capsys, "dim", "--n", "10", "--t", "1000000000000")
+    assert code == 0
+    assert payload["result"]["dim"] == 9
 
 
 def test_verify_failure_exits_1_with_witness(capsys):
