@@ -5,7 +5,7 @@ an independent brute-force oracle, explicit basis constructions, and an
 empirically validated registry of the lower-bound lemma battery.
 """
 
-from .constructions import ConstructionReport, basis_t4, verify_construction_range
+from .constructions import Answer, basis_t4, verify_construction_range
 from .formulas import BoundsReport, formula_dim, known_bounds
 from .graph import (
     CirculantGraph,
@@ -48,11 +48,11 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Answer",
     "BoundsReport",
     "BudgetExceededError",
     "CirculantGraph",
     "Cluster",
-    "ConstructionReport",
     "DimResult",
     "LemmaDescriptor",
     "NoBasisWithinError",

@@ -5,7 +5,7 @@ payload, timing, version) to stdout; the ``table`` command can instead
 render CSV or Markdown of the same values.  Exit codes:
 
     0  success
-    1  verification failure (set not resolving, lemma check failed, ...)
+    1  verification failure (set or basis not resolving, lemma check failed, ...)
     2  usage error (bad flags, malformed vertex set)
     3  budget exceeded, or no basis within ``--max-k``
 """
@@ -22,18 +22,12 @@ import time
 from typing import Optional
 
 from . import __version__
-from .constructions import basis_t4, witness
+from .constructions import METHODS, NoFormulaError, answer, basis_t4
 from .formulas import formula_dim, known_bounds
 from .graph import make_consecutive
 from .lemmas import REGISTRY, check_lemma, manifest
 from .resolve import is_resolving, representation
-from .solver import (
-    BudgetExceededError,
-    NoBasisWithinError,
-    brute_force_dim,
-    default_budget,
-    exact_dim,
-)
+from .solver import BudgetExceededError, default_budget
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -65,31 +59,18 @@ def _parse_vertex_set(spec: str, n: int) -> list[int]:
 
 
 def _cmd_dim(args) -> tuple[dict, int]:
-    if args.max_k is not None and args.max_k < 1:
-        raise ValueError("--max-k must be at least 1")
-    g = make_consecutive(args.n, args.t)
-    dim = formula_dim(args.n, args.t) if args.method in ("auto", "formula") else None
-    if dim is None and args.method == "formula":
-        return {"error": "no closed-form dimension known "
-                         f"for n={args.n}, t={args.t}"}, EXIT_VERIFICATION_FAILED
-    if dim is None:  # both searches stop at --max-k themselves
-        search = brute_force_dim if args.method == "oracle" else exact_dim
-        res = search(g, max_k=args.max_k, budget=args.budget)
-        found = {"dim": res.dim, "basis": list(res.basis), "method": res.method,
-                 "nodes_explored": res.nodes_explored,
-                 "lower_bound_used": res.lower_bound_used,
-                 "exhausted_sizes": list(res.exhausted_sizes)}
-    elif args.max_k is not None and dim > args.max_k:  # before any basis is built
-        raise NoBasisWithinError(f"no resolving set of size <= {args.max_k} found for {g}")
-    else:
-        report = witness(g, args.t, args.budget)
-        found = {"dim": dim, "basis": list(report.basis), "method": "formula"}
-        if not report.verified:
-            pair = report.unresolved
-            return {"n": args.n, "t": args.t, **found, "verified": False,
-                    "witness_pair": [pair.u, pair.v]}, EXIT_VERIFICATION_FAILED
-    return {"n": args.n, "t": args.t, **found,
-            "bounds": _bounds_payload(args.n, args.t)}, EXIT_OK
+    a = answer(make_consecutive(args.n, args.t), args.t, args.method,
+               args.max_k, args.budget)
+    result = {"n": a.n, "t": a.t, "dim": a.dim, "basis": list(a.basis),
+              "method": a.method}
+    if a.search is not None:
+        result.update(nodes_explored=a.search.nodes_explored,
+                      lower_bound_used=a.search.lower_bound_used,
+                      exhausted_sizes=list(a.search.exhausted_sizes))
+    if not a.verified:
+        return {**result, "verified": False, "witness_pair":
+                [a.unresolved.u, a.unresolved.v]}, EXIT_VERIFICATION_FAILED
+    return {**result, "bounds": _bounds_payload(a.n, a.t)}, EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -106,24 +87,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
             str(witness.v): list(representation(g, witness.v, landmarks)),
         },
     }, EXIT_VERIFICATION_FAILED
-
-
-def _table_rows(args) -> list[dict]:
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        g = make_consecutive(n, args.t)
-        fd = formula_dim(n, args.t)
-        note = ""
-        if args.t >= n // 2:
-            note = "complete graph; residue formula not applicable"
-        row = {"n": n, "n_mod_8": n % 8, "formula_dim": fd,
-               "searched_dim": None, "agreement": None, "note": note}
-        if args.check:
-            searched = exact_dim(g, budget=args.budget).dim
-            row["searched_dim"] = searched
-            row["agreement"] = (fd == searched) if fd is not None else None
-        rows.append(row)
-    return rows
 
 
 def _render_csv(rows: list[dict]) -> str:
@@ -148,21 +111,32 @@ def _render_md(rows: list[dict]) -> str:
 def _cmd_table(args) -> tuple[dict | str, int]:
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
-    rows = _table_rows(args)
-    if args.format == "csv":
-        return _render_csv(rows), EXIT_OK
-    if args.format == "md":
-        return _render_md(rows), EXIT_OK
-    return {"rows": rows}, EXIT_OK
+    rows, code = [], EXIT_OK
+    for n in range(args.n_min, args.n_max + 1):
+        g = make_consecutive(n, args.t)
+        fd = formula_dim(n, args.t)
+        note = "complete graph; residue formula not applicable" if args.t >= n // 2 else ""
+        row = {"n": n, "n_mod_8": n % 8, "formula_dim": fd,
+               "searched_dim": None, "agreement": None, "note": note}
+        if args.check:
+            a = answer(g, args.t, "search", budget=args.budget)
+            row["searched_dim"] = a.dim
+            row["agreement"] = (fd == a.dim) if fd is not None else None
+            if not a.verified:
+                code = EXIT_VERIFICATION_FAILED
+        rows.append(row)
+    if args.format != "json":
+        return (_render_csv if args.format == "csv" else _render_md)(rows), code
+    return {"rows": rows}, code
 
 
 def _cmd_construct(args) -> tuple[dict, int]:
-    report = basis_t4(args.n, budget=args.budget)
-    result = {"n": report.n, "basis": list(report.basis), "source": report.source,
-              "verified": report.verified,
-              "matches_formula": report.matches_formula, "note": report.note}
-    if not report.verified:
-        result["witness_pair"] = [report.unresolved.u, report.unresolved.v]
+    a = basis_t4(args.n, budget=args.budget)
+    result = {"n": a.n, "basis": list(a.basis), "source": a.source,
+              "verified": a.verified, "matches_formula": a.matches_formula,
+              "note": a.note}
+    if not a.verified:
+        result["witness_pair"] = [a.unresolved.u, a.unresolved.v]
         return result, EXIT_VERIFICATION_FAILED
     return result, EXIT_OK
 
@@ -210,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim = sub.add_parser("dim", help="compute the metric dimension")
     p_dim.add_argument("--n", type=int, required=True)
     p_dim.add_argument("--t", type=int, required=True)
-    p_dim.add_argument("--method", choices=("auto", "formula", "search", "oracle"),
-                       default="auto")
+    p_dim.add_argument("--method", choices=METHODS, default="auto")
     p_dim.add_argument("--max-k", type=int, default=None, dest="max_k")
     add_budget(p_dim)
     p_dim.set_defaults(func=_cmd_dim)
@@ -233,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_budget(p_table)
     p_table.set_defaults(func=_cmd_table)
 
-    p_con = sub.add_parser("construct", help="emit dim's verified formula-route witness "
-                           "for t = 4, from the t = 4 table or a search")
+    p_con = sub.add_parser("construct", help="emit dim's checked t = 4 basis and its source")
     p_con.add_argument("--n", type=int, required=True)
     add_budget(p_con)
     p_con.set_defaults(func=_cmd_construct)
@@ -260,6 +232,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     except BudgetExceededError as exc:
         result, code = {"error": str(exc)}, EXIT_BUDGET
+    except NoFormulaError as exc:
+        result, code = {"error": str(exc)}, EXIT_VERIFICATION_FAILED
     if isinstance(result, str):
         sys.stdout.write(result)
         return code

@@ -1,9 +1,13 @@
-"""Explicit metric bases for C(n, +/-{1..t}) and their verification.
+"""Checked answers to "what is dim C(n, +/-{1..t})?", with a witness basis.
 
-``witness`` gives every formula-route basis: ``dim``'s formula route (any
-t) and ``construct`` (t = 4) both take theirs from it, and it checks each
-basis once.  Its t = 4 witnesses live in one table, which holds t = 4 rows
-only.  ``SPORADIC`` holds single orders (tag ``remark-<n>``):
+``answer`` picks the route, applies ``max_k`` and checks the basis with
+one ``is_resolving`` call; ``dim``, ``construct`` and ``table --check``
+each make one call.  ``auto`` and ``formula`` take ``formula_dim``, with
+the t = 4 table row as the basis, else the least basis of that size;
+``search`` runs ``exact_dim``, as ``auto`` does where no formula applies
+(the complete-graph fringe); ``oracle`` runs ``brute_force_dim``.  The
+table holds t = 4 rows only.  ``SPORADIC`` holds single orders (tag
+``remark-<n>``):
 
     n = 5:   {0, 1, 2, 3}
     n = 11:  {0, 2, 3, 10}
@@ -17,9 +21,7 @@ each vertex is a + b*k.
     n = 8k + 7 (upper-8k7):  {0, 1, 2, 3, 4, 5}
     n = 8k + 9 (upper-8k9):  {0, 1, 4, 7, 4k+6, 4k+7}
 
-Every other order, and every order for t != 4, gets a witness from a
-search constrained to the formula's dimension, or from exact search where
-no formula applies (the complete-graph fringe), tagged ``search-fallback``.
+Every other basis comes from a search and is tagged ``search-fallback``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ from typing import Optional
 from .formulas import formula_dim
 from .graph import CirculantGraph, make_consecutive
 from .resolve import WitnessPair, is_resolving
-from .solver import exact_dim, find_basis_of_size
+from .solver import (
+    DimResult,
+    NoBasisWithinError,
+    brute_force_dim,
+    exact_dim,
+    find_basis_of_size,
+)
 
+METHODS = ("auto", "formula", "search", "oracle")
 REMARK_19_PUBLISHED = (0, 2, 7, 19)
 
 SPORADIC = {5: (0, 1, 2, 3), 11: (0, 2, 3, 10), 19: (0, 2, 7, 14)}
@@ -45,26 +54,29 @@ _NOTES = {19: (f"published witness {list(REMARK_19_PUBLISHED)} collapses to "
                f"by the lex-least basis {list(SPORADIC[19])}")}
 
 
+class NoFormulaError(LookupError):
+    """Raised for ``method="formula"`` where no closed-form dimension applies."""
+
+
 @dataclass(frozen=True)
-class ConstructionReport:
+class Answer:
     n: int
+    t: int
+    dim: int
     basis: tuple[int, ...]
+    method: str  # "formula", or the search's "search" | "oracle"
     source: str  # remark-<n> (SPORADIC), a FAMILIES tag, or search-fallback
-    matches_formula: bool
     note: Optional[str] = None
     unresolved: Optional[WitnessPair] = None  # the least pair the basis leaves
+    search: Optional[DimResult] = None  # when a search gave dim
 
     @property
     def verified(self) -> bool:
         return self.unresolved is None
 
-
-def _report(g: CirculantGraph, t: int, basis: tuple[int, ...], source: str,
-            note: Optional[str] = None) -> ConstructionReport:
-    return ConstructionReport(
-        n=g.n, basis=tuple(sorted(basis)), source=source,
-        matches_formula=formula_dim(g.n, t) == len(basis), note=note,
-        unresolved=is_resolving(g, basis))
+    @property
+    def matches_formula(self) -> bool:
+        return formula_dim(self.n, self.t) == len(self.basis)
 
 
 def _table_entry(n: int) -> Optional[tuple]:
@@ -78,32 +90,45 @@ def _table_entry(n: int) -> Optional[tuple]:
     return None
 
 
-def witness(g: CirculantGraph, t: int, budget: Optional[int] = None
-            ) -> ConstructionReport:
-    """A checked metric basis of g = C(n, +/-{1..t}) with its provenance
-    tag: the table row (t = 4 only), else the least basis of the formula's
-    size, else, where no formula applies, the one exact search finds.  The
-    requested t, not ``g.t``, picks the row: ``make_consecutive`` folds
-    steps beyond n // 2, so C(5, +/-{1..4}) has ``g.t == 2``."""
-    entry = _table_entry(g.n) if t == 4 else None
-    if entry is not None:
-        return _report(g, t, *entry)
-    target = formula_dim(g.n, t)
-    if target is not None:
-        return _report(g, t, find_basis_of_size(g, target, budget=budget),
-                       "search-fallback")
-    return _report(g, t, exact_dim(g, budget=budget).basis, "search-fallback",
-                   note="complete-graph fringe: dimension from exact search")
+def answer(g: CirculantGraph, t: int, method: str = "auto",
+           max_k: Optional[int] = None, budget: Optional[int] = None) -> Answer:
+    """dim of g = C(n, +/-{1..t}) by ``method`` with a checked basis; a
+    dimension above ``max_k`` raises ``NoBasisWithinError``.  The requested
+    t, not ``g.t``, keys the formula and the table row: C(5, +/-{1..4})
+    folds to ``g.t == 2``."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if max_k is not None and max_k < 1:
+        raise ValueError("max_k must be at least 1")
+    dim = formula_dim(g.n, t)
+    if dim is None and method == "formula":
+        raise NoFormulaError(f"no closed-form dimension known for n={g.n}, t={t}")
+    search = None
+    if dim is None or method in ("search", "oracle"):  # both stop at max_k themselves
+        search = (brute_force_dim if method == "oracle" else exact_dim)(
+            g, max_k=max_k, budget=budget)
+        note = None if dim else "complete-graph fringe: dimension from exact search"
+        dim, basis, method = search.dim, search.basis, search.method
+        source = "search-fallback"
+    elif max_k is not None and dim > max_k:  # before any basis is built
+        raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
+    else:
+        entry = _table_entry(g.n) if t == 4 else None
+        basis, source, note = entry or (find_basis_of_size(g, dim, budget),
+                                        "search-fallback", None)
+        method = "formula"
+    return Answer(g.n, t, dim, tuple(sorted(basis)), method, source, note,
+                  is_resolving(g, basis), search)
 
 
-def basis_t4(n: int, budget: Optional[int] = None) -> ConstructionReport:
-    """A verified metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
+def basis_t4(n: int, budget: Optional[int] = None) -> Answer:
+    """A checked metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")
-    return witness(make_consecutive(n, 4), 4, budget)
+    return answer(make_consecutive(n, 4), 4, budget=budget)
 
 
-def verify_construction_range(residue: int, k_max: int) -> list[ConstructionReport]:
+def verify_construction_range(residue: int, k_max: int) -> list[Answer]:
     """Check the table's family for n = 8k + residue, k = 1..k_max."""
     if residue not in FAMILIES:
         raise ValueError(f"closed-form families exist for residues "

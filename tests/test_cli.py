@@ -14,7 +14,7 @@ import circmd
 from circmd import constructions
 from circmd.cli import build_parser, main
 from circmd.graph import make_consecutive
-from circmd.solver import DEFAULT_BUDGET, default_budget
+from circmd.solver import DEFAULT_BUDGET, DimResult, default_budget
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +126,24 @@ def test_formula_witnesses_are_checked_before_printing(monkeypatch, capsys):
     code, payload = run_json(capsys, "dim", "--n", "12", "--t", "3")
     assert code == 1
     assert payload["result"]["verified"] is False
+
+
+def test_searched_bases_are_checked_before_printing(monkeypatch, capsys):
+    # a search that returns a wrong basis: {0, 1, 2, 3} leaves 4 and 9
+    # unresolved at n = 10, t = 4
+    def wrong(g, max_k=None, budget=None):
+        return DimResult(4, (0, 1, 2, 3), "search")
+    monkeypatch.setattr("circmd.constructions.exact_dim", wrong)
+    monkeypatch.setattr("circmd.constructions.brute_force_dim", wrong)
+    for method in ("search", "oracle"):
+        code, payload = run_json(capsys, "dim", "--n", "10", "--t", "4",
+                                 "--method", method)
+        assert code == 1, method
+        assert payload["result"]["verified"] is False
+        assert payload["result"]["witness_pair"] == [4, 9]
+    code, _ = run_json(capsys, "table", "--t", "4", "--n-min", "10",
+                       "--n-max", "10", "--check")
+    assert code == 1
 
 
 def test_duplicate_vertices_mod_n_are_usage_error(capsys):

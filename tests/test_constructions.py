@@ -6,9 +6,9 @@ import pytest
 from circmd.constructions import (
     FAMILIES,
     REMARK_19_PUBLISHED,
+    answer,
     basis_t4,
     verify_construction_range,
-    witness,
 )
 from circmd.formulas import formula_dim
 from circmd.graph import make_consecutive
@@ -85,12 +85,12 @@ def test_witness_keys_the_table_on_the_requested_t():
     # C(5, +/-{1..4}) folds to C(5, +/-{1, 2}); only the t = 4 request has a row
     g = make_consecutive(5, 4)
     assert g.t == 2
-    report = witness(g, 4)
+    report = answer(g, 4)
     assert report.source == "remark-5" and report.matches_formula
-    report = witness(g, 2)
+    report = answer(g, 2)
     assert report.source == "search-fallback" and not report.matches_formula
     # n = 11 has a t = 4 row, which a t = 2 request does not read
-    assert witness(make_consecutive(11, 2), 2).source == "search-fallback"
+    assert answer(make_consecutive(11, 2), 2).source == "search-fallback"
 
 
 def test_rejects_tiny_orders():
