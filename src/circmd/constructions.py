@@ -5,9 +5,9 @@ one ``is_resolving`` call; ``dim``, ``construct`` and ``table --check``
 each make one call.  ``auto`` and ``formula`` take ``formula_dim``, with
 the t = 4 table row as the basis, else the least basis of that size;
 ``search`` runs ``exact_dim``, as ``auto`` does where no formula applies
-(the complete-graph fringe); ``oracle`` runs ``brute_force_dim``.  The
-table holds t = 4 rows only.  ``SPORADIC`` holds single orders (tag
-``remark-<n>``):
+(a note marks the complete-graph fringe); ``oracle`` runs
+``brute_force_dim``.  The table holds t = 4 rows only.  ``SPORADIC``
+holds single orders (tag ``remark-<n>``):
 
     n = 5:   {0, 1, 2, 3}
     n = 11:  {0, 2, 3, 10}
@@ -107,7 +107,8 @@ def answer(g: CirculantGraph, t: int, method: str = "auto",
     if dim is None or method in ("search", "oracle"):  # both stop at max_k themselves
         search = (brute_force_dim if method == "oracle" else exact_dim)(
             g, max_k=max_k, budget=budget)
-        note = None if dim else "complete-graph fringe: dimension from exact search"
+        complete = dim is None and g.diameter == 1
+        note = "complete-graph fringe: dimension from exact search" if complete else None
         dim, basis, method = search.dim, search.basis, search.method
         source = "search-fallback"
     elif max_k is not None and dim > max_k:  # before any basis is built

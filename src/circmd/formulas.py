@@ -61,16 +61,17 @@ class BoundsReport:
 def known_bounds(n: int, t: int) -> BoundsReport:
     """Best general bounds on dim C(n, +/-{1..t}) for n >= 2t + 2.
 
-    Rules, each tagged in the provenance when it fires:
+    Each rule is a residue test on r = (n - 2) mod 2t and is tagged in the
+    provenance when it fires:
 
-    - lb-general:   dim >= t whenever n >= 2t + 2.
-    - lb-residue:   dim >= t + 1 when n = 2kt + r with k >= 0 and
-                    t + 2 <= r <= 2t + 1.
-    - ub-even-step: dim <= t + p when t is even and n = 2kt + t + 2p
-                    with k >= 0, p >= 1; all decompositions are
-                    enumerated and the smallest p wins.
-    - ub-residue:   dim <= t + 1 when n = 2kt + r with k >= 1 and
-                    2 <= r <= t + 2.
+    - lb-general:   dim >= t, always (n >= 2t + 2).
+    - lb-residue:   dim >= t + 1 iff r >= t, that is n = 2kt + s with
+                    t + 2 <= s <= 2t + 1 (Vetrik, Canad. Math. Bull. 2017).
+    - ub-even-step: dim <= t + 1 + ((n - t - 2) mod 2t) / 2 iff t and n
+                    are both even, that is n = 2kt + t + 2p with the
+                    least p >= 1 (Chau and Gosselin, Opuscula Math. 2017).
+    - ub-residue:   dim <= t + 1 iff r <= t, that is n = 2kt + s with
+                    k >= 1 and 2 <= s <= t + 2.
 
     Below n = 2t + 2 the graph is complete (dim = n - 1) and none of
     these rules applies, so that range is rejected.
@@ -79,30 +80,16 @@ def known_bounds(n: int, t: int) -> BoundsReport:
         raise ValueError(f"bounds require t >= 2, got {t}")
     if n < 2 * t + 2:
         raise ValueError(f"complete-graph range: bounds require n >= {2 * t + 2}, got {n}")
-
-    lower = t
-    provenance = ["lb-general"]
-
-    if any(t + 2 <= n - 2 * k * t <= 2 * t + 1 for k in range(n // (2 * t) + 1)):
+    r = (n - 2) % (2 * t)
+    lower, provenance = t, ["lb-general"]
+    upper: Optional[int] = None
+    if r >= t:
         lower = t + 1
         provenance.append("lb-residue")
-
-    upper: Optional[int] = None
-    if t % 2 == 0:
-        best_p = None
-        for k in range(n // (2 * t) + 1):
-            rem = n - 2 * k * t - t
-            if rem >= 2 and rem % 2 == 0:
-                p = rem // 2
-                if best_p is None or p < best_p:
-                    best_p = p
-        if best_p is not None:
-            upper = t + best_p
-            provenance.append("ub-even-step")
-
-    if any(2 <= n - 2 * k * t <= t + 2 for k in range(1, n // (2 * t) + 1)):
-        if upper is None or t + 1 < upper:
-            upper = t + 1
+    if t % 2 == 0 and n % 2 == 0:
+        upper = t + 1 + (n - t - 2) % (2 * t) // 2
+        provenance.append("ub-even-step")
+    if r <= t:
+        upper = t + 1
         provenance.append("ub-residue")
-
     return BoundsReport(lower, upper, tuple(provenance))

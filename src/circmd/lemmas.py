@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .formulas import known_bounds
 from .graph import CirculantGraph, make_consecutive, split_8k_r
 from .resolve import Cluster, equivalence_classes
 from .solver import NoBasisWithinError, brute_force_dim, find_basis_of_size, min_resolvers
@@ -48,7 +49,6 @@ class LemmaDescriptor:
     claim: str
     claimed_min: Optional[int] = None
     residues: tuple[int, ...] = ()
-    min_k: int = 1
     param_grid: ParamGrid = lambda n, k: ({},)  # parameters besides the anchor
     blocks_fn: Optional[BlocksFn] = None
     excluded_fn: Optional[ExcludedFn] = None
@@ -197,10 +197,10 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
     for t in (2, 3, 4, 5):
         if d.id == "thm-general-t":
             cases = [(n, t) for n in range(2 * t + 2, 2 * t + 3 + 2 * k_max)]
-        else:  # thm-vetrik-lb: n = 2kt + r, t + 2 <= r <= 2t + 1
-            cases = [(2 * k * t + r, t + 1)
-                     for k in range(1, k_max + 1)
-                     for r in range(t + 2, 2 * t + 2)]
+        else:  # thm-vetrik-lb: the orders up to k = k_max where known_bounds,
+            # and so exact_dim, takes dim >= t + 1; the sweep checks that rule
+            cases = [(n, t + 1) for n in range(3 * t + 2, 2 * t * k_max + 2 * t + 2)
+                     if "lb-residue" in known_bounds(n, t).provenance]
         cases = [(n, bound) for n, bound in cases if n <= _DIM_LOWER_N_CAP]
         for n, bound in sorted(set(cases)):
             key = (("n", n), ("t", t))
@@ -231,8 +231,6 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
                 results.append(_check_basis_gap(d, 8 * k + r))
     else:
         for k in k_range:
-            if k < d.min_k:
-                continue
             for r in sorted(d.residues):
                 n = 8 * k + r
                 results += [_check_cluster_instantiation(d, n, {"a": a, **extra})
@@ -252,10 +250,12 @@ def check_all(k_range: Iterable[int] = (1, 2, 3)) -> list[LemmaReport]:
 def _simple_cluster(id_: str, claim: str, residues: tuple[int, ...],
                     claimed_min: int, base: Blocks, min_k: int = 1
                     ) -> LemmaDescriptor:
-    """Descriptor whose blocks are fixed offsets from the anchor."""
+    """Descriptor whose blocks are fixed offsets from the anchor, checked
+    at the orders with k >= ``min_k``."""
     return LemmaDescriptor(
         id=id_, kind="cluster", claim=claim, claimed_min=claimed_min,
-        residues=residues, min_k=min_k, blocks_fn=lambda n, k, p: base)
+        residues=residues, param_grid=lambda n, k: ({},) if k >= min_k else (),
+        blocks_fn=lambda n, k, p: base)
 
 
 def _window_params(n: int, k: int):

@@ -360,11 +360,15 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     Searches ascending sizes, so the reported size is exact.  With
     ``max_size`` set the search stops early and reports ``capped=True``
     when no witness of at most that size exists (useful for verifying
-    lower-bound claims without computing the true minimum).
+    lower-bound claims without computing the true minimum).  Every vertex
+    of ``allowed`` and of the cluster must lie in [0, n).
     """
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
+    for v in (pool[0], pool[-1], *cluster.vertices):
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex must lie in [0, {g.n}), got {v}")
     kernel = _Kernel(g, pool)
     pairs = [kernel.sep(u, v) for block in cluster.blocks
              for u, v in itertools.combinations(block, 2)]

@@ -81,6 +81,16 @@ def test_complete_fringe_uses_exact_search():
     assert not report.matches_formula  # no formula to match on the fringe
 
 
+def test_fringe_note_marks_only_complete_graphs():
+    for n, t in ((20, 5), (30, 1)):
+        report = answer(make_consecutive(n, t), t)
+        assert report.source == "search-fallback" and report.note is None
+    for n in range(6, 10):
+        report = answer(make_consecutive(n, 4), 4)
+        assert report.dim == n - 1
+        assert report.note == "complete-graph fringe: dimension from exact search"
+
+
 def test_witness_keys_the_table_on_the_requested_t():
     # C(5, +/-{1..4}) folds to C(5, +/-{1, 2}); only the t = 4 request has a row
     g = make_consecutive(5, 4)

@@ -86,3 +86,29 @@ def test_bounds_report_validation():
         BoundsReport(0, 3, ())
     with pytest.raises(ValueError):
         BoundsReport(4, 3, ())
+
+
+def _known_bounds_by_scan(n, t):
+    """The bounds as first written: each rule scans every k with n = 2kt + r."""
+    lower, provenance = t, ["lb-general"]
+    if any(t + 2 <= n - 2 * k * t <= 2 * t + 1 for k in range(n // (2 * t) + 1)):
+        lower = t + 1
+        provenance.append("lb-residue")
+    upper = None
+    if t % 2 == 0:
+        steps = [(n - 2 * k * t - t) // 2 for k in range(n // (2 * t) + 1)
+                 if n - 2 * k * t - t >= 2 and (n - 2 * k * t - t) % 2 == 0]
+        if steps:
+            upper = t + min(steps)
+            provenance.append("ub-even-step")
+    if any(2 <= n - 2 * k * t <= t + 2 for k in range(1, n // (2 * t) + 1)):
+        upper = t + 1 if upper is None else min(upper, t + 1)
+        provenance.append("ub-residue")
+    return lower, upper, tuple(provenance)
+
+
+def test_residue_tests_match_the_scanning_bounds():
+    for t in range(2, 25):
+        for n in range(2 * t + 2, 3000):
+            b = known_bounds(n, t)
+            assert (b.lower, b.upper, b.provenance) == _known_bounds_by_scan(n, t), (n, t)

@@ -412,7 +412,21 @@ def test_duplicate_masks_do_not_change_the_search():
 
 
 def test_lower_bound_never_exceeds_dimension():
-    for n in range(10, 26):
-        g = make_consecutive(n, 4)
-        res = exact_dim(g)
-        assert res.lower_bound_used <= res.dim
+    # the search starts at its lower bound, so the oracle checks the sizes below
+    cases = [(n, t) for t in range(2, 7) for n in range(2 * t + 2, min(29, 38 - 3 * t))]
+    assert len(cases) == 77
+    for n, t in cases:
+        g = make_consecutive(n, t)
+        lb = exact_dim(g).lower_bound_used
+        with pytest.raises(NoBasisWithinError):
+            brute_force_dim(g, max_k=lb - 1)
+
+
+def test_min_resolvers_rejects_vertices_outside_the_graph():
+    g = make_consecutive(13, 4)
+    with pytest.raises(ValueError, match=r"vertex must lie in \[0, 13\), got 15"):
+        min_resolvers(g, Cluster([[0, 15]]), g.vertices)
+    with pytest.raises(ValueError, match=r"vertex must lie in \[0, 13\), got 20"):
+        min_resolvers(g, Cluster([[0, 1]]), [20, 21])
+    with pytest.raises(ValueError, match="got -1"):
+        min_resolvers(g, Cluster([[0, 1]]), [-1, 5])
