@@ -59,8 +59,7 @@ def _parse_vertex_set(spec: str, n: int) -> list[int]:
 
 
 def _cmd_dim(args) -> tuple[dict, int]:
-    a = answer(make_consecutive(args.n, args.t), args.t, args.method,
-               args.max_k, args.budget)
+    a = answer(args.n, args.t, args.method, args.max_k, args.budget)
     result = {"n": a.n, "t": a.t, "dim": a.dim, "basis": list(a.basis),
               "method": a.method}
     if a.search is not None:
@@ -111,15 +110,15 @@ def _render_md(rows: list[dict]) -> str:
 def _cmd_table(args) -> tuple[dict | str, int]:
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
+    make_consecutive(args.n_min, args.t)  # a bad --t or --n-min fails before any row
     rows, code = [], EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
-        g = make_consecutive(n, args.t)
         fd = formula_dim(n, args.t)
         note = "complete graph; residue formula not applicable" if args.t >= n // 2 else ""
         row = {"n": n, "n_mod_8": n % 8, "formula_dim": fd,
                "searched_dim": None, "agreement": None, "note": note}
         if args.check:
-            a = answer(g, args.t, "search", budget=args.budget)
+            a = answer(n, args.t, "search", budget=args.budget)
             row["searched_dim"] = a.dim
             row["agreement"] = (fd == a.dim) if fd is not None else None
             if not a.verified:

@@ -1,19 +1,35 @@
 """Closed-form metric dimensions and published bounds for C(n, +/-{1..t}).
 
-The dimension is fully determined for t in {2, 3, 4}:
+Every closed form is one table, keyed by t and by the residue s of
+n = 2t*k + s, where k = (n - 2) // 2t and 2 <= s <= 2t + 1.  Then k >= 1
+exactly when n >= 2t + 2; for t = 4 this is ``split_8k_r``'s n = 8k + r.
 
-    t = 2:  4 when n = 1 (mod 4), else 3            (n >= 6)
-    t = 3:  5 when n = 1 (mod 6), else 4            (n >= 8)
-    t = 4:  4 when n = 4 (mod 8)
-            5 when n = +/-2 or +/-3 (mod 8)         (n >= 10)
-            6 when n = 0 or +/-1 (mod 8)
-            with sporadic exceptions dim = 4 at n in {5, 11, 19}.
+``DIMS[t][s - 2]`` is the dimension for n >= 2t + 2:
 
-For t = 4 the residue formula is stated for n >= 6, but C(8, +/-{1..4}) and
-C(9, +/-{1..4}) are complete graphs with dimensions 7 and 8, which the
-residue cases would contradict.  We therefore abstain on n in {6..9} and
-leave that fringe to exact search; see the divergence note in the table
-output.
+    t = 2:  s = 2..5   ->  3 3 3 4         (4 when n = 1 mod 4)
+    t = 3:  s = 2..7   ->  4 4 4 4 4 5     (5 when n = 1 mod 6)
+    t = 4:  s = 2..9   ->  5 5 4 5 5 6 6 6
+
+``SPORADIC[(t, n)]`` is a witness basis at one order (tag ``remark-<n>``),
+and the dimension there is its size, ahead of ``DIMS``:
+
+    t = 4, n = 5:   {0, 1, 2, 3}
+    t = 4, n = 11:  {0, 2, 3, 10}
+    t = 4, n = 19:  published as {0, 2, 7, 19}, but 19 = 0 (mod 19)
+                    collapses that set to three vertices; the lex-least
+                    4-element basis {0, 2, 7, 14} stands in.
+
+``FAMILIES[(t, s)]`` is (tag, rule): a basis for every n = 2t*k + s with
+k >= 1, with vertex a + b*k for each (a, b) of the rule:
+
+    t = 4, s = 7 (upper-8k7):  {0, 1, 2, 3, 4, 5}
+    t = 4, s = 9 (upper-8k9):  {0, 1, 4, 7, 4k+6, 4k+7}
+
+Below n = 2t + 2 the graph is complete or nearly so, and no row but a
+sporadic one applies.  For t = 4 the paper states its residue formula from
+n = 6, but C(8, +/-{1..4}) and C(9, +/-{1..4}) are complete graphs with
+dimensions 7 and 8, which the residue cases would contradict; n = 6..9 is
+left to exact search (see the divergence note in the table output).
 """
 
 from __future__ import annotations
@@ -21,27 +37,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-T4_EXCEPTIONS = frozenset({5, 11, 19})
+DIMS = {2: (3, 3, 3, 4), 3: (4, 4, 4, 4, 4, 5), 4: (5, 5, 4, 5, 5, 6, 6, 6)}
+SPORADIC = {(4, 5): (0, 1, 2, 3), (4, 11): (0, 2, 3, 10), (4, 19): (0, 2, 7, 14)}
+FAMILIES = {
+    (4, 7): ("upper-8k7", ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0))),
+    (4, 9): ("upper-8k9", ((0, 0), (1, 0), (4, 0), (7, 0), (6, 4), (7, 4))),
+}
 
 
 def formula_dim(n: int, t: int) -> Optional[int]:
     """Known exact metric dimension, or None where no formula applies."""
     if n < 3:
         raise ValueError(f"order must be at least 3, got {n}")
-    if t == 2 and n >= 6:
-        return 4 if n % 4 == 1 else 3
-    if t == 3 and n >= 8:
-        return 5 if n % 6 == 1 else 4
-    if t == 4:
-        if n in T4_EXCEPTIONS:
-            return 4
-        if n >= 10:
-            r = n % 8
-            if r == 4:
-                return 4
-            if r in (2, 3, 5, 6):
-                return 5
-            return 6  # r in (0, 1, 7)
+    if (t, n) in SPORADIC:
+        return len(SPORADIC[t, n])
+    if t in DIMS and n >= 2 * t + 2:
+        return DIMS[t][(n - 2) % (2 * t)]
     return None
 
 

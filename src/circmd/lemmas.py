@@ -199,7 +199,7 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
             cases = [(n, t) for n in range(2 * t + 2, 2 * t + 3 + 2 * k_max)]
         else:  # thm-vetrik-lb: the orders up to k = k_max where known_bounds,
             # and so exact_dim, takes dim >= t + 1; the sweep checks that rule
-            cases = [(n, t + 1) for n in range(3 * t + 2, 2 * t * k_max + 2 * t + 2)
+            cases = [(n, t + 1) for n in range(2 * t + 2, 2 * t * k_max + 2 * t + 2)
                      if "lb-residue" in known_bounds(n, t).provenance]
         cases = [(n, bound) for n, bound in cases if n <= _DIM_LOWER_N_CAP]
         for n, bound in sorted(set(cases)):

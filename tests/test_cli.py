@@ -113,7 +113,7 @@ def test_verify_failure_exits_1_with_witness(capsys):
 def test_formula_witnesses_are_checked_before_printing(monkeypatch, capsys):
     # a wrong 8k+7 row: {0,1,2,3,4,6} leaves 13 and 14 unresolved at n = 23
     rule = tuple((a, 0) for a in (0, 1, 2, 3, 4, 6))
-    monkeypatch.setitem(constructions.FAMILIES, 7, ("upper-8k7", rule))
+    monkeypatch.setitem(constructions.FAMILIES, (4, 7), ("upper-8k7", rule))
     for argv in (("dim", "--n", "23", "--t", "4"), ("construct", "--n", "23")):
         code, payload = run_json(capsys, *argv)
         assert code == 1, argv

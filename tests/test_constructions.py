@@ -4,13 +4,12 @@ import re
 import pytest
 
 from circmd.constructions import (
-    FAMILIES,
     REMARK_19_PUBLISHED,
     answer,
     basis_t4,
     verify_construction_range,
 )
-from circmd.formulas import formula_dim
+from circmd.formulas import FAMILIES, formula_dim
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
 from circmd.solver import BudgetExceededError, find_basis_of_size
@@ -18,7 +17,7 @@ from circmd.solver import BudgetExceededError, find_basis_of_size
 
 def test_family_witnesses():
     # the table rows at k = 1 and k = 2, through the range check
-    assert {r: [c.basis for c in verify_construction_range(r, 2)] for r in FAMILIES} == {
+    assert {r: [c.basis for c in verify_construction_range(r, 2)] for _, r in FAMILIES} == {
         7: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
         9: [(0, 1, 4, 7, 10, 11), (0, 1, 4, 7, 14, 15)],
     }
@@ -26,7 +25,7 @@ def test_family_witnesses():
 
 
 def test_families_resolve_and_match_formula():
-    for residue, (source, _) in FAMILIES.items():
+    for (_, residue), (source, _) in FAMILIES.items():
         reports = verify_construction_range(residue, 30)
         assert all(r.verified and r.matches_formula for r in reports)
         assert {r.source for r in reports} == {source}
@@ -83,10 +82,10 @@ def test_complete_fringe_uses_exact_search():
 
 def test_fringe_note_marks_only_complete_graphs():
     for n, t in ((20, 5), (30, 1)):
-        report = answer(make_consecutive(n, t), t)
+        report = answer(n, t)
         assert report.source == "search-fallback" and report.note is None
     for n in range(6, 10):
-        report = answer(make_consecutive(n, 4), 4)
+        report = answer(n, 4)
         assert report.dim == n - 1
         assert report.note == "complete-graph fringe: dimension from exact search"
 
@@ -95,12 +94,12 @@ def test_witness_keys_the_table_on_the_requested_t():
     # C(5, +/-{1..4}) folds to C(5, +/-{1, 2}); only the t = 4 request has a row
     g = make_consecutive(5, 4)
     assert g.t == 2
-    report = answer(g, 4)
+    report = answer(5, 4)
     assert report.source == "remark-5" and report.matches_formula
-    report = answer(g, 2)
+    report = answer(5, 2)
     assert report.source == "search-fallback" and not report.matches_formula
     # n = 11 has a t = 4 row, which a t = 2 request does not read
-    assert answer(make_consecutive(11, 2), 2).source == "search-fallback"
+    assert answer(11, 2).source == "search-fallback"
 
 
 def test_rejects_tiny_orders():

@@ -2,7 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmd.formulas import T4_EXCEPTIONS, BoundsReport, formula_dim, known_bounds
+from circmd.formulas import (
+    DIMS,
+    FAMILIES,
+    SPORADIC,
+    BoundsReport,
+    formula_dim,
+    known_bounds,
+)
+from circmd.graph import make_consecutive
+from circmd.resolve import is_resolving
+
+T4_EXCEPTIONS = {n for t, n in SPORADIC if t == 4}
 
 
 def test_t4_residue_values():
@@ -112,3 +123,43 @@ def test_residue_tests_match_the_scanning_bounds():
         for n in range(2 * t + 2, 3000):
             b = known_bounds(n, t)
             assert (b.lower, b.upper, b.provenance) == _known_bounds_by_scan(n, t), (n, t)
+
+
+def _formula_dim_by_ladder(n, t):
+    """The closed forms as first written: one branch per t."""
+    if t == 2 and n >= 6:
+        return 4 if n % 4 == 1 else 3
+    if t == 3 and n >= 8:
+        return 5 if n % 6 == 1 else 4
+    if t == 4:
+        if n in (5, 11, 19):
+            return 4
+        if n >= 10:
+            r = n % 8
+            if r == 4:
+                return 4
+            if r in (2, 3, 5, 6):
+                return 5
+            return 6  # r in (0, 1, 7)
+    return None
+
+
+def test_table_matches_the_ladder():
+    for t in range(1, 9):
+        for n in range(3, 3000):
+            assert formula_dim(n, t) == _formula_dim_by_ladder(n, t), (n, t)
+
+
+def test_sporadic_witnesses_resolve_at_the_formula_size():
+    for (t, n), basis in SPORADIC.items():
+        assert len({v % n for v in basis}) == len(basis) == formula_dim(n, t), (t, n)
+        assert is_resolving(make_consecutive(n, t), basis) is None, (t, n)
+
+
+def test_family_rows_resolve_at_the_table_size():
+    for (t, s), (_, rule) in FAMILIES.items():
+        for k in range(1, 41):
+            n = 2 * t * k + s
+            basis = [a + b * k for a, b in rule]
+            assert len({v % n for v in basis}) == len(basis) == DIMS[t][s - 2], (t, s, k)
+            assert is_resolving(make_consecutive(n, t), basis) is None, (t, s, k)
