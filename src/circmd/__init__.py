@@ -5,15 +5,14 @@ an independent brute-force oracle, explicit basis constructions, and an
 empirically validated registry of the lower-bound lemma battery.
 """
 
-from .constructions import Answer, basis_t4, verify_construction_range
-from .formulas import BoundsReport, formula_dim, known_bounds
+from .constructions import Answer, basis_t4
+from .formulas import BoundsReport, formula_dim, known_bounds, split
 from .graph import (
     CirculantGraph,
     diameter_set,
     distance_bfs,
     distance_closed_form,
     make_consecutive,
-    split_8k_r,
 )
 from .lemmas import (
     REGISTRY,
@@ -79,8 +78,7 @@ __all__ = [
     "pair_resolvers",
     "representation",
     "resolves_cluster",
-    "split_8k_r",
-    "verify_construction_range",
+    "split",
     "window_bound_counterexample",
     "window_tightness",
 ]

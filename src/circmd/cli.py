@@ -226,6 +226,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if "budget" in vars(args) and args.budget is None:
             args.budget = default_budget()  # a bad CIRCMD_BUDGET is a usage error
+        elif "budget" in vars(args) and args.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         result, code = args.func(args)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")

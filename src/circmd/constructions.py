@@ -2,8 +2,8 @@
 
 ``answer`` builds C(n, +/-{1..t}), picks the route, applies ``max_k`` and
 checks the basis with one ``is_resolving`` call; ``dim``, ``construct`` and
-``table --check`` each make one call.  ``auto`` and ``formula`` take
-``formula_dim``, with the ``formulas`` table row as the basis, else the
+``table --check`` each make one call.  ``auto`` and ``formula`` take the
+dimension of ``formulas.table_row`` and its witness as the basis, else the
 least basis of that size (tag ``search-fallback``); ``search`` runs
 ``exact_dim``, as ``auto`` does where no formula applies (a note marks the
 complete-graph fringe); ``oracle`` runs ``brute_force_dim``.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formulas import FAMILIES, SPORADIC, formula_dim
+from .formulas import SPORADIC, formula_dim, table_row
 from .graph import make_consecutive
 from .resolve import WitnessPair, is_resolving
 from .solver import (
@@ -57,17 +57,6 @@ class Answer:
         return formula_dim(self.n, self.t) == len(self.basis)
 
 
-def _table_entry(n: int, t: int) -> Optional[tuple]:
-    """(basis, source, note) from the table, or None if no row covers n."""
-    if (t, n) in SPORADIC:
-        return SPORADIC[t, n], f"remark-{n}", _NOTES.get((t, n))
-    k, r = divmod(n - 2, 2 * t)
-    if k >= 1 and (t, r + 2) in FAMILIES:
-        source, rule = FAMILIES[t, r + 2]
-        return tuple(a + b * k for a, b in rule), source, None
-    return None
-
-
 def answer(n: int, t: int, method: str = "auto", max_k: Optional[int] = None,
            budget: Optional[int] = None) -> Answer:
     """dim C(n, +/-{1..t}) by ``method`` with a checked basis; a dimension
@@ -77,23 +66,23 @@ def answer(n: int, t: int, method: str = "auto", max_k: Optional[int] = None,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
-    dim = formula_dim(n, t)
-    if dim is None and method == "formula":
+    row = table_row(n, t)
+    if row is None and method == "formula":
         raise NoFormulaError(f"no closed-form dimension known for n={n}, t={t}")
     search = None
-    if dim is None or method in ("search", "oracle"):  # both stop at max_k themselves
+    if row is None or method in ("search", "oracle"):  # both stop at max_k themselves
         search = (brute_force_dim if method == "oracle" else exact_dim)(
             g, max_k=max_k, budget=budget)
-        complete = dim is None and g.diameter == 1
+        complete = row is None and g.diameter == 1
         note = "complete-graph fringe: dimension from exact search" if complete else None
         dim, basis, method = search.dim, search.basis, search.method
         source = "search-fallback"
-    elif max_k is not None and dim > max_k:  # before any basis is built
+    elif max_k is not None and row[0] > max_k:  # before any basis is built
         raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
     else:
-        basis, source, note = _table_entry(n, t) or (
-            find_basis_of_size(g, dim, budget), "search-fallback", None)
-        method = "formula"
+        dim, witness = row
+        basis, source = witness or (find_basis_of_size(g, dim, budget), "search-fallback")
+        note, method = _NOTES.get((t, n)), "formula"
     return Answer(n, t, dim, tuple(sorted(basis)), method, source, note,
                   is_resolving(g, basis), search)
 
@@ -103,13 +92,3 @@ def basis_t4(n: int, budget: Optional[int] = None) -> Answer:
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")
     return answer(n, 4, budget=budget)
-
-
-def verify_construction_range(residue: int, k_max: int) -> list[Answer]:
-    """Check the table's t = 4 family for n = 8k + residue, k = 1..k_max."""
-    if (4, residue) not in FAMILIES:
-        raise ValueError(f"no t = 4 family for residue {residue}; "
-                         f"the (t, s) rows are {sorted(FAMILIES)}")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return [basis_t4(8 * k + residue) for k in range(1, k_max + 1)]

@@ -2,7 +2,8 @@
 
 Every closed form is one table, keyed by t and by the residue s of
 n = 2t*k + s, where k = (n - 2) // 2t and 2 <= s <= 2t + 1.  Then k >= 1
-exactly when n >= 2t + 2; for t = 4 this is ``split_8k_r``'s n = 8k + r.
+exactly when n >= 2t + 2.  ``split`` is the one place that works out
+(k, s), and ``table_row`` the one place that reads the table.
 
 ``DIMS[t][s - 2]`` is the dimension for n >= 2t + 2:
 
@@ -45,15 +46,36 @@ FAMILIES = {
 }
 
 
-def formula_dim(n: int, t: int) -> Optional[int]:
-    """Known exact metric dimension, or None where no formula applies."""
+def split(n: int, t: int) -> tuple[int, int]:
+    """Write n = 2t*k + s with k >= 1 and 2 <= s <= 2t + 1; needs t >= 1
+    and n >= 2t + 2."""
+    if t < 1 or n < 2 * t + 2:
+        raise ValueError(f"n = 2tk + s needs t >= 1 and n >= 2t + 2, got n={n}, t={t}")
+    k = (n - 2) // (2 * t)
+    return k, n - 2 * t * k
+
+
+def table_row(n: int, t: int) -> Optional[tuple[int, Optional[tuple[tuple[int, ...], str]]]]:
+    """(dim, (basis, source) or None) from the table, or None where no row
+    applies: a ``SPORADIC`` witness first, then ``DIMS`` with the
+    ``FAMILIES`` witness, if any, for n >= 2t + 2."""
     if n < 3:
         raise ValueError(f"order must be at least 3, got {n}")
     if (t, n) in SPORADIC:
-        return len(SPORADIC[t, n])
-    if t in DIMS and n >= 2 * t + 2:
-        return DIMS[t][(n - 2) % (2 * t)]
-    return None
+        return len(SPORADIC[t, n]), (SPORADIC[t, n], f"remark-{n}")
+    if t not in DIMS or n < 2 * t + 2:
+        return None
+    k, s = split(n, t)
+    if (t, s) not in FAMILIES:
+        return DIMS[t][s - 2], None
+    source, rule = FAMILIES[t, s]
+    return DIMS[t][s - 2], (tuple(a + b * k for a, b in rule), source)
+
+
+def formula_dim(n: int, t: int) -> Optional[int]:
+    """Known exact metric dimension, or None where no formula applies."""
+    row = table_row(n, t)
+    return None if row is None else row[0]
 
 
 @dataclass(frozen=True)
@@ -72,17 +94,16 @@ class BoundsReport:
 def known_bounds(n: int, t: int) -> BoundsReport:
     """Best general bounds on dim C(n, +/-{1..t}) for n >= 2t + 2.
 
-    Each rule is a residue test on r = (n - 2) mod 2t and is tagged in the
-    provenance when it fires:
+    Each rule is a residue test on s of n = 2t*k + s (``split``) and is
+    tagged in the provenance when it fires:
 
     - lb-general:   dim >= t, always (n >= 2t + 2).
-    - lb-residue:   dim >= t + 1 iff r >= t, that is n = 2kt + s with
-                    t + 2 <= s <= 2t + 1 (Vetrik, Canad. Math. Bull. 2017).
-    - ub-even-step: dim <= t + 1 + ((n - t - 2) mod 2t) / 2 iff t and n
+    - lb-residue:   dim >= t + 1 iff t + 2 <= s <= 2t + 1 (Vetrik,
+                    Canad. Math. Bull. 2017).
+    - ub-even-step: dim <= t + 1 + ((s - t - 2) mod 2t) / 2 iff t and n
                     are both even, that is n = 2kt + t + 2p with the
                     least p >= 1 (Chau and Gosselin, Opuscula Math. 2017).
-    - ub-residue:   dim <= t + 1 iff r <= t, that is n = 2kt + s with
-                    k >= 1 and 2 <= s <= t + 2.
+    - ub-residue:   dim <= t + 1 iff 2 <= s <= t + 2.
 
     Below n = 2t + 2 the graph is complete (dim = n - 1) and none of
     these rules applies, so that range is rejected.
@@ -91,16 +112,16 @@ def known_bounds(n: int, t: int) -> BoundsReport:
         raise ValueError(f"bounds require t >= 2, got {t}")
     if n < 2 * t + 2:
         raise ValueError(f"complete-graph range: bounds require n >= {2 * t + 2}, got {n}")
-    r = (n - 2) % (2 * t)
+    _, s = split(n, t)
     lower, provenance = t, ["lb-general"]
     upper: Optional[int] = None
-    if r >= t:
+    if s >= t + 2:
         lower = t + 1
         provenance.append("lb-residue")
     if t % 2 == 0 and n % 2 == 0:
-        upper = t + 1 + (n - t - 2) % (2 * t) // 2
+        upper = t + 1 + (s - t - 2) % (2 * t) // 2
         provenance.append("ub-even-step")
-    if r <= t:
+    if s <= t + 2:
         upper = t + 1
         provenance.append("ub-residue")
     return BoundsReport(lower, upper, tuple(provenance))

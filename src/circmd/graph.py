@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .formulas import split
+
 
 def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
     """Fold steps into [1, n//2], drop zeros, merge duplicates.
@@ -135,14 +137,6 @@ def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
     return _bfs_row(g.n, g.steps, i)[j]
 
 
-def split_8k_r(n: int) -> tuple[int, int]:
-    """Write n = 8k + r with k >= 1 and r in {2..9}; requires n >= 10."""
-    if n < 10:
-        raise ValueError(f"decomposition n = 8k + r needs n >= 10, got {n}")
-    k = (n - 2) // 8
-    return k, n - 8 * k
-
-
 def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
     """Vertices at diameter distance from v, for t = 4 and n = 8k + r.
 
@@ -153,5 +147,5 @@ def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
         raise ValueError("diameter_set requires step set {1,2,3,4}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex must lie in [0, {g.n}), got {v}")
-    k, r = split_8k_r(g.n)
+    k, r = split(g.n, 4)
     return frozenset((v + 4 * k + j) % g.n for j in range(1, r))

@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .formulas import known_bounds
-from .graph import CirculantGraph, make_consecutive, split_8k_r
+from .formulas import known_bounds, split
+from .graph import CirculantGraph, make_consecutive
 from .resolve import Cluster, equivalence_classes
 from .solver import NoBasisWithinError, brute_force_dim, find_basis_of_size, min_resolvers
 
@@ -93,7 +93,7 @@ def instantiate(d: LemmaDescriptor, n: int, params: dict
     """
     if d.kind != "cluster":
         raise ValueError(f"descriptor {d.id!r} has no cluster template")
-    k, r = split_8k_r(n)
+    k, r = split(n, 4)
     if r not in d.residues:
         raise ValueError(f"{d.id!r} admits residues {d.residues}, got n={n} (r={r})")
     g = _graph(n)
@@ -176,7 +176,7 @@ def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
     if find_basis_of_size(g, size) is None:
         return InstantiationResult(d.id, n, (), "vacuous",
                                    f"no resolving set of size {size} exists")
-    min_gap = split_8k_r(n)[1] - size
+    min_gap = split(n, 4)[1] - size
     for gap in range(1, min_gap):
         witness = _gap_witness(g, gap, size)
         if witness is not None:
@@ -467,7 +467,7 @@ def window_bound_counterexample(n: int) -> tuple[tuple[int, ...], tuple[int, ...
     (window subset, resolving pair); both probes' representations are
     (2, k), (2, k+1), (1, k+1), (1, k) in subset order.
     """
-    k, r = split_8k_r(n)
+    k, r = split(n, 4)
     if r == 3:
         return (0, 1, 2, 3), (6, 4 * k + 3)
     if r == 4:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import CirculantGraph, split_8k_r
+from .formulas import split
+from .graph import CirculantGraph
 
 
 @dataclass(frozen=True, order=True)
@@ -148,7 +149,7 @@ def pair_resolvers_arithmetic(g: CirculantGraph, i: int) -> frozenset[int]:
     from the scan so the two can be cross-checked."""
     if not (g.is_consecutive and g.t == 4):
         raise ValueError("arithmetic form requires step set {1,2,3,4}")
-    k, _ = split_8k_r(g.n)
+    k, _ = split(g.n, 4)
     down = ((i - 4 * j) % g.n for j in range(k + 1))
     up = ((i + 1 + 4 * j) % g.n for j in range(k + 1))
     return frozenset(down) | frozenset(up)

@@ -45,15 +45,18 @@ DEFAULT_BUDGET = 20_000_000
 
 def default_budget() -> int:
     """Per-level candidate budget: ``CIRCMD_BUDGET`` when set, else
-    ``DEFAULT_BUDGET``.  Read on every call, so a malformed value fails
-    the search that needs it, not the import."""
+    ``DEFAULT_BUDGET``.  Read on every call, so a malformed or negative
+    value fails the search that needs it, not the import."""
     raw = os.environ.get("CIRCMD_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"CIRCMD_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"CIRCMD_BUDGET must be at least 0, got {budget}")
+    return budget
 
 
 class BudgetExceededError(RuntimeError):

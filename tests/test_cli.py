@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import circmd
-from circmd import constructions
+from circmd import formulas
 from circmd.cli import build_parser, main
 from circmd.graph import make_consecutive
 from circmd.solver import DEFAULT_BUDGET, DimResult, default_budget
@@ -113,7 +113,7 @@ def test_verify_failure_exits_1_with_witness(capsys):
 def test_formula_witnesses_are_checked_before_printing(monkeypatch, capsys):
     # a wrong 8k+7 row: {0,1,2,3,4,6} leaves 13 and 14 unresolved at n = 23
     rule = tuple((a, 0) for a in (0, 1, 2, 3, 4, 6))
-    monkeypatch.setitem(constructions.FAMILIES, (4, 7), ("upper-8k7", rule))
+    monkeypatch.setitem(formulas.FAMILIES, (4, 7), ("upper-8k7", rule))
     for argv in (("dim", "--n", "23", "--t", "4"), ("construct", "--n", "23")):
         code, payload = run_json(capsys, *argv)
         assert code == 1, argv
@@ -235,6 +235,33 @@ def test_budget_env_is_read_when_a_command_runs(monkeypatch, capsys):
                              "--method", "search")
     assert code == 3
     assert payload["parameters"]["budget"] == 10
+
+
+@pytest.mark.parametrize("flag, env, code", [
+    (("--budget", "-5"), None, 2),
+    ((), "-5", 2),
+    (("--budget", "0"), None, 3),  # budget 0 is valid and refuses C(12, 4)
+    ((), "0", 3),
+], ids=["flag", "env", "flag-zero", "env-zero"])
+def test_negative_budget_is_usage_error(monkeypatch, capsys, flag, env, code):
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CIRCMD_BUDGET", env)
+    argv = ["dim", "--n", "13", "--t", "4", *flag]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+    else:
+        got, payload = run_json(capsys, *argv)
+        assert got == code
+        assert payload["parameters"]["budget"] == 0
+
+
+def test_exports_resolve_once():
+    assert len(set(circmd.__all__)) == len(circmd.__all__)
+    assert [name for name in circmd.__all__ if not hasattr(circmd, name)] == []
 
 
 def test_table_formats_agree(capsys):

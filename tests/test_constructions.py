@@ -1,23 +1,17 @@
 import hashlib
-import re
 
 import pytest
 
-from circmd.constructions import (
-    REMARK_19_PUBLISHED,
-    answer,
-    basis_t4,
-    verify_construction_range,
-)
-from circmd.formulas import FAMILIES, formula_dim
+from circmd.constructions import REMARK_19_PUBLISHED, answer, basis_t4
+from circmd.formulas import FAMILIES, SPORADIC, formula_dim
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
 from circmd.solver import BudgetExceededError, find_basis_of_size
 
 
 def test_family_witnesses():
-    # the table rows at k = 1 and k = 2, through the range check
-    assert {r: [c.basis for c in verify_construction_range(r, 2)] for _, r in FAMILIES} == {
+    # the table rows at k = 1 and k = 2, through answer
+    assert {s: [answer(2 * t * k + s, t).basis for k in (1, 2)] for t, s in FAMILIES} == {
         7: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
         9: [(0, 1, 4, 7, 10, 11), (0, 1, 4, 7, 14, 15)],
     }
@@ -25,18 +19,14 @@ def test_family_witnesses():
 
 
 def test_families_resolve_and_match_formula():
-    for (_, residue), (source, _) in FAMILIES.items():
-        reports = verify_construction_range(residue, 30)
-        assert all(r.verified and r.matches_formula for r in reports)
-        assert {r.source for r in reports} == {source}
-        assert [r.n for r in reports] == [8 * k + residue for k in range(1, 31)]
-
-
-def test_verify_construction_range_validates_input():
-    with pytest.raises(ValueError, match=re.escape(str(sorted(FAMILIES)))):
-        verify_construction_range(6, 5)
-    with pytest.raises(ValueError):
-        verify_construction_range(7, 0)
+    # every SPORADIC witness and every FAMILIES row for k = 1..30
+    rows = [(n, t, f"remark-{n}") for t, n in SPORADIC]
+    rows += [(2 * t * k + s, t, source) for (t, s), (source, _) in FAMILIES.items()
+             for k in range(1, 31)]
+    for n, t, source in rows:
+        a = answer(n, t)
+        assert (a.dim, a.source, a.method) == (formula_dim(n, t), source, "formula"), (n, t)
+        assert a.verified and a.matches_formula, (n, t)
 
 
 def test_exceptional_orders_get_four_element_bases():

@@ -9,6 +9,7 @@ from circmd.formulas import (
     BoundsReport,
     formula_dim,
     known_bounds,
+    split,
 )
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
@@ -163,3 +164,28 @@ def test_family_rows_resolve_at_the_table_size():
             basis = [a + b * k for a, b in rule]
             assert len({v % n for v in basis}) == len(basis) == DIMS[t][s - 2], (t, s, k)
             assert is_resolving(make_consecutive(n, t), basis) is None, (t, s, k)
+
+
+def _split_8k_r(n):
+    """The t = 4 decomposition as first written: n = 8k + r, r in {2..9}."""
+    if n < 10:
+        raise ValueError(f"decomposition n = 8k + r needs n >= 10, got {n}")
+    k = (n - 2) // 8
+    return k, n - 8 * k
+
+
+def test_split_matches_the_8k_r_decomposition():
+    for n in range(10, 3000):
+        assert split(n, 4) == _split_8k_r(n), n
+
+
+def test_split_writes_n_as_2tk_plus_s():
+    for t in range(1, 9):
+        for n in range(2 * t + 2, 3000):
+            k, s = split(n, t)
+            assert n == 2 * t * k + s and k >= 1 and 2 <= s <= 2 * t + 1, (n, t)
+        with pytest.raises(ValueError):
+            split(2 * t + 1, t)
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            split(10, t)

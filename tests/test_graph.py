@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circmd.formulas import split
 from circmd.graph import (
     CirculantGraph,
     canonical_steps,
@@ -9,7 +10,6 @@ from circmd.graph import (
     distance_bfs,
     distance_closed_form,
     make_consecutive,
-    split_8k_r,
 )
 
 # (n, t) pairs where the step set stays consecutive after folding
@@ -82,17 +82,17 @@ def test_distance_row_example():
 
 def test_diameter_is_k_plus_one():
     for n in range(10, 42):
-        k, r = split_8k_r(n)
+        k, r = split(n, 4)
         assert make_consecutive(n, 4).diameter == k + 1
 
 
 def test_split_8k_r_covers_residues_2_to_9():
-    assert split_8k_r(13) == (1, 5)
-    assert split_8k_r(16) == (1, 8)
-    assert split_8k_r(17) == (1, 9)
-    assert split_8k_r(18) == (2, 2)
+    assert split(13, 4) == (1, 5)
+    assert split(16, 4) == (1, 8)
+    assert split(17, 4) == (1, 9)
+    assert split(18, 4) == (2, 2)
     with pytest.raises(ValueError):
-        split_8k_r(9)
+        split(9, 4)
 
 
 def test_diameter_set_members_at_max_distance():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmd.graph import CirculantGraph, make_consecutive, split_8k_r
+from circmd.formulas import split
+from circmd.graph import CirculantGraph, make_consecutive
 from circmd.resolve import (
     Cluster,
     WitnessPair,
@@ -172,7 +173,7 @@ def test_pair_resolvers_example():
 def test_pair_resolvers_scan_matches_arithmetic_form():
     for n in range(10, 42):
         g = make_consecutive(n, 4)
-        k, _ = split_8k_r(n)
+        k, _ = split(n, 4)
         for i in range(n):
             R = pair_resolvers(g, i)
             assert R == pair_resolvers_arithmetic(g, i)
