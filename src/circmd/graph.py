@@ -62,13 +62,15 @@ class CirculantGraph:
     def dist_row(self) -> tuple[int, ...]:
         """Distances from vertex 0; entry d gives dist(0, d).
 
-        Filled by the closed form for consecutive step sets, by BFS
-        otherwise.  Rotation invariance extends it to all pairs.
+        For consecutive step sets the closed form ceil(d / t) fills the
+        half row d = 0..n//2 in one pass, and entry n - d mirrors entry d;
+        other step sets take a BFS.  Rotation invariance extends it to all
+        pairs.
         """
         if self.is_consecutive:
-            return tuple(
-                distance_closed_form(self.n, self.t, 0, j) for j in range(self.n)
-            )
+            n, t = self.n, self.t
+            half = [-(-d // t) for d in range(n // 2 + 1)]
+            return tuple(half + half[(n - 1) // 2:0:-1])
         return tuple(_bfs_row(self.n, self.steps, 0))
 
     def dist(self, i: int, j: int) -> int:
@@ -100,7 +102,8 @@ def make_consecutive(n: int, t: int) -> CirculantGraph:
 
 
 def distance_closed_form(n: int, t: int, i: int, j: int) -> int:
-    """Hop count between i and j in C(n, +/-{1..t}).
+    """Hop count between i and j in C(n, +/-{1..t}), one pair at a time:
+    the reference ``dist_row`` is checked against.
 
     With delta the circular gap between i and j folded into [0, n//2],
     the distance is ceil(delta / t): each hop covers at most t positions

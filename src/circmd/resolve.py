@@ -86,22 +86,28 @@ def _least_collision(keys: Sequence[tuple[int, ...]],
             return WitnessPair(u, vertices[keys.index(key, i + 1)])
 
 
-def _landmark_set(landmarks: Iterable[int]) -> set[int]:
+def _landmark_set(g: CirculantGraph, landmarks: Iterable[int]) -> set[int]:
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
+    n = g.n
+    for x in X:  # cheaper than min(X) and max(X) on the oracle's small sets
+        if not 0 <= x < n:
+            raise ValueError(f"vertex must lie in [0, {n}), got {x}")
     return X
 
 
 def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[WitnessPair]:
-    """None when the set resolves the graph, else the least unresolved pair."""
-    return _least_collision(_reps(g, _landmark_set(landmarks)), g.vertices)
+    """None when the set resolves the graph, else the least unresolved pair.
+    Every landmark must lie in [0, n)."""
+    return _least_collision(_reps(g, _landmark_set(g, landmarks)), g.vertices)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:
-    """Partition of V by equal representation, classes ordered by least member."""
+    """Partition of V by equal representation, classes ordered by least
+    member.  Every landmark must lie in [0, n)."""
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v, rep in enumerate(_reps(g, _landmark_set(landmarks))):
+    for v, rep in enumerate(_reps(g, _landmark_set(g, landmarks))):
         classes.setdefault(rep, []).append(v)
     return list(classes.values())
 

@@ -128,16 +128,15 @@ class _Kernel:
             spheres[d].append(y)
         return spheres
 
-    def _rotate(self, mask: int, u: int) -> int:
-        """The mask shifted by u around Z_n: bit y moves to bit y + u."""
-        return ((mask << u) | (mask >> (self.n - u))) & self.full
-
     def sep(self, u: int, v: int) -> int:
         """Mask of the pool vertices x with d(x, u) != d(x, v): sepdiff[delta],
-        delta = v - u, rotated by u.  Plane b holds the y whose d(0, y) has
-        bit b set; d(0, y) and d(0, y - delta) differ exactly when some
-        plane differs at y, so sepdiff[delta] = OR over planes P of
-        P ^ rot(P, delta), one rotation per plane."""
+        delta = v - u, rotated by u around Z_n (bit y moves to bit y + u).
+        Plane b holds the y whose d(0, y) has bit b set; d(0, y) and
+        d(0, y - delta) differ exactly when some plane differs at y, so
+        sepdiff[delta] = OR over planes P of P ^ rot(P, delta), one rotation
+        per plane.  The rotations are written out inline: the bits a shift
+        carries past n - 1 are cut by ``full`` once per entry, and by
+        ``pool_mask`` on return, as the pool lies in [0, n)."""
         if not self.planes:
             spheres = [0] * (self.g.diameter + 1)
             for y, d in enumerate(self.g.dist_row):
@@ -149,21 +148,30 @@ class _Kernel:
                     if d & 1:
                         self.planes[b] |= sphere
                     d, b = d >> 1, b + 1
-        delta = (v - u) % self.n
+        n = self.n
+        delta = (v - u) % n
         mask = self.sepdiff[delta]
         if mask is None:
             mask = 0
             for plane in self.planes:
-                mask |= plane ^ self._rotate(plane, delta)
+                mask |= plane ^ ((plane << delta) | (plane >> (n - delta)))
+            mask &= self.full
             self.sepdiff[delta] = mask
-        return self._rotate(mask, u) & self.pool_mask
+        return ((mask << u) | (mask >> (n - u))) & self.pool_mask
 
     def sphere_pairs(self) -> Iterator[int]:
         """Masks of the pairs on one sphere around vertex 0: the pairs
-        that {0} leaves colliding."""
+        that {0} leaves colliding.  Each is ``sep(u, v)``, u < v: read from
+        ``sepdiff[v - u]`` and rotated inline, with ``sep`` called only
+        to fill an entry still missing."""
+        n, sepdiff, pool_mask = self.n, self.sepdiff, self.pool_mask
         for s in self.spheres():
             for u, v in itertools.combinations(s, 2):
-                yield self.sep(u, v)
+                mask = sepdiff[v - u]
+                if mask is None:
+                    yield self.sep(u, v)
+                else:
+                    yield ((mask << u) | (mask >> (n - u))) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: Optional[int]) -> Optional[tuple[int, ...]]:

@@ -84,6 +84,17 @@ def test_equivalence_classes_example():
         [0], [1, 2, 3, 4, 9, 10, 11, 12], [5, 6, 7, 8]]
 
 
+def test_landmarks_outside_the_vertex_range_are_rejected():
+    # a landmark n or -n would wrap to vertex 0 and pass as resolving
+    g = make_consecutive(13, 4)
+    assert is_resolving(g, (0, 1, 2, 3, 4)) is None
+    for X in [(13, 1, 2, 3, 4), (-13, 14, 2, 3, 4), (0, -1), (12, 13)]:
+        with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+            is_resolving(g, X)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+            equivalence_classes(g, X)
+
+
 def test_cluster_rejects_overlap_and_empty():
     with pytest.raises(ValueError):
         Cluster([[0, 1], [1, 2]])
