@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .formulas import split
 
@@ -133,6 +134,15 @@ def _bfs_row(n: int, steps, source: int) -> list[int]:
     return dist
 
 
+def check_vertices(g: CirculantGraph, vertices: Iterable[int]) -> None:
+    """Raise ValueError unless every vertex lies in [0, n).  A plain loop:
+    it costs less than min and max on the small sets the oracle checks."""
+    n = g.n
+    for x in vertices:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex must lie in [0, {n}), got {x}")
+
+
 def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
     """Independent shortest-path oracle: plain BFS from i, no closed form."""
     if not (0 <= i < g.n and 0 <= j < g.n):
@@ -148,7 +158,6 @@ def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
     """
     if not (g.is_consecutive and g.t == 4):
         raise ValueError("diameter_set requires step set {1,2,3,4}")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex must lie in [0, {g.n}), got {v}")
+    check_vertices(g, (v,))
     k, r = split(g.n, 4)
     return frozenset((v + 4 * k + j) % g.n for j in range(1, r))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .formulas import split
-from .graph import CirculantGraph
+from .graph import CirculantGraph, check_vertices
 
 
 @dataclass(frozen=True, order=True)
@@ -68,9 +68,7 @@ def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple
     landmarks = tuple(landmarks)
     if not landmarks:
         raise ValueError("landmark list must be nonempty")
-    for x in (v, *landmarks):
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex must lie in [0, {g.n}), got {x}")
+    check_vertices(g, (v, *landmarks))
     return _reps(g, landmarks)[v]
 
 
@@ -90,10 +88,7 @@ def _landmark_set(g: CirculantGraph, landmarks: Iterable[int]) -> set[int]:
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
-    n = g.n
-    for x in X:  # cheaper than min(X) and max(X) on the oracle's small sets
-        if not 0 <= x < n:
-            raise ValueError(f"vertex must lie in [0, {n}), got {x}")
+    check_vertices(g, X)
     return X
 
 
@@ -114,8 +109,11 @@ def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[lis
 
 def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster) -> bool:
     """True iff each block is a block under the landmarks and the blocks
-    lie in pairwise distinct representation classes."""
-    reps = _reps(g, set(landmarks))
+    lie in pairwise distinct representation classes.  Every landmark and
+    block vertex must lie in [0, n)."""
+    X = set(landmarks)
+    check_vertices(g, (*X, *cluster.vertices))
+    reps = _reps(g, X)
     block_reps = [{reps[v] for v in block} for block in cluster.blocks]
     return (all(len(r) == 1 for r in block_reps)
             and len(set().union(*block_reps)) == len(block_reps))
@@ -127,9 +125,12 @@ def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
 
     Only collisions inside a block count; identical representations across
     blocks are permitted.  An empty landmark set resolves nothing, so it
-    succeeds exactly when all blocks are singletons.
+    succeeds exactly when all blocks are singletons.  Every landmark and
+    block vertex must lie in [0, n).
     """
-    reps = _reps(g, set(landmarks))
+    X = set(landmarks)
+    check_vertices(g, (*X, *cluster.vertices))
+    reps = _reps(g, X)
     blocks = [sorted(block) for block in cluster.blocks]
     stuck = (_least_collision([reps[v] for v in b], b) for b in blocks)
     return min(filter(None, stuck), default=None)
@@ -143,8 +144,7 @@ def pair_resolvers(g: CirculantGraph, i: int) -> frozenset[int]:
     """
     if not g.is_consecutive:
         raise ValueError("pair_resolvers requires a consecutive step set")
-    if not 0 <= i < g.n:
-        raise ValueError(f"vertex must lie in [0, {g.n}), got {i}")
+    check_vertices(g, (i,))
     j = (i + 1) % g.n
     return frozenset(x for x in g.vertices if g.dist(x, i) != g.dist(x, j))
 

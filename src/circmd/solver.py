@@ -37,7 +37,7 @@ from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import known_bounds
-from .graph import CirculantGraph
+from .graph import CirculantGraph, check_vertices
 from .resolve import Cluster, is_resolving
 
 DEFAULT_BUDGET = 20_000_000
@@ -161,17 +161,10 @@ class _Kernel:
 
     def sphere_pairs(self) -> Iterator[int]:
         """Masks of the pairs on one sphere around vertex 0: the pairs
-        that {0} leaves colliding.  Each is ``sep(u, v)``, u < v: read from
-        ``sepdiff[v - u]`` and rotated inline, with ``sep`` called only
-        to fill an entry still missing."""
-        n, sepdiff, pool_mask = self.n, self.sepdiff, self.pool_mask
+        that {0} leaves colliding."""
         for s in self.spheres():
             for u, v in itertools.combinations(s, 2):
-                mask = sepdiff[v - u]
-                if mask is None:
-                    yield self.sep(u, v)
-                else:
-                    yield ((mask << u) | (mask >> (n - u))) & pool_mask
+                yield self.sep(u, v)
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: Optional[int]) -> Optional[tuple[int, ...]]:
@@ -377,9 +370,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
-    for v in (pool[0], pool[-1], *cluster.vertices):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex must lie in [0, {g.n}), got {v}")
+    check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
     kernel = _Kernel(g, pool)
     pairs = [kernel.sep(u, v) for block in cluster.blocks
              for u, v in itertools.combinations(block, 2)]

@@ -71,7 +71,7 @@ def test_exact_half_gap_distance():
 def test_dist_row_equals_the_per_pair_closed_form():
     # the half row and its mirror, entry by entry, on odd and even n and
     # every t up to the complete-graph fringe t = n // 2
-    for n in range(3, 301):
+    for n in [*range(3, 81), 299, 300, 809]:
         for t in range(1, n // 2 + 1):
             expected = tuple(distance_closed_form(n, t, 0, j) for j in range(n))
             assert make_consecutive(n, t).dist_row == expected, (n, t)

@@ -85,14 +85,25 @@ def test_equivalence_classes_example():
 
 
 def test_landmarks_outside_the_vertex_range_are_rejected():
-    # a landmark n or -n would wrap to vertex 0 and pass as resolving
+    # a landmark n or -n would wrap to vertex 0 and pass as resolving; a
+    # block vertex -1 would read the representation of n - 1
     g = make_consecutive(13, 4)
+    cluster = Cluster([[1, 12], [5, 8]])
     assert is_resolving(g, (0, 1, 2, 3, 4)) is None
     for X in [(13, 1, 2, 3, 4), (-13, 14, 2, 3, 4), (0, -1), (12, 13)]:
+        for check in (is_resolving, equivalence_classes,
+                      lambda g, X: representation(g, 0, X),
+                      lambda g, X: resolves_cluster(g, X, cluster),
+                      lambda g, X: is_cluster_for(g, X, cluster)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+                check(g, X)
+    for bad in (Cluster([[-1, 12]]), Cluster([[1, 13]])):
         with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
-            is_resolving(g, X)
+            resolves_cluster(g, (0,), bad)
         with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
-            equivalence_classes(g, X)
+            is_cluster_for(g, (0,), bad)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+        representation(g, 13, (0,))
 
 
 def test_cluster_rejects_overlap_and_empty():

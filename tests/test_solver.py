@@ -213,25 +213,6 @@ def test_kernel_masks_match_the_definition_for_every_shift():
     assert {1, 2, 3, 4, 7, 8, 15, 16} <= diameters
 
 
-def test_sphere_pairs_match_sep_in_order():
-    # the rotation sphere_pairs writes out inline against sep, pair by pair,
-    # on closed-form and BFS rows, over range(1, n) and sorted random pools;
-    # a fresh kernel for each side, and again once every entry is filled
-    step_sets = [tuple(range(1, t + 1)) for t in range(1, 7)]
-    step_sets += [(1, 5), (2, 3), (1, 3, 4)]
-    rng = random.Random(21)
-    for steps in step_sets:
-        for n in [*range(7, 41), 97, 200]:
-            g = CirculantGraph(n, steps)
-            for pool in (range(1, n), sorted(rng.sample(range(n), rng.randint(1, n)))):
-                kernel, fresh = _Kernel(g, pool), _Kernel(g, pool)
-                masks = list(kernel.sphere_pairs())
-                expected = [fresh.sep(u, v) for s in fresh.spheres()
-                            for u, v in itertools.combinations(s, 2)]
-                assert masks == expected, (g, pool)
-                assert list(kernel.sphere_pairs()) == expected, (g, pool)
-
-
 def _first_resolving_by_sweep(g, k):
     for rest in itertools.combinations(range(1, g.n), k - 1):
         if is_resolving(g, (0,) + rest) is None:
