@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -235,19 +236,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         result, code = {"error": str(exc)}, EXIT_BUDGET
     except NoFormulaError as exc:
         result, code = {"error": str(exc)}, EXIT_VERIFICATION_FAILED
-    if isinstance(result, str):
+    if not isinstance(result, str):
+        result = json.dumps({
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in ("command", "func")},
+            "result": result,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+            "version": __version__,
+        }, indent=2) + "\n"
+    try:
         sys.stdout.write(result)
-        return code
-    envelope = {
-        "command": args.command,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("command", "func")},
-        "result": result,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-        "version": __version__,
-    }
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): not an error.  Point
+        # stdout at devnull so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -111,10 +111,12 @@ class _Kernel:
         # not lazy: another kernel's masks for this graph and pool search the same
         self.pool_mask = (sum(1 << x for x in pool) if not isinstance(pool, range)
                           else (1 << pool.stop) - (1 << pool.start))
-        # planes[b] has bit y set when bit b of d(0, y) is 1.  Filled by
-        # the first sep, so a search the budget guard refuses builds no mask
-        self.planes: list[int] = []
-        self.sepdiff: list[Optional[int]] = [None] * n
+        # planes[b] = (P, P | P << n), P with bit y set when bit b of d(0, y)
+        # is 1.  Filled by the first sep, so a search the budget guard
+        # refuses builds no mask
+        self.planes: list[tuple[int, int]] = []
+        # sepdiff[delta] = m | m << n for delta <= n // 2, m its n-bit mask
+        self.sepdiff: list[Optional[int]] = [None] * (n // 2 + 1)
         self.nodes = 0
         self.exhausted: list[int] = []
         # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
@@ -129,35 +131,41 @@ class _Kernel:
         return spheres
 
     def sep(self, u: int, v: int) -> int:
-        """Mask of the pool vertices x with d(x, u) != d(x, v): sepdiff[delta],
+        """Mask of the pool vertices x with d(x, u) != d(x, v): the mask m of
         delta = v - u, rotated by u around Z_n (bit y moves to bit y + u).
         Plane b holds the y whose d(0, y) has bit b set; d(0, y) and
         d(0, y - delta) differ exactly when some plane differs at y, so
-        sepdiff[delta] = OR over planes P of P ^ rot(P, delta), one rotation
-        per plane.  The rotations are written out inline: the bits a shift
-        carries past n - 1 are cut by ``full`` once per entry, and by
-        ``pool_mask`` on return, as the pool lies in [0, n)."""
+        m = OR over planes P of P ^ rot(P, delta).  Planes and masks are
+        stored doubled, W = w | w << n (sepdiff[delta] is M), so a rotation
+        is one shift: rot(w, r) = (W >> (n - r)) & full.  The fill cuts the
+        bits past n - 1 once per entry, the return by ``pool_mask``, as the
+        pool lies in [0, n).  The mask is symmetric, sep(u, v) = sep(v, u),
+        so a delta past n // 2 is read as sep(v, u), whose delta n - delta
+        is not: sepdiff holds deltas 0..n // 2 only."""
+        n = self.n
         if not self.planes:
             spheres = [0] * (self.g.diameter + 1)
             for y, d in enumerate(self.g.dist_row):
                 spheres[d] |= 1 << y
-            self.planes = [0] * self.g.diameter.bit_length()
+            planes = [0] * self.g.diameter.bit_length()
             for d, sphere in enumerate(spheres):
                 b = 0
                 while d:  # sphere d joins the planes of the set bits of d
                     if d & 1:
-                        self.planes[b] |= sphere
+                        planes[b] |= sphere
                     d, b = d >> 1, b + 1
-        n = self.n
+            self.planes = [(plane, plane | plane << n) for plane in planes]
         delta = (v - u) % n
-        mask = self.sepdiff[delta]
-        if mask is None:
+        if delta > n // 2:
+            u, delta = v, n - delta
+        twice = self.sepdiff[delta]
+        if twice is None:
             mask = 0
-            for plane in self.planes:
-                mask |= plane ^ ((plane << delta) | (plane >> (n - delta)))
+            for plane, doubled in self.planes:
+                mask |= plane ^ (doubled >> (n - delta))
             mask &= self.full
-            self.sepdiff[delta] = mask
-        return ((mask << u) | (mask >> (n - u))) & self.pool_mask
+            twice = self.sepdiff[delta] = mask | mask << n
+        return (twice >> (n - u)) & self.pool_mask
 
     def sphere_pairs(self) -> Iterator[int]:
         """Masks of the pairs on one sphere around vertex 0: the pairs

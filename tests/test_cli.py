@@ -227,6 +227,36 @@ def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, caps
     assert "CIRCMD_BUDGET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv,code", [
+    (("dim", "--n", "13", "--t", "4"), 0),
+    (("dim", "--n", "200", "--t", "4", "--method", "search", "--budget", "1"), 3),
+    (("table", "--t", "4", "--n-min", "10", "--n-max", "3000", "--format", "csv"), 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # `circmd ... | head`: a reader that stops early is not an error, so the
+    # command exits with its own code and writes nothing to stderr
+    src = Path(circmd.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "circmd.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the command writes anything
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == code, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_envelope_text_is_two_space_json(capsys):
+    # the envelope pins hash the parsed payload; this pins the printed text
+    code, out = run_cli(capsys, "dim", "--n", "13", "--t", "4")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_budget_env_is_read_when_a_command_runs(monkeypatch, capsys):
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
     assert default_budget() == DEFAULT_BUDGET == 20_000_000

@@ -213,6 +213,29 @@ def test_kernel_masks_match_the_definition_for_every_shift():
     assert {1, 2, 3, 4, 7, 8, 15, 16} <= diameters
 
 
+def test_kernel_masks_are_symmetric_on_every_pool():
+    # sep(u, v) == sep(v, u) == {x in pool : d(x, u) != d(x, v)} for every
+    # pair, on closed-form and BFS rows; odd and even n, so delta = n / 2
+    # occurs.  sepdiff keeps deltas 0..n // 2 and serves a larger one as
+    # the reversed pair
+    rng = random.Random(23)
+    step_sets = [tuple(range(1, t + 1)) for t in range(1, 6)]
+    step_sets += [(1, 5), (2, 3), (1, 3, 4)]
+    for steps in step_sets:
+        for n in range(7, 31):
+            g = CirculantGraph(n, steps)
+            dist = [[g.dist(x, u) for x in range(n)] for u in range(n)]
+            pools = [range(n), range(1, n),
+                     sorted(rng.sample(range(n), rng.randint(1, n)))]
+            for pool in pools:
+                kernel = _Kernel(g, pool)
+                for u, v in itertools.combinations(range(n), 2):
+                    expected = sum(1 << x for x in pool if dist[u][x] != dist[v][x])
+                    assert kernel.sep(u, v) == kernel.sep(v, u) == expected, \
+                        (g, pool, u, v)
+                assert len(kernel.sepdiff) == n // 2 + 1
+
+
 def _first_resolving_by_sweep(g, k):
     for rest in itertools.combinations(range(1, g.n), k - 1):
         if is_resolving(g, (0,) + rest) is None:
