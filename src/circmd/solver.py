@@ -4,9 +4,9 @@ Two routes are provided and deliberately kept separate:
 
 - The kernel, ``_Kernel``: a set resolves given vertex pairs exactly when
   it hits the separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)}
-  as an n-bit integer, which ``sep`` reads off the bit-planes of the
-  distance row.  Its one entry, ``hit``, takes the pairs' masks and a
-  range of sizes and, size by size, runs the budget guard and a
+  as an n-bit integer, which ``sep`` rotates out of its graph's one mask
+  table, ``_separators``.  Its one entry, ``hit``, takes the pairs' masks
+  and a range of sizes and, size by size, runs the budget guard and a
   lexicographic depth-first search over subsets of a candidate pool
   (``_descend``); the first hit set found is the least.  A node keeps the
   masks its picks leave unhit; inner nodes are cut by the disjoint-sets
@@ -29,6 +29,7 @@ Both routes stop at ``max_k``: exhausting every size up to it raises
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -96,81 +97,78 @@ def _search_lower_bound(g: CirculantGraph) -> int:
     return lb
 
 
-class _Kernel:
-    """Separator masks of one graph, read off the bit-planes of its
-    distance row and limited to the sorted candidate ``pool`` (default all
-    vertices), and the depth-first search over pool subsets in ascending
-    lexicographic order.  Bit x stands for vertex x."""
+@functools.lru_cache(maxsize=1)
+def _separators(g: CirculantGraph) -> tuple[list[list[int]], list[int]]:
+    """The vertices of ``g`` by distance from 0, and per shift delta <=
+    n // 2 the doubled mask m | m << n of m = sep(0, delta), the y with
+    d(0, y) != d(0, y - delta).  Plane b holds the y whose d(0, y) has bit
+    b set; the two distances differ exactly when some plane differs at y,
+    so m = OR over planes P of P ^ rot(P, delta), one shift of P doubled.
+    Built whole from one walk of the distance row and kept for the last
+    graph asked for, so every kernel on one graph shares it."""
+    n = g.n
+    spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
+    for y, d in enumerate(g.dist_row):
+        spheres[d].append(y)
+    planes = [0] * g.diameter.bit_length()
+    for d, sphere in enumerate(spheres):
+        bits, b = sum(1 << y for y in sphere), 0
+        while d:  # sphere d joins the planes of the set bits of d
+            if d & 1:
+                planes[b] |= bits
+            d, b = d >> 1, b + 1
+    doubled = [(plane, plane | plane << n) for plane in planes]
+    full, table = (1 << n) - 1, []
+    for delta in range(n // 2 + 1):
+        mask = 0
+        for plane, twice in doubled:
+            mask |= plane ^ (twice >> (n - delta))
+        mask &= full
+        table.append(mask | mask << n)
+    return spheres, table
 
-    def __init__(self, g: CirculantGraph, pool: Optional[Sequence[int]] = None,
-                 orbit: bool = False):
+
+class _Kernel:
+    """Search state only: the depth-first search over subsets of the
+    sorted candidate ``pool`` in ascending lexicographic order, and the
+    separator masks of its graph's ``_separators`` table cut to the pool.
+    Bit x stands for vertex x."""
+
+    def __init__(self, g: CirculantGraph, pool: Sequence[int], orbit: bool = False):
         self.g = g
-        self.n = n = g.n
-        self.pool = pool = range(n) if pool is None else pool
-        self.full = (1 << n) - 1
+        self.n = g.n
+        self.pool = pool
         # not lazy: another kernel's masks for this graph and pool search the same
         self.pool_mask = (sum(1 << x for x in pool) if not isinstance(pool, range)
                           else (1 << pool.stop) - (1 << pool.start))
-        # planes[b] = (P, P | P << n), P with bit y set when bit b of d(0, y)
-        # is 1.  Filled by the first sep, so a search the budget guard
-        # refuses builds no mask
-        self.planes: list[tuple[int, int]] = []
-        # sepdiff[delta] = m | m << n for delta <= n // 2, m its n-bit mask
-        self.sepdiff: list[Optional[int]] = [None] * (n // 2 + 1)
+        # fetched by the first sep: a search the budget guard refuses builds no table
+        self.table: Optional[list[int]] = None
         self.nodes = 0
         self.exhausted: list[int] = []
         # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
         # pool range(1, n) and the sphere pairs around 0
         self.orbit = orbit
 
-    def spheres(self) -> list[list[int]]:
-        """Vertices by distance from vertex 0."""
-        spheres: list[list[int]] = [[] for _ in range(self.g.diameter + 1)]
-        for y, d in enumerate(self.g.dist_row):
-            spheres[d].append(y)
-        return spheres
-
     def sep(self, u: int, v: int) -> int:
         """Mask of the pool vertices x with d(x, u) != d(x, v): the mask m of
-        delta = v - u, rotated by u around Z_n (bit y moves to bit y + u).
-        Plane b holds the y whose d(0, y) has bit b set; d(0, y) and
-        d(0, y - delta) differ exactly when some plane differs at y, so
-        m = OR over planes P of P ^ rot(P, delta).  Planes and masks are
-        stored doubled, W = w | w << n (sepdiff[delta] is M), so a rotation
-        is one shift: rot(w, r) = (W >> (n - r)) & full.  The fill cuts the
-        bits past n - 1 once per entry, the return by ``pool_mask``, as the
-        pool lies in [0, n).  The mask is symmetric, sep(u, v) = sep(v, u),
-        so a delta past n // 2 is read as sep(v, u), whose delta n - delta
-        is not: sepdiff holds deltas 0..n // 2 only."""
+        delta = v - u, rotated by u around Z_n (bit y moves to bit y + u),
+        one shift of the stored m | m << n, cut by ``pool_mask`` (the pool
+        lies in [0, n)).  As sep(u, v) = sep(v, u), a delta past n // 2 is
+        read as sep(v, u), whose delta n - delta is not: the table holds
+        deltas 0..n // 2 only."""
+        table = self.table
+        if table is None:
+            table = self.table = _separators(self.g)[1]
         n = self.n
-        if not self.planes:
-            spheres = [0] * (self.g.diameter + 1)
-            for y, d in enumerate(self.g.dist_row):
-                spheres[d] |= 1 << y
-            planes = [0] * self.g.diameter.bit_length()
-            for d, sphere in enumerate(spheres):
-                b = 0
-                while d:  # sphere d joins the planes of the set bits of d
-                    if d & 1:
-                        planes[b] |= sphere
-                    d, b = d >> 1, b + 1
-            self.planes = [(plane, plane | plane << n) for plane in planes]
         delta = (v - u) % n
         if delta > n // 2:
             u, delta = v, n - delta
-        twice = self.sepdiff[delta]
-        if twice is None:
-            mask = 0
-            for plane, doubled in self.planes:
-                mask |= plane ^ (doubled >> (n - delta))
-            mask &= self.full
-            twice = self.sepdiff[delta] = mask | mask << n
-        return (twice >> (n - u)) & self.pool_mask
+        return (table[delta] >> (n - u)) & self.pool_mask
 
     def sphere_pairs(self) -> Iterator[int]:
-        """Masks of the pairs on one sphere around vertex 0: the pairs
-        that {0} leaves colliding."""
-        for s in self.spheres():
+        """Masks of the pairs on one sphere around vertex 0, the pairs {0}
+        leaves colliding; lazy, so a refused search builds no table."""
+        for s in _separators(self.g)[0]:
             for u, v in itertools.combinations(s, 2):
                 yield self.sep(u, v)
 
@@ -373,7 +371,8 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     ``max_size`` set the search stops early and reports ``capped=True``
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
-    of ``allowed`` and of the cluster must lie in [0, n).
+    of ``allowed`` and of the cluster must lie in [0, n); a first call on
+    a graph builds all n // 2 + 1 masks of its separator table.
     """
     pool = sorted(set(allowed))
     if not pool:

@@ -153,10 +153,22 @@ def test_duplicate_vertices_mod_n_are_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_usage_error_on_bad_flags():
+def test_usage_error_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim", "--n", "13"])
     assert exc.value.code == 2
+    verify = ["verify", "--n", "13", "--t", "4", "--set"]
+    for argv, message in [
+        (verify + ["0,x"], "vertex set '0,x' is not a comma-separated integer list"),
+        (verify + [","], "vertex set is empty"),
+        (["table", "--t", "4", "--n-min", "12", "--n-max", "10"],
+         "--n-min must not exceed --n-max"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,6 +351,19 @@ def test_check_lemmas_single_id(capsys):
     assert len(reports) == 1
     assert reports[0]["counts"]["fail"] == 0
     assert reports[0]["failures"] == []
+
+
+def test_check_lemmas_all_ids_by_default(capsys):
+    code, payload = run_json(capsys, "check-lemmas", "--k-max", "1")
+    assert code == 0
+    result = payload["result"]
+    assert result["registry_size"] == 23 and len(result["manifest"]) == 23
+    reports = result["descriptors"]
+    assert len(reports) == 23
+    totals = {status: sum(r["counts"][status] for r in reports)
+              for status in ("pass", "vacuous", "degenerate", "fail")}
+    assert sum(r["instantiations"] for r in reports) == 421
+    assert totals == {"pass": 416, "vacuous": 3, "degenerate": 2, "fail": 0}
 
 
 def test_check_lemmas_unknown_id_is_usage_error():

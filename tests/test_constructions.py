@@ -95,6 +95,8 @@ def test_witness_keys_the_table_on_the_requested_t():
 def test_rejects_tiny_orders():
     with pytest.raises(ValueError):
         basis_t4(4)
+    with pytest.raises(ValueError, match="method must be one of"):
+        answer(13, 4, "bogus")
 
 
 def test_basis_t4_answers_are_pinned(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import circmd.lemmas as lemmas
+import circmd.solver as solver
 from circmd.graph import make_consecutive
 from circmd.lemmas import (
     ANCHOR_PROBES,
@@ -54,8 +55,10 @@ def test_instantiate_example():
 
 def test_instantiate_rejects_wrong_residue():
     d = REGISTRY["m3-2-1-2"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="admits residues"):
         instantiate(d, 13, {"a": 0})
+    with pytest.raises(ValueError, match="has no cluster template"):
+        instantiate(REGISTRY["thm-general-t"], 13, {"a": 0})
 
 
 def test_wraparound_collision_is_degenerate():
@@ -231,10 +234,31 @@ def test_check_lemma_builds_one_graph_per_order(monkeypatch):
         assert built == sorted({r.n for r in report.results}), did
 
 
+def test_check_lemma_builds_one_separator_table_per_order(monkeypatch):
+    # every kernel at an order reads that order's one table: 96 kernels
+    # (min_resolvers calls and inducing-set searches) over 9 orders
+    kernels = []
+
+    class Counting(solver._Kernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kernels.append(self)
+
+    monkeypatch.setattr(solver, "_Kernel", Counting)
+    solver._separators.cache_clear()
+    report = check_lemma(REGISTRY["L-2-4-3-r56"], (1, 2, 3))
+    orders = {r.n for r in report.results}
+    assert len(orders) == 9 and len(kernels) == 96
+    assert solver._separators.cache_info().misses == 9
+    assert len({id(k.table) for k in kernels if k.table is not None}) == 9
+
+
 def test_check_lemma_refuses_an_empty_k_range():
     for did in ("thm-general-t", "min-dist-789", "Obs-0123"):
-        with pytest.raises(ValueError, match="k_range must be nonempty"):
-            check_lemma(REGISTRY[did], [])
+        for k_range, message in (([], "k_range must be nonempty"),
+                                 ([0], "k values must be at least 1")):
+            with pytest.raises(ValueError, match=message):
+                check_lemma(REGISTRY[did], k_range)
 
 
 def test_basis_gap_rotation_reduction_matches_sweep():

@@ -104,6 +104,11 @@ def test_landmarks_outside_the_vertex_range_are_rejected():
             is_cluster_for(g, (0,), bad)
     with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
         representation(g, 13, (0,))
+    # no landmarks at all: an empty set would read every vertex as one class
+    for check in (is_resolving, equivalence_classes,
+                  lambda g, X: representation(g, 0, X)):
+        with pytest.raises(ValueError, match="landmark (set|list) must be nonempty"):
+            check(g, [])
 
 
 def test_cluster_rejects_overlap_and_empty():

@@ -24,7 +24,8 @@ from circmd.solver import (
     find_basis_of_size,
     min_resolvers,
 )
-from circmd.solver import _Kernel, _basis_with_zero
+from circmd import solver
+from circmd.solver import _Kernel, _basis_with_zero, _separators
 
 
 def test_exact_matches_oracle_on_small_orders():
@@ -163,11 +164,32 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
 
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
     monkeypatch.setattr(_Kernel, "sep", no_mask)
+    monkeypatch.setattr(solver, "_separators", no_mask)
     g = make_consecutive(400, 4)
     with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
         exact_dim(g)
     with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
         find_basis_of_size(g, 6)
+
+
+def test_kernels_on_one_graph_share_one_separator_table():
+    # the table belongs to the graph, not the kernel: kernels on other
+    # pools, or on an equal graph built anew, read the same object, and
+    # another order or step set gets its own
+    g = make_consecutive(13, 4)
+    kernels = [_Kernel(g, range(13)), _Kernel(g, [0, 2, 5, 9]),
+               _Kernel(make_consecutive(13, 4), range(1, 13))]
+    for kernel in kernels:
+        kernel.sep(0, 1)
+    assert kernels[0].table is kernels[1].table is kernels[2].table
+    assert kernels[0].table is _separators(g)[1]
+    for other in (make_consecutive(14, 4), make_consecutive(13, 3),
+                  CirculantGraph(13, (1, 5))):
+        kernel = _Kernel(other, range(other.n))
+        kernel.sep(0, 1)
+        assert kernel.table is not kernels[0].table, other
+        assert kernel.table is _separators(other)[1], other
+        assert len(kernel.table) == other.n // 2 + 1, other
 
 
 def test_find_basis_of_size():
@@ -183,7 +205,7 @@ def test_kernel_adjacent_pair_masks_match_pair_resolvers():
     for t in range(1, 6):
         for n in range(10, 61):
             g = make_consecutive(n, t)
-            kernel = _Kernel(g)
+            kernel = _Kernel(g, range(n))
             for i in range(n):
                 mask = kernel.sep(i, (i + 1) % n)
                 members = frozenset(x for x in g.vertices if mask >> x & 1)
@@ -203,7 +225,7 @@ def test_kernel_masks_match_the_definition_for_every_shift():
         for n in range(7, 41):
             g = CirculantGraph(n, steps)
             diameters.add(g.diameter)
-            kernel = _Kernel(g)
+            kernel = _Kernel(g, range(n))
             for delta in range(n):
                 for u in (0, 1, n // 2):
                     v = (u + delta) % n
@@ -216,8 +238,8 @@ def test_kernel_masks_match_the_definition_for_every_shift():
 def test_kernel_masks_are_symmetric_on_every_pool():
     # sep(u, v) == sep(v, u) == {x in pool : d(x, u) != d(x, v)} for every
     # pair, on closed-form and BFS rows; odd and even n, so delta = n / 2
-    # occurs.  sepdiff keeps deltas 0..n // 2 and serves a larger one as
-    # the reversed pair
+    # occurs.  The graph's table keeps deltas 0..n // 2 and serves a larger
+    # one as the reversed pair
     rng = random.Random(23)
     step_sets = [tuple(range(1, t + 1)) for t in range(1, 6)]
     step_sets += [(1, 5), (2, 3), (1, 3, 4)]
@@ -233,7 +255,7 @@ def test_kernel_masks_are_symmetric_on_every_pool():
                     expected = sum(1 << x for x in pool if dist[u][x] != dist[v][x])
                     assert kernel.sep(u, v) == kernel.sep(v, u) == expected, \
                         (g, pool, u, v)
-                assert len(kernel.sepdiff) == n // 2 + 1
+                assert len(kernel.table) == n // 2 + 1
 
 
 def _first_resolving_by_sweep(g, k):
@@ -410,8 +432,7 @@ def test_duplicate_masks_do_not_change_the_search():
     cases = []
     for n, t in ((13, 4), (24, 4), (26, 3), (37, 2)):
         g = make_consecutive(n, t)
-        kernel = _Kernel(g)
-        uv = [(u, v) for s in kernel.spheres() for u, v in itertools.combinations(s, 2)]
+        uv = [(u, v) for s in _separators(g)[0] for u, v in itertools.combinations(s, 2)]
         cases.append((g, range(1, n), uv, range(n)))
         for _ in range(5):  # pairs inside blocks, over a random allowed set
             pool = sorted(rng.sample(range(n), rng.randint(n // 3, n)))
@@ -453,3 +474,5 @@ def test_min_resolvers_rejects_vertices_outside_the_graph():
         min_resolvers(g, Cluster([[0, 1]]), [20, 21])
     with pytest.raises(ValueError, match="got -1"):
         min_resolvers(g, Cluster([[0, 1]]), [-1, 5])
+    with pytest.raises(ValueError, match="allowed set must be nonempty"):
+        min_resolvers(g, Cluster([[0, 1]]), [])
