@@ -379,11 +379,9 @@ def test_check_lemmas_empty_k_range_is_usage_error(capsys):
     assert "k_range must be nonempty" in capsys.readouterr().err
 
 
-def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
-    # argv, exit code and envelope (timing dropped) of `dim` on the auto and
-    # formula routes for t = 2, 3, 4 and of `construct`, including the
-    # budget refusals and the --max-k and --budget exits
-    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+def _formula_route_runs():
+    # `dim` on the auto and formula routes for t = 2, 3, 4 and `construct`,
+    # including the budget refusals and the --max-k and --budget exits
     runs = [("dim", "--n", str(n), "--t", str(t), *method)
             for t, top in ((2, 200), (3, 119), (4, 160))
             for n in range(5, top + 1)
@@ -392,19 +390,12 @@ def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
     runs += [("dim", "--n", "21", "--t", "4", "--max-k", "4"),
              ("dim", "--n", "80", "--t", "4", "--max-k", "2"),
              ("construct", "--n", "30", "--budget", "10")]
-    digest = hashlib.sha256()
-    for argv in runs:
-        code, payload = run_json(capsys, *argv)
-        del payload["timing_seconds"]
-        digest.update(repr((argv, code, json.dumps(payload, sort_keys=True))).encode())
-    assert digest.hexdigest().startswith("41449b5b7b0cb674")
+    return runs
 
 
-def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
-    # argv, exit code and envelope (timing dropped) of `dim` on the search
-    # and oracle routes, of auto where no formula applies, and of
-    # `table --check`, including the --max-k and --budget exits
-    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+def _search_route_runs():
+    # `dim` on the search and oracle routes, auto where no formula applies,
+    # and `table --check`, including the --max-k and --budget exits
     runs = [("dim", "--n", str(n), "--t", str(t), "--method", "search")
             for t in (2, 3, 4) for n in range(5, 41)]
     runs += [("dim", "--n", str(n), "--t", "4", "--method", "oracle")
@@ -414,10 +405,43 @@ def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
              for t in (2, 3, 4)]
     runs += [("dim", "--n", "21", "--t", "4", "--method", "search", "--max-k", "4"),
              ("dim", "--n", "30", "--t", "4", "--method", "search", "--budget", "10")]
+    assert len(runs) == 130
+    return runs
+
+
+def _envelope_digest(monkeypatch, capsys, runs, drop=()):
+    # argv, exit code and envelope, with the timing and the result keys
+    # in ``drop`` taken out
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
     digest = hashlib.sha256()
     for argv in runs:
         code, payload = run_json(capsys, *argv)
         del payload["timing_seconds"]
+        for key in drop:
+            payload["result"].pop(key, None)
         digest.update(repr((argv, code, json.dumps(payload, sort_keys=True))).encode())
-    assert len(runs) == 130
-    assert digest.hexdigest().startswith("f464ab1bd96fe3c6")
+    return digest.hexdigest()
+
+
+def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
+    digest = _envelope_digest(monkeypatch, capsys, _formula_route_runs())
+    assert digest.startswith("41449b5b7b0cb674")
+
+
+def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
+    digest = _envelope_digest(monkeypatch, capsys, _search_route_runs())
+    assert digest.startswith("f464ab1bd96fe3c6")
+
+
+def test_formula_route_answers_are_pinned(monkeypatch, capsys):
+    # the envelopes without the search's node count, which a change to its
+    # cuts may move while every answer stays
+    digest = _envelope_digest(monkeypatch, capsys, _formula_route_runs(),
+                              drop=("nodes_explored",))
+    assert digest.startswith("1f1c2946157c1ea1")
+
+
+def test_search_route_answers_are_pinned(monkeypatch, capsys):
+    digest = _envelope_digest(monkeypatch, capsys, _search_route_runs(),
+                              drop=("nodes_explored",))
+    assert digest.startswith("e8f988fd08d763ee")

@@ -276,22 +276,37 @@ def test_find_basis_of_size_matches_plain_sweep():
                     (n, steps, k)
 
 
-def test_formula_route_witnesses_are_pinned(monkeypatch):
+def _formula_route_searches():
     # the first-witness search `dim` and `basis_t4` run at the formula's
-    # size: basis and node count (8,491 in all) for t = 2, 3, 4 on three
-    # periods of small orders and, per residue, the largest order in
-    # 10..809 that the default budget answers
-    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    # size, for t = 2, 3, 4 on three periods of small orders and, per
+    # residue, the largest order in 10..809 that the default budget answers
     grid = {2: [*range(10, 22), 493, 806, 807, 808],
             3: [*range(10, 28), 145, 490, 491, 492, 494, 495],
             4: [*range(10, 34), 71, 72, 73, 146, 147, 149, 150, 492]}
-    digest = hashlib.sha256()
     for t, orders in grid.items():
         for n in orders:
             g = make_consecutive(n, t)
             kernel, basis = _basis_with_zero(g, (formula_dim(n, t) - 1,), None)
-            digest.update(repr((n, t, basis, kernel.nodes)).encode())
+            yield n, t, basis, kernel.nodes
+
+
+def test_formula_route_witnesses_are_pinned(monkeypatch):
+    # basis and node count (8,491 in all)
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for n, t, basis, nodes in _formula_route_searches():
+        digest.update(repr((n, t, basis, nodes)).encode())
     assert digest.hexdigest().startswith("f021dc7347147e21")
+
+
+def test_formula_route_bases_are_pinned(monkeypatch):
+    # the bases alone: a change to the search's cuts that moves only its
+    # node count leaves this pin as it is
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for n, t, basis, _ in _formula_route_searches():
+        digest.update(repr((n, t, basis)).encode())
+    assert digest.hexdigest().startswith("84172781cb6a7b2e")
 
 
 def test_min_resolvers_example():
@@ -357,14 +372,11 @@ def test_min_resolvers_matches_plain_sweep():
     assert {None, "capped", 0, 1, 2, 3} <= outcomes
 
 
-def test_kernel_on_sorted_pools_is_pinned():
+def _sorted_pool_searches():
     # the min_resolvers path: sorted random pools, not range(1, n), on
-    # 1-3 step circulants; found set, exhausted sizes and node count
-    # (6,261 in all) for sizes drawn from 0..5, so that the draw holds
-    # sets found at once, found after exhausted sizes, and none found
+    # 1-3 step circulants, for sizes drawn from 0..5, so that the draw
+    # holds sets found at once, found after exhausted sizes, and none found
     rng = random.Random(15)
-    digest = hashlib.sha256()
-    outcomes = set()
     for _ in range(1500):
         n = rng.randint(7, 40)
         steps = [n]
@@ -376,10 +388,26 @@ def test_kernel_on_sorted_pools_is_pinned():
         pairs = [kernel.sep(u, v) for u, v in itertools.combinations(vertices, 2)]
         low = rng.randint(0, 5)
         found = kernel.hit(pairs, range(low, rng.randint(low, 5) + 1), None)
-        outcomes.add("none" if found is None else bool(kernel.exhausted))
-        digest.update(repr((found, kernel.exhausted, kernel.nodes)).encode())
+        yield found, kernel.exhausted, kernel.nodes
+
+
+def test_kernel_on_sorted_pools_is_pinned():
+    # found set, exhausted sizes and node count (6,261 in all)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for found, exhausted, nodes in _sorted_pool_searches():
+        outcomes.add("none" if found is None else bool(exhausted))
+        digest.update(repr((found, exhausted, nodes)).encode())
     assert outcomes == {"none", False, True}
     assert digest.hexdigest().startswith("a1a185d5631fa478")
+
+
+def test_kernel_answers_on_sorted_pools_are_pinned():
+    # found set and exhausted sizes alone, free of the node count
+    digest = hashlib.sha256()
+    for found, exhausted, _ in _sorted_pool_searches():
+        digest.update(repr((found, exhausted)).encode())
+    assert digest.hexdigest().startswith("05f36b2c2933db9c")
 
 
 def test_masks_search_the_same_in_a_fresh_kernel():
