@@ -10,11 +10,14 @@ Two routes are provided and deliberately kept separate:
   lexicographic depth-first search over subsets of a candidate pool
   (``_descend``); the first hit set found is the least.  A node keeps the
   masks its picks leave unhit; inner nodes are cut by the disjoint-sets
-  bound of hitting-set branch and bound, and the last pick is read off
-  the AND of the unhit masks.  ``exact_dim`` and ``find_basis_of_size``
-  fix vertex 0 (rotations act transitively): the pool is 1..n-1 and the
-  pairs are those on one sphere around 0.  Both also search each
-  rotation class of sets about once (the orbit cut, ``_orbit_range``).
+  bound of hitting-set branch and bound, and the last two picks are read
+  off ANDs of the unhit masks (``_last_two``), one per vertex of the
+  narrowest unhit mask when it is narrower than the range of the first
+  of the two, else one per vertex of that range.  ``exact_dim`` and
+  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
+  pool is 1..n-1 and the pairs are those on one sphere around 0.  Both
+  also search each rotation class of sets about once (the orbit cut,
+  ``_orbit_range``).
   ``min_resolvers`` passes the pairs inside each block and the allowed
   set as the pool; it has no rotation to cut by.
 
@@ -73,7 +76,8 @@ class DimResult:
     dim: int
     basis: tuple[int, ...]
     method: str  # "search" | "oracle"
-    # search: inner nodes plus the last-level hits
+    # search: one per size tried, per pick tried above the last two, per
+    # AND pass that reads off the last two, and per hit
     nodes_explored: int = field(compare=False, default=0)
     lower_bound_used: int = 1
     exhausted_sizes: tuple[int, ...] = field(compare=False, default=())
@@ -226,29 +230,27 @@ class _Kernel:
         narrowest first.  Pick v is cut by the packing: the unhit masks,
         narrowest first, pairwise disjoint above v.  It scans ``pairs`` in
         place past the masks v hits, the order ``kept`` has, so ``kept`` is
-        built only for an uncut v.  With two picks left v skips the packing
-        for ``_last``'s AND: the packing cuts only for an unhit mask empty
-        above v or two disjoint there, and then that AND is empty too, so
-        the answer and the nodes (one per v, one per hit) stay."""
+        built only for an uncut v.  The last two picks skip the packing for
+        ``_last_two``, which reads them off ANDs of the unhit masks: the
+        packing cuts only for an unhit mask empty above v or two disjoint
+        there, and then no pair of picks hits them all either."""
         if remaining == 0:
             return None if pairs else chosen
         if remaining == 1:  # only a size-1 search starts here
             w = self._last(pairs, 0, self.pool_mask)
             return None if w < 0 else chosen + (w,)
-        pool, pool_mask = self.pool, self.pool_mask
+        pool = self.pool
         # leave room for the remaining - 1 vertices above the next pick
         end = len(pool) - remaining + 1
         if self.orbit:  # pool[i] is vertex i + 1
             low, high = self._orbit_range(chosen, remaining)
             start, end = max(start, low - 1), min(end, high)
+        if remaining == 2:
+            found = self._last_two(pairs, start, end)
+            return None if found is None else chosen + found
         for i, v in enumerate(pool[start:end], start):
             self.nodes += 1
             bit = 1 << v
-            if remaining == 2:
-                w = self._last(pairs, bit, pool_mask & -(bit << 1))
-                if w >= 0:
-                    return chosen + (v, w)
-                continue
             # cut if a pair has no separator above v, or if `remaining` pairs
             # have disjoint ones: the remaining - 1 later picks hit one each
             need, used = remaining, 0
@@ -266,6 +268,61 @@ class _Kernel:
                 found = self._descend(kept, chosen + (v,), remaining - 1, i + 1)
                 if found is not None:
                     return found
+        return None
+
+    def _last_two(self, pairs: list[int], start: int, end: int
+                  ) -> Optional[tuple[int, int]]:
+        """Least v of ``pool[start:end]``, then least pool vertex w > v,
+        such that {v, w} hits every mask of ``pairs``, or None.  Both picks
+        lie in the pool from pool[start] up, and one of them in the
+        narrowest mask cut there.  When that mask has fewer vertices than
+        the v range, each of its vertices w gets one AND pass: A_w, the
+        pool from pool[start] up cut by every mask w misses, is the set of
+        partners that complete w.  The valid v are then the w that have a
+        partner above them and the partners below some w.  Otherwise each
+        v gets one ``_last`` pass over the pool above v.  A pass counts a
+        node, and so does a hit."""
+        if start >= end:
+            return None
+        pool, pool_mask = self.pool, self.pool_mask
+        above = pool_mask & -(1 << pool[start])
+        allowed = above & ((2 << pool[end - 1]) - 1)
+        if pairs and (narrow := pairs[0] & above).bit_count() < allowed.bit_count():
+            partners, v, rest = {}, 0, narrow
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                # w ascends, so once a v is valid a later w can better it
+                # only by a partner below it
+                a = above & (v - 1) if v else above
+                if not a:
+                    break
+                self.nodes += 1
+                for m in pairs:
+                    if not m & w:
+                        a &= m
+                        if not a:
+                            break
+                if a:
+                    partners[w] = a
+                    valid = (a & (w - 1) | (w if a & -(w << 1) else 0)) & allowed
+                    if valid:
+                        v = valid & -valid
+            if not v:
+                return None
+            self.nodes += 1
+            if v & narrow:
+                a = partners[v] & -(v << 1)
+                w = a & -a
+            else:  # partners is in ascending order of w
+                w = next(w for w, a in partners.items() if w > v and a & v)
+            return v.bit_length() - 1, w.bit_length() - 1
+        for v in pool[start:end]:
+            self.nodes += 1
+            bit = 1 << v
+            w = self._last(pairs, bit, pool_mask & -(bit << 1))
+            if w >= 0:
+                return v, w
         return None
 
     def _last(self, pairs: list[int], bit: int, mask: int) -> int:
