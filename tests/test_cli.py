@@ -425,12 +425,12 @@ def _envelope_digest(monkeypatch, capsys, runs, drop=()):
 
 def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
     digest = _envelope_digest(monkeypatch, capsys, _formula_route_runs())
-    assert digest.startswith("41449b5b7b0cb674")
+    assert digest.startswith("7cd9c3ce9b16a3da")
 
 
 def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
     digest = _envelope_digest(monkeypatch, capsys, _search_route_runs())
-    assert digest.startswith("f464ab1bd96fe3c6")
+    assert digest.startswith("bbaa8d8afaee8cab")
 
 
 def test_formula_route_answers_are_pinned(monkeypatch, capsys):
