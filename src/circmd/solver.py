@@ -143,8 +143,9 @@ class _Kernel:
         self.n = g.n
         self.pool = pool
         # not lazy: another kernel's masks for this graph and pool search the same
-        self.pool_mask = (sum(1 << x for x in pool) if not isinstance(pool, range)
-                          else (1 << pool.stop) - (1 << pool.start))
+        self.pool_mask = ((1 << pool.stop) - (1 << pool.start)
+                          if isinstance(pool, range) and pool.step == 1 and pool
+                          else sum(1 << x for x in pool))
         # fetched by the first sep: a search the budget guard refuses builds no table
         self.table: Optional[list[int]] = None
         self.nodes = 0
@@ -429,12 +430,14 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
     of ``allowed`` and of the cluster must lie in [0, n); a first call on
-    a graph builds all n // 2 + 1 masks of its separator table.
+    a graph that passes the budget guard builds all n // 2 + 1 masks of
+    its separator table.
     """
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
     check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
+    _check_budget(len(pool), 0, budget)  # hit's first guard, before any mask
     kernel = _Kernel(g, pool)
     pairs = [kernel.sep(u, v) for block in cluster.blocks
              for u, v in itertools.combinations(block, 2)]

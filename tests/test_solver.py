@@ -171,6 +171,8 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
         exact_dim(g)
     with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
         find_basis_of_size(g, 6)
+    with pytest.raises(BudgetExceededError, match=r"C\(400, 0\)"):
+        min_resolvers(g, Cluster([[0, 1]]), range(400), budget=0)
 
 
 def test_kernels_on_one_graph_share_one_separator_table():
@@ -411,6 +413,60 @@ def test_kernel_answers_on_sorted_pools_are_pinned():
     assert digest.hexdigest().startswith("05f36b2c2933db9c")
 
 
+class _PerVKernel(_Kernel):
+    """The kernel with its last two picks found the plain way: each first
+    pick v in turn, its least partner read off one AND of the masks v
+    misses over the pool above v."""
+
+    def _last_two(self, pairs, start, end):
+        for v in self.pool[start:end]:
+            partners = self.pool_mask & -(2 << v)
+            for m in pairs:
+                if not m >> v & 1:
+                    partners &= m
+            if partners:
+                return v, (partners & -partners).bit_length() - 1
+        return None
+
+
+def test_last_two_picks_match_a_per_v_loop():
+    # the narrowest-mask rule against _PerVKernel: found set and exhausted
+    # sizes on 1-3 step circulants, with the orbit cut on the pool
+    # range(1, n) and the sphere pairs, and without it on sorted random
+    # pools and the pairs inside random vertex sets; the draw must reach
+    # the last two picks both with the narrowest mask narrower than the
+    # first pick's range and with it as wide or wider
+    rng = random.Random(25)
+    sides = {True: 0, False: 0}
+
+    class Counting(_Kernel):
+        def _last_two(self, pairs, start, end):
+            if pairs and start < end:
+                sides[(pairs[0] >> self.pool[start]).bit_count() < end - start] += 1
+            return super()._last_two(pairs, start, end)
+
+    for _ in range(1000):
+        n = rng.randint(7, 36)
+        steps = [n]
+        while math.gcd(n, *steps) != 1:  # connected
+            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
+        g = CirculantGraph(n, steps)
+        pool = sorted(rng.sample(range(n), rng.randint(2, n)))
+        vertices = rng.sample(range(n), rng.randint(2, 7))
+        uv = list(itertools.combinations(vertices, 2))
+        low = rng.randint(0, 4)
+        for pool, orbit, sizes in ((range(1, n), True, range(1, 6)),
+                                   (pool, False, range(low, rng.randint(low, 5) + 1))):
+            runs = []
+            for cls in (Counting, _PerVKernel):
+                kernel = cls(g, pool, orbit=orbit)
+                pairs = (kernel.sphere_pairs() if orbit
+                         else [kernel.sep(u, v) for u, v in uv])
+                runs.append((kernel.hit(pairs, sizes, None), kernel.exhausted))
+            assert runs[0] == runs[1], (g, pool, orbit, sizes)
+    assert min(sides.values()) >= 1000, sides
+
+
 def test_masks_search_the_same_in_a_fresh_kernel():
     # pool_mask is set when a kernel is built, not by its first sep: a
     # fresh kernel with a zero one would read every size as exhausted,
@@ -424,6 +480,19 @@ def test_masks_search_the_same_in_a_fresh_kernel():
             found = kernel.hit(pairs, range(2, 6), None)
             runs.append((found, kernel.exhausted, kernel.nodes))
         assert runs[1] == runs[0] and runs[0][0] is not None, pool
+
+
+def test_stepped_range_pools_hold_only_their_vertices():
+    # a range pool of any step masks and searches as the list of its members
+    g = make_consecutive(13, 4)
+    pairs = [1 << 3 | 1 << 4, 1 << 9 | 1 << 10 | 1 << 12, 1 << 5 | 1 << 6]
+    for pool in (range(1, 13, 2), range(0, 13, 3), range(2, 12, 4), range(5, 5)):
+        runs = []
+        for kernel in (_Kernel(g, pool), _Kernel(g, list(pool))):
+            assert kernel.pool_mask == sum(1 << x for x in pool), pool
+            runs.append((kernel.hit(pairs, range(4), None), kernel.exhausted))
+        assert runs[0] == runs[1], pool
+    assert _Kernel(g, range(1, 13, 2)).hit(pairs, range(4), None) == (3, 5, 9)
 
 
 def test_last_pick_stays_in_the_pool():
