@@ -277,25 +277,25 @@ class _Kernel:
         such that {v, w} hits every mask of ``pairs``, or None.  Both picks
         lie in the pool from pool[start] up, and one of them in the
         narrowest mask cut there.  When that mask has fewer vertices than
-        the v range, each of its vertices w gets one AND pass: A_w, the
-        pool from pool[start] up cut by every mask w misses, is the set of
-        partners that complete w.  The valid v are then the w that have a
-        partner above them and the partners below some w.  Otherwise each
-        v gets one ``_last`` pass over the pool above v.  A pass counts a
-        node, and so does a hit."""
+        the v range, each of its vertices w gets one AND pass: the pool
+        from pool[start] up cut by every mask w misses, the partners that
+        complete w.  The valid v are the partners below some w and the w
+        with a partner above them; ``_last`` reads the w of the least.
+        Otherwise each v in turn gets one ``_last`` pass over the pool
+        above v.  A pass counts a node, and so does a hit."""
         if start >= end:
             return None
         pool, pool_mask = self.pool, self.pool_mask
         above = pool_mask & -(1 << pool[start])
         allowed = above & ((2 << pool[end - 1]) - 1)
         if pairs and (narrow := pairs[0] & above).bit_count() < allowed.bit_count():
-            partners, v, rest = {}, 0, narrow
-            while rest:
-                w = rest & -rest
-                rest ^= w
+            least = 0
+            while narrow:
+                w = narrow & -narrow
+                narrow ^= w
                 # w ascends, so once a v is valid a later w can better it
                 # only by a partner below it
-                a = above & (v - 1) if v else above
+                a = above & (least - 1)
                 if not a:
                     break
                 self.nodes += 1
@@ -304,20 +304,13 @@ class _Kernel:
                         a &= m
                         if not a:
                             break
-                if a:
-                    partners[w] = a
-                    valid = (a & (w - 1) | (w if a & -(w << 1) else 0)) & allowed
-                    if valid:
-                        v = valid & -valid
-            if not v:
+                valid = (a & (w - 1) | (w if a >= w << 1 else 0)) & allowed
+                if valid:
+                    least = valid & -valid
+            if not least:
                 return None
-            self.nodes += 1
-            if v & narrow:
-                a = partners[v] & -(v << 1)
-                w = a & -a
-            else:  # partners is in ascending order of w
-                w = next(w for w, a in partners.items() if w > v and a & v)
-            return v.bit_length() - 1, w.bit_length() - 1
+            v = least.bit_length() - 1
+            return v, self._last(pairs, least, pool_mask & -(least << 1))
         for v in pool[start:end]:
             self.nodes += 1
             bit = 1 << v
