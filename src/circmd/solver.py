@@ -11,13 +11,11 @@ Two routes are provided and deliberately kept separate:
   (``_descend``); the first hit set found is the least.  A node keeps the
   masks its picks leave unhit; inner nodes are cut by the disjoint-sets
   bound of hitting-set branch and bound, and the last two picks are read
-  off ANDs of the unhit masks (``_last_two``), one per vertex of the
-  narrowest unhit mask when it is narrower than the range of the first
-  of the two, else one per vertex of that range.  ``exact_dim`` and
-  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
-  pool is 1..n-1 and the pairs are those on one sphere around 0.  Both
-  also search each rotation class of sets about once (the orbit cut,
-  ``_orbit_range``).
+  off ANDs of the unhit masks, branching on the narrowest when it is the
+  smaller range (``_last_two``).  ``exact_dim`` and ``find_basis_of_size``
+  fix vertex 0 (rotations act transitively): the pool is 1..n-1 and the
+  pairs are those on one sphere around 0.  Both also search each
+  rotation class of sets about once (the orbit cut, ``_orbit_range``).
   ``min_resolvers`` passes the pairs inside each block and the allowed
   set as the pool; it has no rotation to cut by.
 
