@@ -451,12 +451,12 @@ def test_last_two_picks_match_a_per_v_loop():
         while math.gcd(n, *steps) != 1:  # connected
             steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
         g = CirculantGraph(n, steps)
-        pool = sorted(rng.sample(range(n), rng.randint(2, n)))
+        drawn = sorted(rng.sample(range(n), rng.randint(2, n)))
         vertices = rng.sample(range(n), rng.randint(2, 7))
         uv = list(itertools.combinations(vertices, 2))
         low = rng.randint(0, 4)
         for pool, orbit, sizes in ((range(1, n), True, range(1, 6)),
-                                   (pool, False, range(low, rng.randint(low, 5) + 1))):
+                                   (drawn, False, range(low, rng.randint(low, 5) + 1))):
             runs = []
             for cls in (Counting, _PerVKernel):
                 kernel = cls(g, pool, orbit=orbit)
