@@ -38,7 +38,8 @@ def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CirculantGraph:
-    """Immutable circulant graph; safe for concurrent read access."""
+    """Immutable circulant graph; safe for concurrent read access (two
+    readers may both fill one lazy row, with the same value)."""
 
     n: int
     steps: tuple[int, ...]
@@ -73,6 +74,11 @@ class CirculantGraph:
             half = [-(-d // t) for d in range(n // 2 + 1)]
             return tuple(half + half[(n - 1) // 2:0:-1])
         return tuple(_bfs_row(self.n, self.steps, 0))
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[int, ...]]:
+        """Entry x: the distances from x, sliced by ``resolve`` on first use."""
+        return {}
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]

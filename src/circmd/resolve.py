@@ -7,8 +7,9 @@ arguments: the equivalence "same representation under S", blocks (subsets
 of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
-Each check builds r(v|X) for all v once per call by zipping one rotated
-copy of dist_row per landmark; no n x n table is formed or cached.
+Each check zips r(v|X) for all v from its landmarks' rows, sliced from
+dist_row once per graph into g.rows: a one-shot caller holds its k rows,
+and only the oracle, asking for every landmark, the n x n table (5 MB at n = 809).
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class Cluster:
 
 
 def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Entry v is r(v|X), zipped from one rotated copy of dist_row per landmark."""
-    row, n = g.dist_row, g.n
-    columns = [row[-x % n:] + row[:-x % n] for x in landmarks]
+    """Entry v is r(v|X), zipped from the landmarks' rows, each sliced once per graph."""
+    rows, row, n = g.rows, g.dist_row, g.n
+    columns = [rows[x] if x in rows else rows.setdefault(x, row[-x % n:] + row[:-x % n])
+               for x in landmarks]
     return list(zip(*columns)) if columns else [()] * n
 
 

@@ -190,6 +190,85 @@ def test_resolve_matches_pairwise_reference():
         assert (None if w is None else (w.u, w.v)) == min(stuck, default=None)
 
 
+def _check_all_against_reference(g, X, rng):
+    """Every resolve function on (g, X) against ``_reference_pairs``."""
+    pairs = _reference_pairs(g, X, g.vertices)
+    w = is_resolving(g, X)
+    assert (None if w is None else (w.u, w.v)) == (pairs[0] if pairs else None)
+    least = {v: v for v in g.vertices}
+    for u, v in reversed(pairs):  # the least partner of v is set last
+        least[v] = u
+    classes = [[v for v in g.vertices if least[v] == r] for r in g.vertices if least[r] == r]
+    assert equivalence_classes(g, X) == classes
+    v = rng.randrange(g.n)
+    assert representation(g, v, X) == tuple(g.dist(v, x) for x in X)
+    perm = rng.sample(range(g.n), g.n)
+    cuts = sorted(rng.sample(range(1, g.n), min(g.n - 1, rng.randint(1, 4))))
+    drawn = Cluster(perm[a:b] for a, b in zip([0, *cuts], [*cuts, g.n]))
+    # a cluster by construction: nonempty parts of distinct classes
+    picked = rng.sample(classes, min(len(classes), 3))
+    true = Cluster(rng.sample(c, rng.randint(1, len(c))) for c in picked)
+    for cluster in (drawn, true):
+        stuck = [p for b in cluster.blocks for p in _reference_pairs(g, X, b)]
+        w = resolves_cluster(g, X, cluster)
+        assert (None if w is None else (w.u, w.v)) == min(stuck, default=None)
+        block_classes = [{least[v] for v in b} for b in cluster.blocks]
+        assert is_cluster_for(g, X, cluster) == (
+            all(len(c) == 1 for c in block_classes)
+            and len(set().union(*block_classes)) == len(cluster.blocks))
+    assert is_cluster_for(g, X, true)
+
+
+def test_warm_rows_match_the_pairwise_reference():
+    # one graph object answers many landmark sets from the rows it keeps;
+    # the answers must not depend on which rows earlier calls left behind
+    rng = random.Random(2026)
+    for g in (make_consecutive(29, 3), CirculantGraph(31, (2, 7))):
+        for i in range(60):
+            X = [rng.randrange(g.n) for _ in range(rng.randint(1, 5))]  # unsorted, may repeat
+            if i % 10 == 9:
+                X = rng.sample(range(g.n), g.n)  # all of V
+            _check_all_against_reference(g, X, rng)
+        assert set(g.rows) == set(g.vertices)
+        assert all(g.rows[x] == tuple(g.dist(x, v) for v in g.vertices) for x in g.vertices)
+        fresh = CirculantGraph(g.n, g.steps)  # equal, with no rows yet
+        assert fresh == g and fresh.rows == {}
+        X = rng.sample(range(g.n), 4)
+        assert is_resolving(fresh, X) == is_resolving(g, X)
+        _check_all_against_reference(fresh, X, rng)
+    # two graphs of one order, different steps, called in turn
+    a, b = make_consecutive(13, 4), CirculantGraph(13, (1, 5))
+    for _ in range(30):
+        X = [rng.randrange(13) for _ in range(rng.randint(1, 4))]
+        for g in (a, b, a):
+            _check_all_against_reference(g, X, rng)
+    # a warm graph still rejects a landmark outside [0, 13)
+    is_resolving(a, range(13))
+    assert set(a.rows) == set(a.vertices)
+    cluster = Cluster([[1, 12], [5, 8]])
+    for X in [(13, 1, 2), (0, -1), (-13,)]:
+        for check in (is_resolving, equivalence_classes,
+                      lambda g, X: representation(g, 0, X),
+                      lambda g, X: resolves_cluster(g, X, cluster),
+                      lambda g, X: is_cluster_for(g, X, cluster)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+                check(a, X)
+    assert set(a.rows) == set(a.vertices)
+
+
+def test_a_one_shot_check_holds_only_its_landmarks_rows():
+    g = make_consecutive(809, 4)
+    X = (407, 0, 4, 1, 406, 7)
+    assert is_resolving(g, X) is None
+    assert sorted(g.rows) == sorted(X)
+    # no landmarks: no row is read, and only singleton blocks are resolved
+    h = make_consecutive(13, 4)
+    assert resolves_cluster(h, (), Cluster([[1], [5]])) is None
+    assert resolves_cluster(h, (), Cluster([[3, 1], [5, 2]])) == WitnessPair(1, 3)
+    assert not is_cluster_for(h, (), Cluster([[1], [5]]))
+    assert h.rows == {}
+
+
 def test_pair_resolvers_example():
     g = make_consecutive(13, 4)
     assert pair_resolvers(g, 0) == frozenset({0, 1, 5, 9})

@@ -113,6 +113,22 @@ def test_oracle_answers_are_pinned():
     assert digest.hexdigest().startswith("a1c435c758a0af3b")
 
 
+def test_oracle_checks_each_subset_with_one_is_resolving_call(monkeypatch):
+    # the benchmark's lemma workload times the oracle's sweep as
+    # is_resolving calls, one per node; a sweep that moves the subset check
+    # elsewhere must fail here, not only under the benchmark's tracer
+    checked = []
+
+    def counting(g, landmarks):
+        checked.append(tuple(landmarks))
+        return is_resolving(g, landmarks)
+
+    monkeypatch.setattr(solver, "is_resolving", counting)
+    r = brute_force_dim(make_consecutive(20, 4))
+    assert len(checked) == r.nodes_explored == 416
+    assert len(set(checked)) == 416 and checked[-1] == r.basis
+
+
 def test_oracle_max_k_stops_the_sweep():
     def answer(r):
         return r.dim, r.basis, r.exhausted_sizes, r.nodes_explored
