@@ -233,9 +233,7 @@ def test_warm_rows_match_the_pairwise_reference():
         assert all(g.rows[x] == tuple(g.dist(x, v) for v in g.vertices) for x in g.vertices)
         fresh = CirculantGraph(g.n, g.steps)  # equal, with no rows yet
         assert fresh == g and fresh.rows == {}
-        X = rng.sample(range(g.n), 4)
-        assert is_resolving(fresh, X) == is_resolving(g, X)
-        _check_all_against_reference(fresh, X, rng)
+        _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
     # two graphs of one order, different steps, called in turn
     a, b = make_consecutive(13, 4), CirculantGraph(13, (1, 5))
     for _ in range(30):
