@@ -11,13 +11,14 @@ Two routes are provided and deliberately kept separate:
   (``_descend``); the first hit set found is the least.  A node keeps the
   masks its picks leave unhit; inner nodes are cut by the disjoint-sets
   bound of hitting-set branch and bound, and the last two picks are read
-  off ANDs of the unhit masks, branching on the narrowest when it is the
-  smaller range (``_last_two``).  ``exact_dim`` and ``find_basis_of_size``
-  fix vertex 0 (rotations act transitively): the pool is 1..n-1 and the
-  pairs are those on one sphere around 0.  Both also search each
-  rotation class of sets about once (the orbit cut, ``_orbit_range``).
-  ``min_resolvers`` passes the pairs inside each block and the allowed
-  set as the pool; it has no rotation to cut by.
+  off ANDs of the unhit masks, one pass per vertex of the narrowest mask
+  or of the first pick's range, whichever is smaller (``_last_two``).
+  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0 (rotations act
+  transitively): the pool is 1..n-1 and the pairs are those on one
+  sphere around 0.  Both also search each rotation class of sets about
+  once (the orbit cut, ``_orbit_range``).  ``min_resolvers`` passes the
+  pairs inside each block and the allowed set as the pool; it has no
+  rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -272,50 +273,46 @@ class _Kernel:
     def _last_two(self, pairs: list[int], start: int, end: int
                   ) -> Optional[tuple[int, int]]:
         """Least v of ``pool[start:end]``, then least pool vertex w > v,
-        such that {v, w} hits every mask of ``pairs``, or None.  Both picks
-        lie in the pool from pool[start] up, and one of them in the
-        narrowest mask cut there.  When that mask has fewer vertices than
-        the v range, each of its vertices w gets one AND pass: the pool
-        from pool[start] up cut by every mask w misses, the partners that
-        complete w.  The valid v are the partners below some w and the w
-        with a partner above them; ``_last`` reads the w of the least.
-        Otherwise each v in turn gets one ``_last`` pass over the pool
-        above v.  A pass counts a node, and so does a hit."""
+        such that {v, w} hits every mask of ``pairs``, or None.  One pick
+        lies in each unhit mask, so the scan set is the first (narrowest)
+        one cut to the pool from pool[start] up, or the v range when that
+        is no smaller.  Each scanned w, rising, gets one AND pass over that
+        pool less the vertices scanned before w: the partners that complete
+        w.  The valid v are the partners below some w and the w with a
+        partner above them; ``_last`` reads the w of the least.  Skipping a
+        scanned u < w loses nothing: had u completed w, w lay in u's pass,
+        so u was valid then or a valid v below u was known.  On the v range
+        each pass is thus the pool above v, and the first valid v ends the
+        scan.  A pass counts a node, and so does a hit."""
         if start >= end:
             return None
         pool, pool_mask = self.pool, self.pool_mask
         above = pool_mask & -(1 << pool[start])
         allowed = above & ((2 << pool[end - 1]) - 1)
-        if pairs and (narrow := pairs[0] & above).bit_count() < allowed.bit_count():
-            least = 0
-            while narrow:
-                w = narrow & -narrow
-                narrow ^= w
-                # w ascends, so once a v is valid a later w can better it
-                # only by a partner below it
-                a = above & (least - 1)
-                if not a:
-                    break
-                self.nodes += 1
-                for m in pairs:
-                    if not m & w:
-                        a &= m
-                        if not a:
-                            break
-                valid = (a & (w - 1) | (w if a >= w << 1 else 0)) & allowed
-                if valid:
-                    least = valid & -valid
-            if not least:
-                return None
-            v = least.bit_length() - 1
-            return v, self._last(pairs, least, pool_mask & -(least << 1))
-        for v in pool[start:end]:
+        scan = min(allowed, pairs[0] & above, key=int.bit_count) if pairs else allowed
+        least = seen = 0
+        while scan:
+            w = scan & -scan
+            scan ^= w
+            # w ascends, so once a v is valid a later w can better it only
+            # by a partner below it
+            a = above & (least - 1) & ~seen
+            if not a:
+                break
+            seen |= w
             self.nodes += 1
-            bit = 1 << v
-            w = self._last(pairs, bit, pool_mask & -(bit << 1))
-            if w >= 0:
-                return v, w
-        return None
+            for m in pairs:
+                if not m & w:
+                    a &= m
+                    if not a:
+                        break
+            valid = (a & (w - 1) | (w if a >= w << 1 else 0)) & allowed
+            if valid:
+                least = valid & -valid
+        if not least:
+            return None
+        v = least.bit_length() - 1
+        return v, self._last(pairs, least, pool_mask & -(least << 1))
 
     def _last(self, pairs: list[int], bit: int, mask: int) -> int:
         """Least vertex of ``mask`` in each mask of ``pairs`` that ``bit`` misses,

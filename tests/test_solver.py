@@ -446,12 +446,12 @@ class _PerVKernel(_Kernel):
 
 
 def test_last_two_picks_match_a_per_v_loop():
-    # the narrowest-mask rule against _PerVKernel: found set and exhausted
-    # sizes on 1-3 step circulants, with the orbit cut on the pool
-    # range(1, n) and the sphere pairs, and without it on sorted random
-    # pools and the pairs inside random vertex sets; the draw must reach
-    # the last two picks both with the narrowest mask narrower than the
-    # first pick's range and with it as wide or wider
+    # the one scan of the last two picks against _PerVKernel: found set and
+    # exhausted sizes on 1-3 step circulants, with the orbit cut on the
+    # pool range(1, n) and the sphere pairs, and without it on sorted
+    # random pools and the pairs inside random vertex sets; the draw must
+    # reach both scan sets, the narrowest mask when it is narrower than
+    # the first pick's range and the range when the mask is as wide or wider
     rng = random.Random(25)
     sides = {True: 0, False: 0}
 
@@ -481,6 +481,70 @@ def test_last_two_picks_match_a_per_v_loop():
                 runs.append((kernel.hit(pairs, sizes, None), kernel.exhausted))
             assert runs[0] == runs[1], (g, pool, orbit, sizes)
     assert min(sides.values()) >= 1000, sides
+
+
+def _last_two_calls():
+    # direct _last_two calls on fresh kernels: 1-3 step circulants, range
+    # pools and sorted pools with gaps, the masks of a random subset of the
+    # pairs inside a few vertices in random order (so pairs[0] is often not
+    # the narrowest) or none, and v ranges from one vertex to the whole pool
+    rng = random.Random(27)
+    for _ in range(3000):
+        n = rng.randint(7, 36)
+        steps = [n]
+        while math.gcd(n, *steps) != 1:  # connected
+            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
+        g = CirculantGraph(n, steps)
+        pool = rng.choice([range(1, n), range(rng.randrange(n - 1), n),
+                           sorted(rng.sample(range(n), rng.randint(2, n)))])
+        kernel = _Kernel(g, pool)
+        uv = list(itertools.combinations(rng.sample(range(n), rng.randint(2, 5)), 2))
+        pairs = [kernel.sep(u, v) for u, v in rng.sample(uv, rng.randint(0, len(uv)))]
+        if rng.random() < 0.5:  # as hit passes them
+            pairs.sort(key=int.bit_count)
+        start = rng.randrange(len(pool))
+        end = rng.choice([start + 1, rng.randint(start + 1, len(pool))])
+        yield kernel, pairs, start, end
+
+
+def test_last_two_picks_are_the_least_hitting_pair():
+    # the contract against brute force: the least v of pool[start:end],
+    # then the least pool vertex w > v, with {v, w} hitting every mask
+    cases = dict.fromkeys(["found", "none", "no pairs", "one v",
+                           "w above the v range", "pairs[0] not narrowest"], 0)
+    for kernel, pairs, start, end in _last_two_calls():
+        pool = kernel.pool
+        expected = next(((v, w) for i, v in enumerate(pool[start:end], start)
+                         for w in pool[i + 1:]
+                         if all(m >> v & 1 or m >> w & 1 for m in pairs)), None)
+        assert kernel._last_two(pairs, start, end) == expected, \
+            (kernel.g, pool, pairs, start, end)
+        cases["none" if expected is None else "found"] += 1
+        cases["no pairs"] += not pairs
+        cases["one v"] += end == start + 1
+        cases["w above the v range"] += expected is not None and expected[1] > pool[end - 1]
+        cases["pairs[0] not narrowest"] += bool(pairs) and \
+            pairs[0].bit_count() > min(map(int.bit_count, pairs))
+    assert min(cases.values()) >= 100, cases
+    # on K7 each mask is its own pair, so {5, 6} alone hits these: the
+    # scan of the narrowest mask meets it, but 5 lies above the v range
+    kernel = _Kernel(make_consecutive(7, 3), range(7))
+    pairs = [kernel.sep(u, v) for u, v in ((5, 6), (4, 6), (2, 6), (2, 5), (4, 5))]
+    assert pairs[0] == 1 << 5 | 1 << 6
+    assert kernel._last_two(pairs, 0, 4) is None
+    assert kernel._last_two(pairs, 0, 6) == (5, 6)
+
+
+def test_last_two_picks_scan_the_smaller_set():
+    # the size rule: one call adds at most one node per vertex of the
+    # smaller of the first mask (from pool[start] up) and the v range, and
+    # one for the hit; scanning either set alone breaks this bound
+    for kernel, pairs, start, end in _last_two_calls():
+        width = end - start
+        if pairs:
+            width = min(width, (pairs[0] >> kernel.pool[start]).bit_count())
+        kernel._last_two(pairs, start, end)
+        assert kernel.nodes <= width + 1, (kernel.g, kernel.pool, pairs, start, end)
 
 
 def test_masks_search_the_same_in_a_fresh_kernel():
