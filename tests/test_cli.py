@@ -430,7 +430,7 @@ def test_formula_route_envelopes_are_pinned(monkeypatch, capsys):
 
 def test_search_route_envelopes_are_pinned(monkeypatch, capsys):
     digest = _envelope_digest(monkeypatch, capsys, _search_route_runs())
-    assert digest.startswith("bbaa8d8afaee8cab")
+    assert digest.startswith("f65783f77d7ba516")
 
 
 def test_formula_route_answers_are_pinned(monkeypatch, capsys):

@@ -55,10 +55,11 @@ def test_dim_result_equality_ignores_search_effort():
 
 def test_search_answers_are_pinned():
     # dim, lex-least basis and exhausted sizes for t = 4, n = 10..49; the
-    # node total bounds the work the cuts leave: 8,133 with the last two
-    # picks read off the narrowest unhit mask (21,578 with one pass per
-    # first pick, 52,269 without the orbit cut, 107,774 with only the
-    # empty-separator rule)
+    # node total bounds the work the cuts leave: 8,131 with the last two
+    # picks read off one scan of the narrowest unhit mask or the first
+    # pick's range (8,133 with a per-pick loop kept for the range, 21,578
+    # with one pass per first pick, 52,269 without the orbit cut, 107,774
+    # with only the empty-separator rule)
     digest = hashlib.sha256()
     nodes = 0
     for n in range(10, 50):
@@ -98,7 +99,7 @@ def test_orbit_cut_matches_the_plain_kernel():
             assert (res.basis, res.exhausted_sizes) == (basis, exhausted), (n, t)
             cut_nodes += res.nodes_explored
             plain_nodes += kernel.nodes
-    assert (cut_nodes, plain_nodes) == (29_318, 65_006)
+    assert (cut_nodes, plain_nodes) == (29_312, 64_996)
 
 
 def test_oracle_answers_are_pinned():
@@ -310,12 +311,12 @@ def _formula_route_searches():
 
 
 def test_formula_route_witnesses_are_pinned(monkeypatch):
-    # basis and node count (2,924 in all)
+    # basis and node count (2,922 in all)
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
     digest = hashlib.sha256()
     for n, t, basis, nodes in _formula_route_searches():
         digest.update(repr((n, t, basis, nodes)).encode())
-    assert digest.hexdigest().startswith("85c1ab37a0a9095e")
+    assert digest.hexdigest().startswith("95d33561b1ad3815")
 
 
 def test_formula_route_bases_are_pinned(monkeypatch):
@@ -411,14 +412,14 @@ def _sorted_pool_searches():
 
 
 def test_kernel_on_sorted_pools_is_pinned():
-    # found set, exhausted sizes and node count (6,128 in all)
+    # found set, exhausted sizes and node count (6,111 in all)
     digest = hashlib.sha256()
     outcomes = set()
     for found, exhausted, nodes in _sorted_pool_searches():
         outcomes.add("none" if found is None else bool(exhausted))
         digest.update(repr((found, exhausted, nodes)).encode())
     assert outcomes == {"none", False, True}
-    assert digest.hexdigest().startswith("e71f7124b346b66f")
+    assert digest.hexdigest().startswith("4f4c75132d10b1a8")
 
 
 def test_kernel_answers_on_sorted_pools_are_pinned():
