@@ -289,18 +289,18 @@ class _Kernel:
         pool, pool_mask = self.pool, self.pool_mask
         above = pool_mask & -(1 << pool[start])
         allowed = above & ((2 << pool[end - 1]) - 1)
-        scan = min(allowed, pairs[0] & above, key=int.bit_count) if pairs else allowed
-        least = seen = 0
+        narrow = pairs[0] & above if pairs else allowed
+        scan = narrow if narrow.bit_count() < allowed.bit_count() else allowed
+        least, free = 0, above  # free: the pool from pool[start] up, unscanned
         while scan:
             w = scan & -scan
             scan ^= w
             # w ascends, so once a v is valid a later w can better it only
             # by a partner below it
-            a = above & (least - 1) & ~seen
+            a = free & (least - 1)
             if not a:
                 break
-            seen |= w
-            self.nodes += 1
+            free ^= w
             for m in pairs:
                 if not m & w:
                     a &= m
@@ -309,6 +309,7 @@ class _Kernel:
             valid = (a & (w - 1) | (w if a >= w << 1 else 0)) & allowed
             if valid:
                 least = valid & -valid
+        self.nodes += (above ^ free).bit_count()  # each pass took its w from free
         if not least:
             return None
         v = least.bit_length() - 1
