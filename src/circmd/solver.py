@@ -279,11 +279,11 @@ class _Kernel:
         is no smaller.  Each scanned w, rising, gets one AND pass over that
         pool less the vertices scanned before w: the partners that complete
         w.  The valid v are the partners below some w and the w with a
-        partner above them; ``_last`` reads the w of the least.  Skipping a
-        scanned u < w loses nothing: had u completed w, w lay in u's pass,
-        so u was valid then or a valid v below u was known.  On the v range
-        each pass is thus the pool above v, and the first valid v ends the
-        scan.  A pass counts a node, and so does a hit."""
+        partner above them; ``_last`` reads the w of the least.  Leaving a
+        scanned u < w out of w's pass loses nothing: had u completed w, w
+        lay in u's pass, so u was valid then or a valid v below u was known.
+        On the v range each pass is thus the pool above v, and the first
+        valid v ends the scan.  A pass counts a node, and so does a hit."""
         if start >= end:
             return None
         pool, pool_mask = self.pool, self.pool_mask
