@@ -11,14 +11,13 @@ Two routes are provided and deliberately kept separate:
   (``_descend``); the first hit set found is the least.  A node keeps the
   masks its picks leave unhit; inner nodes are cut by the disjoint-sets
   bound of hitting-set branch and bound, and the last two picks are read
-  off ANDs of the unhit masks, one pass per vertex of the narrowest mask
-  or of the first pick's range, whichever is smaller (``_last_two``).
-  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0 (rotations act
-  transitively): the pool is 1..n-1 and the pairs are those on one
-  sphere around 0.  Both also search each rotation class of sets about
-  once (the orbit cut, ``_orbit_range``).  ``min_resolvers`` passes the
-  pairs inside each block and the allowed set as the pool; it has no
-  rotation to cut by.
+  off ANDs of the unhit masks in one scan of the narrowest or of the first
+  pick's range, whichever is smaller (``_last_two``).  ``exact_dim`` and
+  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
+  pool is 1..n-1 and the pairs are those on one sphere around 0.  Both
+  also search each rotation class of sets about once (the orbit cut,
+  ``_orbit_range``).  ``min_resolvers`` passes the pairs inside each block
+  and the allowed set as the pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with

@@ -487,8 +487,9 @@ def test_last_two_picks_match_a_per_v_loop():
 def _last_two_calls():
     # direct _last_two calls on fresh kernels: 1-3 step circulants, range
     # pools and sorted pools with gaps, the masks of a random subset of the
-    # pairs inside a few vertices in random order (so pairs[0] is often not
-    # the narrowest) or none, and v ranges from one vertex to the whole pool
+    # pairs inside a few vertices, or none, in random order half the time
+    # (so pairs[0] is often not the narrowest), and v ranges from one
+    # vertex to the whole pool
     rng = random.Random(27)
     for _ in range(3000):
         n = rng.randint(7, 36)
