@@ -39,7 +39,7 @@ def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CirculantGraph:
     """Immutable circulant graph; safe for concurrent read access (two
-    readers may both fill one lazy row, with the same value)."""
+    readers may both fill one lazy row or sphere mask, with the same value)."""
 
     n: int
     steps: tuple[int, ...]
@@ -52,8 +52,9 @@ class CirculantGraph:
 
     @property
     def is_consecutive(self) -> bool:
-        """True when the step set is {1, 2, ..., t} for some t."""
-        return self.steps[0] == 1 and self.steps == tuple(range(1, len(self.steps) + 1))
+        """True when the step set is {1, 2, ..., t} for some t: t distinct
+        canonical steps in [1, t] are all of them."""
+        return len(self.steps) == self.steps[-1]
 
     @property
     def t(self) -> int:
@@ -79,6 +80,31 @@ class CirculantGraph:
     def rows(self) -> dict[int, tuple[int, ...]]:
         """Entry x: the distances from x, sliced by ``resolve`` on first use."""
         return {}
+
+    @cached_property
+    def spheres(self) -> dict[int, int]:
+        """Entry r: ``sphere(r)``, kept on first use."""
+        return {}
+
+    def sphere(self, r: int) -> int:
+        """Mask of the vertices at distance r <= diameter from 0, doubled
+        (m | m << n) so that ``>> (n - x)`` rotates it to x: for consecutive
+        steps the arc t(r-1)+1 .. min(tr, n//2) and its mirror (r = 0: {0}),
+        else one scan of the BFS row, which fills every radius."""
+        spheres, n = self.spheres, self.n
+        if r not in spheres:
+            if self.is_consecutive:
+                t = self.t
+                lo, hi = t * (r - 1) + 1, min(t * r, n // 2)
+                arc = (1 << hi - lo + 1) - 1
+                m = arc << lo | arc << n - hi if r else 1
+                spheres[r] = m | m << n
+            else:
+                masks = [0] * (self.diameter + 1)
+                for y, d in enumerate(self.dist_row):
+                    masks[d] |= 1 << y
+                spheres.update((d, m | m << n) for d, m in enumerate(masks))
+        return spheres[r]
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]

@@ -77,6 +77,21 @@ def test_dist_row_equals_the_per_pair_closed_form():
             assert make_consecutive(n, t).dist_row == expected, (n, t)
 
 
+def test_sphere_masks_match_the_definition():
+    # {y : d(0, y) = r}, doubled, for every r: the closed-form arcs on odd and
+    # even n (the antipode) up to the complete graph, and the BFS row's scan
+    graphs = [make_consecutive(n, t) for n in range(3, 61) for t in range(1, n // 2 + 1)]
+    graphs += [CirculantGraph(n, steps) for steps in [(1, 5), (2, 3), (1, 3, 4), (2, 5)]
+               for n in range(11, 41)]
+    for g in graphs:
+        d = [distance_closed_form(g.n, g.t, 0, y) if g.is_consecutive
+             else distance_bfs(g, 0, y) for y in g.vertices]
+        for r in range(max(d) + 1):
+            m = sum(1 << y for y in g.vertices if d[y] == r)
+            assert g.sphere(r) == m | m << g.n, (g, r)
+        assert set(g.spheres) == set(d)
+
+
 def test_closed_form_validates_t():
     with pytest.raises(ValueError):
         distance_closed_form(10, 6, 0, 1)
