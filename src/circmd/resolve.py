@@ -8,8 +8,10 @@ of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
 Each check zips r(v|X) for all v from its landmarks' rows, sliced from
-dist_row once per graph into g.rows: a one-shot caller holds its k rows,
-and only the oracle, asking for every landmark, the n x n table (5 MB at n = 809).
+dist_row once per graph into g.rows.  is_resolving zips only when no probe
+u < _PROBES has a twin on the graph's sphere masks: a set failing at a probe
+slices no row, a one-shot resolving check holds its k rows, and the oracle
+those of the subsets the probes leave open, at most the n x n table.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class Cluster:
         return frozenset().union(*self.blocks)
 
 
+_PROBES = 5  # vertices checked for a twin from sphere masks before any zip
+
+
 def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> list[tuple[int, ...]]:
     """Entry v is r(v|X), zipped from the landmarks' rows, each sliced once per graph."""
     rows, row, n = g.rows, g.dist_row, g.n
@@ -71,16 +76,16 @@ def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple
     if not landmarks:
         raise ValueError("landmark list must be nonempty")
     check_vertices(g, (v, *landmarks))
-    return _reps(g, landmarks)[v]
+    return tuple(g.dist(x, v) for x in landmarks)
 
 
 def _least_collision(keys: Sequence[tuple[int, ...]],
                      vertices: Sequence[int]) -> Optional[WitnessPair]:
     """Lexicographically least pair of sorted vertices with equal keys;
     keys[i] is the representation of vertices[i]."""
-    last = dict(zip(keys, vertices))
-    if len(last) == len(vertices):
+    if len(set(keys)) == len(vertices):
         return None
+    last = dict(zip(keys, vertices))
     for i, (u, key) in enumerate(zip(vertices, keys)):
         if last[key] != u:
             return WitnessPair(u, vertices[keys.index(key, i + 1)])
@@ -96,8 +101,26 @@ def _landmark_set(g: CirculantGraph, landmarks: Iterable[int]) -> set[int]:
 
 def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[WitnessPair]:
     """None when the set resolves the graph, else the least unresolved pair.
-    Every landmark must lie in [0, n)."""
-    return _least_collision(_reps(g, _landmark_set(g, landmarks)), g.vertices)
+    Every landmark must lie in [0, n).
+
+    The twins above each probe u < _PROBES, the AND of the spheres through
+    u about the landmarks, come first: the first u with one gives the least
+    pair, as a twin w < u would have paired with u at w's own probe.
+    """
+    X = _landmark_set(g, landmarks)
+    n, row, spheres, sphere = g.n, g.dist_row, g.spheres, g.sphere
+    for u in range(min(_PROBES, n)):
+        if u in X:  # only u is at distance 0 from u
+            continue
+        twins = (1 << n) - (2 << u)  # the vertices above u
+        for x in X:
+            r = row[u - x]
+            twins &= (spheres[r] if r in spheres else sphere(r)) >> n - x
+            if not twins:
+                break
+        else:
+            return WitnessPair(u, (twins & -twins).bit_length() - 1)
+    return _least_collision(_reps(g, X), g.vertices)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from circmd.formulas import split
 from circmd.graph import CirculantGraph, make_consecutive
 from circmd.resolve import (
+    _PROBES,
     Cluster,
     WitnessPair,
     equivalence_classes,
@@ -164,18 +166,28 @@ def _random_case(rng):
             except ValueError:  # disconnected step set
                 pass
     X = [rng.randrange(n) for _ in range(rng.randint(1, 5))]  # unsorted, may repeat
-    if rng.random() < 0.1:
+    draw = rng.random()
+    if draw < 0.1:
         X = rng.sample(range(n), n)  # all of V
+    elif draw < 0.5:
+        X += range(_PROBES)[:n]  # every probe a landmark: the zip decides
     return g, X
 
 
 def test_resolve_matches_pairwise_reference():
+    # is_resolving's routes: a twin found by a probe, a least twin beyond
+    # the probes, a resolving set; and sets without 0, BFS graphs
     rng = random.Random(909)
+    routes = Counter()
     for _ in range(400):
         g, X = _random_case(rng)
         pairs = _reference_pairs(g, X, g.vertices)
         w = is_resolving(g, X)
         assert (None if w is None else (w.u, w.v)) == (pairs[0] if pairs else None)
+        routes["resolving" if not pairs else
+               "probe" if pairs[0][0] < _PROBES else "beyond probes"] += 1
+        routes["without 0"] += 0 not in X
+        routes["bfs"] += not g.is_consecutive
         least = {v: v for v in g.vertices}
         for u, v in reversed(pairs):  # the least partner of v is set last
             least[v] = u
@@ -188,6 +200,7 @@ def test_resolve_matches_pairwise_reference():
         stuck = [p for b in cluster.blocks for p in _reference_pairs(g, Y, b)]
         w = resolves_cluster(g, Y, cluster)
         assert (None if w is None else (w.u, w.v)) == min(stuck, default=None)
+    assert len(routes) == 5 and min(routes.values()) >= 50, routes
 
 
 def _check_all_against_reference(g, X, rng):
@@ -257,8 +270,17 @@ def test_warm_rows_match_the_pairwise_reference():
 def test_a_one_shot_check_holds_only_its_landmarks_rows():
     g = make_consecutive(809, 4)
     X = (407, 0, 4, 1, 406, 7)
+    # a least twin found by a probe slices no row
+    assert is_resolving(g, (5, 0, 1)) == WitnessPair(2, 3)
+    assert is_resolving(g, X[:4]) == WitnessPair(2, 3)
+    assert g.rows == {}
+    # the zip of a resolving set, or of one whose least twin lies beyond
+    # the probes (every probe a landmark), slices its landmarks' rows
     assert is_resolving(g, X) is None
     assert sorted(g.rows) == sorted(X)
+    h = make_consecutive(809, 4)
+    assert is_resolving(h, range(5)) == WitnessPair(405, 406)
+    assert sorted(h.rows) == list(range(5))
     # no landmarks: no row is read, and only singleton blocks are resolved
     h = make_consecutive(13, 4)
     assert resolves_cluster(h, (), Cluster([[1], [5]])) is None
