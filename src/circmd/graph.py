@@ -52,8 +52,7 @@ class CirculantGraph:
 
     @property
     def is_consecutive(self) -> bool:
-        """True when the step set is {1, 2, ..., t} for some t: t distinct
-        canonical steps in [1, t] are all of them."""
+        """True when the step set is {1, 2, ..., t}: t distinct steps up to t."""
         return len(self.steps) == self.steps[-1]
 
     @property
