@@ -39,7 +39,7 @@ def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CirculantGraph:
     """Immutable circulant graph; safe for concurrent read access (two
-    readers may both fill one lazy row or sphere mask, with the same value)."""
+    readers may both fill one lazy sphere mask, with the same value)."""
 
     n: int
     steps: tuple[int, ...]
@@ -74,11 +74,6 @@ class CirculantGraph:
             half = [-(-d // t) for d in range(n // 2 + 1)]
             return tuple(half + half[(n - 1) // 2:0:-1])
         return tuple(_bfs_row(self.n, self.steps, 0))
-
-    @cached_property
-    def rows(self) -> dict[int, tuple[int, ...]]:
-        """Entry x: the distances from x, sliced by ``resolve`` on first use."""
-        return {}
 
     @cached_property
     def spheres(self) -> dict[int, int]:

@@ -171,7 +171,7 @@ def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
     containing 0 and gap, so one search per small gap decides the claim.
     Where no s-set resolves the claim is vacuous.  For ``min-dist-789``
     that is every order the k = 1..3 battery checks (dim = 6 there, so
-    no 5-set resolves): its gap search runs only in the tests.
+    no 5-set resolves): the battery never reaches the gap search.
     """
     g = _graph(n)
     size = d.claimed_min

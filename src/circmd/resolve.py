@@ -8,10 +8,8 @@ of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
 Each check zips r(v|X) for all v from its landmarks' rows, sliced from
-dist_row once per graph into g.rows.  is_resolving zips only when no probe
-u < _PROBES has a twin on the graph's sphere masks: a set failing at a probe
-slices no row, a one-shot resolving check holds its k rows, and the oracle
-those of the subsets the probes leave open, at most the n x n table.
+dist_row on every call.  is_resolving zips only when no probe u < _PROBES
+has a twin on the graph's sphere masks.
 """
 
 from __future__ import annotations
@@ -63,10 +61,10 @@ _PROBES = 5  # vertices checked for a twin from sphere masks before any zip
 
 
 def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Entry v is r(v|X), zipped from the landmarks' rows, each sliced once per graph."""
-    rows, row, n = g.rows, g.dist_row, g.n
-    columns = [rows[x] if x in rows else rows.setdefault(x, row[-x % n:] + row[:-x % n])
-               for x in landmarks]
+    """Entry v is r(v|X), zipped from the landmarks' rows: dist_row rotated
+    to start at each landmark."""
+    row, n = g.dist_row, g.n
+    columns = [row[-x % n:] + row[:-x % n] for x in landmarks]
     return list(zip(*columns)) if columns else [()] * n
 
 

@@ -236,8 +236,13 @@ class _Kernel:
         if remaining == 0:
             return None if pairs else chosen
         if remaining == 1:  # only a size-1 search starts here
-            w = self._last(pairs, 0, self.pool_mask)
-            return None if w < 0 else chosen + (w,)
+            mask = self.pool_mask
+            for m in pairs:
+                mask &= m
+                if not mask:
+                    return None
+            self.nodes += 1
+            return chosen + ((mask & -mask).bit_length() - 1,)
         pool = self.pool
         # leave room for the remaining - 1 vertices above the next pick
         end = len(pool) - remaining + 1
@@ -278,11 +283,15 @@ class _Kernel:
         is no smaller.  Each scanned w, rising, gets one AND pass over that
         pool less the vertices scanned before w: the partners that complete
         w.  The valid v are the partners below some w and the w with a
-        partner above them; ``_last`` reads the w of the least.  Leaving a
-        scanned u < w out of w's pass loses nothing: had u completed w, w
-        lay in u's pass, so u was valid then or a valid v below u was known.
-        On the v range each pass is thus the pool above v, and the first
-        valid v ends the scan.  A pass counts a node, and so does a hit."""
+        partner above them.  Leaving a scanned u < w out of w's pass loses
+        nothing: had u completed w, w lay in u's pass, so u was valid then
+        or a valid v below u was known.  On the v range each pass is thus
+        the pool above v, and the first valid v ends the scan.  The pass
+        that finds the least v also holds its least partner: w when v < w
+        (v was not scanned, or its own pass would have found it, so each
+        partner of v is, and one below w would have found v first), else
+        the least partner above w (no v was known, so w's pass held the
+        whole pool above w).  A pass counts a node, and so does a hit."""
         if start >= end:
             return None
         pool, pool_mask = self.pool, self.pool_mask
@@ -290,7 +299,7 @@ class _Kernel:
         allowed = above & ((2 << pool[end - 1]) - 1)
         narrow = pairs[0] & above if pairs else allowed
         scan = narrow if narrow.bit_count() < allowed.bit_count() else allowed
-        least, free = 0, above  # free: the pool from pool[start] up, unscanned
+        least, mate, free = 0, 0, above  # free: the pool from pool[start] up, unscanned
         while scan:
             w = scan & -scan
             scan ^= w
@@ -308,22 +317,12 @@ class _Kernel:
             valid = (a & (w - 1) | (w if a >= w << 1 else 0)) & allowed
             if valid:
                 least = valid & -valid
+                mate = w if least < w else a & -(w << 1)
         self.nodes += (above ^ free).bit_count()  # each pass took its w from free
         if not least:
             return None
-        v = least.bit_length() - 1
-        return v, self._last(pairs, least, pool_mask & -(least << 1))
-
-    def _last(self, pairs: list[int], bit: int, mask: int) -> int:
-        """Least vertex of ``mask`` in each mask of ``pairs`` that ``bit`` misses,
-        or -1; ANDs narrowest first, stops once empty.  A hit counts a node."""
-        for m in pairs:
-            if not m & bit:
-                mask &= m
-                if not mask:
-                    return -1
         self.nodes += 1
-        return (mask & -mask).bit_length() - 1
+        return least.bit_length() - 1, (mate & -mate).bit_length() - 1
 
 
 def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:

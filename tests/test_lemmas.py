@@ -11,6 +11,7 @@ from circmd.lemmas import (
     ANCHOR_PROBES,
     REGISTRY,
     DegenerateInstantiationError,
+    LemmaDescriptor,
     _check_cluster_instantiation,
     _find_inducing_set,
     _gap_witness,
@@ -21,7 +22,8 @@ from circmd.lemmas import (
     window_bound_counterexample,
     window_tightness,
 )
-from circmd.resolve import Cluster, is_cluster_for, is_resolving, representation
+from circmd.resolve import (
+    Cluster, is_cluster_for, is_resolving, pair_resolvers, representation)
 from circmd.solver import min_resolvers
 
 EXPECTED_IDS = {
@@ -66,6 +68,12 @@ def test_wraparound_collision_is_degenerate():
     # at k = 1, ell = 1 the triple {a+15, a+16, a+17} wraps onto itself
     with pytest.raises(DegenerateInstantiationError):
         instantiate(d, 15, {"a": 0, "ell": 1})
+    # a block whose offsets meet mod n is degenerate, not a smaller block
+    dup = LemmaDescriptor(id="dup", kind="cluster", claim="0, 1 and n", claimed_min=3,
+                          residues=(5,), blocks_fn=lambda n, k, p: [[0, 1, n]])
+    result = _check_cluster_instantiation(dup, 13, {"a": 0})
+    assert result.status == "degenerate"
+    assert result.detail == "dup: block [0, 0, 1] has duplicate vertices mod 13"
 
 
 def test_fast_descriptors_pass_at_k1():
@@ -103,6 +111,16 @@ def test_cluster_check_reports_vacuous_and_fail():
     result = _check_cluster_instantiation(pair, 13, {"a": 0})
     assert result.status == "fail"
     assert result.detail == "(0,) resolves the cluster with 1 < 3"
+
+    # with R_0 excluded nothing left can separate the pair {0, 1}
+    walled = LemmaDescriptor(
+        id="walled-pair", kind="cluster", claim="one pair, R_0 excluded",
+        claimed_min=3, residues=(5,), blocks_fn=lambda n, k, p: [[0, 1]],
+        excluded_fn=lambda n, k, p: pair_resolvers(make_consecutive(n, 4), 0))
+    for n in (13, 21):
+        result = _check_cluster_instantiation(walled, n, {"a": 0})
+        assert result.status == "pass"
+        assert result.detail == "unresolvable within the allowed set"
 
 
 def _sweep_inducing_set(g, cluster):
@@ -275,3 +293,20 @@ def test_basis_gap_rotation_reduction_matches_sweep():
         reduced = {gap for gap in range(1, n // 2 + 1)
                    if _gap_witness(g, gap, 5) is not None}
         assert reduced == swept, n
+    # a claimed 6-set bound does reach the gap loop: where r - 6 > 1 some
+    # resolving 6-set has a pair one apart
+    six = LemmaDescriptor(id="gap-6", kind="basis-gap", claim="gaps of 6-sets",
+                          claimed_min=6, residues=(7, 8, 9))
+    failing = {16: ((0, 1, 3, 4, 6, 9), 2), 17: ((0, 1, 4, 7, 10, 11), 3),
+               24: ((0, 1, 3, 4, 6, 9), 2), 25: ((0, 1, 4, 7, 14, 15), 3)}
+    results = check_lemma(six, (1, 2)).results
+    assert [r.n for r in results] == [15, 16, 17, 23, 24, 25]
+    for result in results:
+        if result.n not in failing:
+            assert result.n in (15, 23) and result.status == "pass"
+            continue
+        B, min_gap = failing[result.n]
+        assert result.status == "fail"
+        assert result.detail == f"resolving set {B} has gap 1 < {min_gap}"
+        assert is_resolving(make_consecutive(result.n, 4), B) is None
+        assert B[1] - B[0] == 1

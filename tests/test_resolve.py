@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circmd.resolve as resolve
 from circmd.formulas import split
 from circmd.graph import CirculantGraph, make_consecutive
 from circmd.resolve import (
@@ -232,9 +233,15 @@ def _check_all_against_reference(g, X, rng):
     assert is_cluster_for(g, X, true)
 
 
-def test_warm_rows_match_the_pairwise_reference():
-    # one graph object answers many landmark sets from the rows it keeps;
-    # the answers must not depend on which rows earlier calls left behind
+def _assert_spheres_match_the_definition(g):
+    for r, mask in g.spheres.items():
+        m = sum(1 << y for y in g.vertices if g.dist(0, y) == r)
+        assert mask == m | m << g.n, (g, r)
+
+
+def test_warm_sphere_masks_match_the_pairwise_reference():
+    # one graph object answers many landmark sets from the sphere masks it
+    # keeps; the answers must not depend on which masks earlier calls filled
     rng = random.Random(2026)
     for g in (make_consecutive(29, 3), CirculantGraph(31, (2, 7))):
         for i in range(60):
@@ -242,20 +249,24 @@ def test_warm_rows_match_the_pairwise_reference():
             if i % 10 == 9:
                 X = rng.sample(range(g.n), g.n)  # all of V
             _check_all_against_reference(g, X, rng)
-        assert set(g.rows) == set(g.vertices)
-        assert all(g.rows[x] == tuple(g.dist(x, v) for v in g.vertices) for x in g.vertices)
-        fresh = CirculantGraph(g.n, g.steps)  # equal, with no rows yet
-        assert fresh == g and fresh.rows == {}
+        assert g.spheres
+        _assert_spheres_match_the_definition(g)
+        fresh = CirculantGraph(g.n, g.steps)  # equal, with no masks yet
+        assert fresh == g and fresh.spheres == {}
         _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
+        _assert_spheres_match_the_definition(fresh)
     # two graphs of one order, different steps, called in turn
     a, b = make_consecutive(13, 4), CirculantGraph(13, (1, 5))
     for _ in range(30):
         X = [rng.randrange(13) for _ in range(rng.randint(1, 4))]
         for g in (a, b, a):
             _check_all_against_reference(g, X, rng)
-    # a warm graph still rejects a landmark outside [0, 13)
+    for g in (a, b):
+        assert g.spheres
+        _assert_spheres_match_the_definition(g)
+    # a warm graph still rejects a landmark outside [0, 13), and fills no mask
     is_resolving(a, range(13))
-    assert set(a.rows) == set(a.vertices)
+    warm = dict(a.spheres)
     cluster = Cluster([[1, 12], [5, 8]])
     for X in [(13, 1, 2), (0, -1), (-13,)]:
         for check in (is_resolving, equivalence_classes,
@@ -264,29 +275,29 @@ def test_warm_rows_match_the_pairwise_reference():
                       lambda g, X: is_cluster_for(g, X, cluster)):
             with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
                 check(a, X)
-    assert set(a.rows) == set(a.vertices)
+    assert a.spheres == warm
 
 
-def test_a_one_shot_check_holds_only_its_landmarks_rows():
+def _no_zip(g, landmarks):
+    raise AssertionError("a probe should have decided this set")
+
+
+def test_a_probe_decides_before_any_zip(monkeypatch):
     g = make_consecutive(809, 4)
-    X = (407, 0, 4, 1, 406, 7)
-    # a least twin found by a probe slices no row
-    assert is_resolving(g, (5, 0, 1)) == WitnessPair(2, 3)
-    assert is_resolving(g, X[:4]) == WitnessPair(2, 3)
-    assert g.rows == {}
-    # the zip of a resolving set, or of one whose least twin lies beyond
-    # the probes (every probe a landmark), slices its landmarks' rows
-    assert is_resolving(g, X) is None
-    assert sorted(g.rows) == sorted(X)
-    h = make_consecutive(809, 4)
-    assert is_resolving(h, range(5)) == WitnessPair(405, 406)
-    assert sorted(h.rows) == list(range(5))
-    # no landmarks: no row is read, and only singleton blocks are resolved
+    # a least twin found by a probe zips no representation
+    with monkeypatch.context() as m:
+        m.setattr(resolve, "_reps", _no_zip)
+        assert is_resolving(g, (5, 0, 1)) == WitnessPair(2, 3)
+        assert is_resolving(g, (407, 0, 4, 1)) == WitnessPair(2, 3)
+    # a resolving set, or one whose least twin lies beyond the probes
+    # (every probe a landmark), is zipped
+    assert is_resolving(g, (407, 0, 4, 1, 406, 7)) is None
+    assert is_resolving(g, range(5)) == WitnessPair(405, 406)
+    # no landmarks: only singleton blocks are resolved
     h = make_consecutive(13, 4)
     assert resolves_cluster(h, (), Cluster([[1], [5]])) is None
     assert resolves_cluster(h, (), Cluster([[3, 1], [5, 2]])) == WitnessPair(1, 3)
     assert not is_cluster_for(h, (), Cluster([[1], [5]]))
-    assert h.rows == {}
 
 
 def test_pair_resolvers_example():
