@@ -234,6 +234,7 @@ def _check_all_against_reference(g, X, rng):
 
 
 def _assert_spheres_match_the_definition(g):
+    assert g.spheres
     for r, mask in g.spheres.items():
         m = sum(1 << y for y in g.vertices if g.dist(0, y) == r)
         assert mask == m | m << g.n, (g, r)
@@ -249,7 +250,6 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
             if i % 10 == 9:
                 X = rng.sample(range(g.n), g.n)  # all of V
             _check_all_against_reference(g, X, rng)
-        assert g.spheres
         _assert_spheres_match_the_definition(g)
         fresh = CirculantGraph(g.n, g.steps)  # equal, with no masks yet
         assert fresh == g and fresh.spheres == {}
@@ -262,7 +262,6 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
         for g in (a, b, a):
             _check_all_against_reference(g, X, rng)
     for g in (a, b):
-        assert g.spheres
         _assert_spheres_match_the_definition(g)
     # a warm graph still rejects a landmark outside [0, 13), and fills no mask
     is_resolving(a, range(13))
