@@ -38,8 +38,10 @@ def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CirculantGraph:
-    """Immutable circulant graph; safe for concurrent read access (two
-    readers may both fill one lazy sphere mask, with the same value)."""
+    """Immutable circulant graph; safe for concurrent read access.  Its
+    lazy entries, ``dist_row``, ``diameter``, ``layers``, ``separators`` and
+    each mask in ``spheres``, are filled on first use: two readers may both
+    fill one, with the same value."""
 
     n: int
     steps: tuple[int, ...]
@@ -84,7 +86,7 @@ class CirculantGraph:
         """Mask of the vertices at distance r <= diameter from 0, doubled
         (m | m << n) so that ``>> (n - x)`` rotates it to x: for consecutive
         steps the arc t(r-1)+1 .. min(tr, n//2) and its mirror (r = 0: {0}),
-        else one scan of the BFS row, which fills every radius."""
+        else one pass over ``layers``, which fills every radius."""
         spheres, n = self.spheres, self.n
         if r not in spheres:
             if self.is_consecutive:
@@ -94,11 +96,43 @@ class CirculantGraph:
                 m = arc << lo | arc << n - hi if r else 1
                 spheres[r] = m | m << n
             else:
-                masks = [0] * (self.diameter + 1)
-                for y, d in enumerate(self.dist_row):
-                    masks[d] |= 1 << y
-                spheres.update((d, m | m << n) for d, m in enumerate(masks))
+                for d, layer in enumerate(self.layers):
+                    m = sum(1 << y for y in layer)
+                    spheres[d] = m | m << n
         return spheres[r]
+
+    @cached_property
+    def layers(self) -> list[list[int]]:
+        """Entry d: the vertices at distance d from 0, ascending."""
+        layers: list[list[int]] = [[] for _ in range(self.diameter + 1)]
+        for y, d in enumerate(self.dist_row):
+            layers[d].append(y)
+        return layers
+
+    @cached_property
+    def separators(self) -> list[int]:
+        """Entry delta <= n // 2: the doubled mask m | m << n of m =
+        sep(0, delta), the y with d(0, y) != d(0, y - delta).  Plane b holds
+        the y whose d(0, y) has bit b set; the two distances differ exactly
+        when some plane differs at y, so m = OR over planes P of
+        P ^ rot(P, delta), one shift of P doubled."""
+        n = self.n
+        planes = [0] * self.diameter.bit_length()
+        for d, layer in enumerate(self.layers):
+            bits, b = sum(1 << y for y in layer), 0
+            while d:  # layer d joins the planes of the set bits of d
+                if d & 1:
+                    planes[b] |= bits
+                d, b = d >> 1, b + 1
+        doubled = [(plane, plane | plane << n) for plane in planes]
+        full, table = (1 << n) - 1, []
+        for delta in range(n // 2 + 1):
+            mask = 0
+            for plane, twice in doubled:
+                mask |= plane ^ (twice >> (n - delta))
+            mask &= full
+            table.append(mask | mask << n)
+        return table
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]
@@ -121,8 +155,6 @@ def make_consecutive(n: int, t: int) -> CirculantGraph:
     Steps beyond n//2 fold back, so t >= n//2 yields the complete graph;
     only the steps up to n//2 are built, so a huge t costs nothing extra.
     """
-    if n < 3:
-        raise ValueError(f"order must be at least 3, got {n}")
     if t < 1:
         raise ValueError(f"max step must be at least 1, got {t}")
     return CirculantGraph(n, tuple(range(1, min(t, n // 2) + 1)))

@@ -122,7 +122,8 @@ def _find_inducing_set(g: CirculantGraph, cluster: Cluster
     of each block; from those the kernel picks the least set that resolves
     one member of each block.
     """
-    pool = [x for x in g.vertices if x not in cluster.vertices
+    inside = cluster.vertices
+    pool = [x for x in g.vertices if x not in inside
             and all(len({g.dist(x, v) for v in b}) == 1 for b in cluster.blocks)]
     if not pool:
         return None

@@ -4,8 +4,8 @@ Two routes are provided and deliberately kept separate:
 
 - The kernel, ``_Kernel``: a set resolves given vertex pairs exactly when
   it hits the separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)}
-  as an n-bit integer, which ``sep`` rotates out of its graph's one mask
-  table, ``_separators``.  Its one entry, ``hit``, takes the pairs' masks
+  as an n-bit integer, which ``pair_masks`` rotates out of the graph's
+  ``separators`` table.  Its one entry, ``hit``, takes the pairs' masks
   and a range of sizes and, size by size, runs the budget guard and a
   lexicographic depth-first search over subsets of a candidate pool
   (``_descend``); the first hit set found is the least.  A node keeps the
@@ -14,10 +14,10 @@ Two routes are provided and deliberately kept separate:
   off ANDs of the unhit masks in one scan of the narrowest or of the first
   pick's range, whichever is smaller (``_last_two``).  ``exact_dim`` and
   ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
-  pool is 1..n-1 and the pairs are those on one sphere around 0.  Both
-  also search each rotation class of sets about once (the orbit cut,
-  ``_orbit_range``).  ``min_resolvers`` passes the pairs inside each block
-  and the allowed set as the pool; it has no rotation to cut by.
+  pool is 1..n-1 and the blocks are the graph's ``layers``, the spheres
+  around 0.  Both also search each rotation class of sets about once (the
+  orbit cut, ``_orbit_range``).  ``min_resolvers`` passes the cluster's
+  blocks and the allowed set as the pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -30,7 +30,6 @@ Both routes stop at ``max_k``: exhausting every size up to it raises
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -99,42 +98,11 @@ def _search_lower_bound(g: CirculantGraph) -> int:
     return lb
 
 
-@functools.lru_cache(maxsize=1)
-def _separators(g: CirculantGraph) -> tuple[list[list[int]], list[int]]:
-    """The vertices of ``g`` by distance from 0, and per shift delta <=
-    n // 2 the doubled mask m | m << n of m = sep(0, delta), the y with
-    d(0, y) != d(0, y - delta).  Plane b holds the y whose d(0, y) has bit
-    b set; the two distances differ exactly when some plane differs at y,
-    so m = OR over planes P of P ^ rot(P, delta), one shift of P doubled.
-    Built whole from one walk of the distance row and kept for the last
-    graph asked for, so every kernel on one graph shares it."""
-    n = g.n
-    spheres: list[list[int]] = [[] for _ in range(g.diameter + 1)]
-    for y, d in enumerate(g.dist_row):
-        spheres[d].append(y)
-    planes = [0] * g.diameter.bit_length()
-    for d, sphere in enumerate(spheres):
-        bits, b = sum(1 << y for y in sphere), 0
-        while d:  # sphere d joins the planes of the set bits of d
-            if d & 1:
-                planes[b] |= bits
-            d, b = d >> 1, b + 1
-    doubled = [(plane, plane | plane << n) for plane in planes]
-    full, table = (1 << n) - 1, []
-    for delta in range(n // 2 + 1):
-        mask = 0
-        for plane, twice in doubled:
-            mask |= plane ^ (twice >> (n - delta))
-        mask &= full
-        table.append(mask | mask << n)
-    return spheres, table
-
-
 class _Kernel:
     """Search state only: the depth-first search over subsets of the
-    sorted candidate ``pool`` in ascending lexicographic order, and the
-    separator masks of its graph's ``_separators`` table cut to the pool.
-    Bit x stands for vertex x."""
+    sorted candidate ``pool`` in ascending lexicographic order, on the
+    masks of its graph's ``separators`` table cut to the pool.  Bit x
+    stands for vertex x."""
 
     def __init__(self, g: CirculantGraph, pool: Sequence[int], orbit: bool = False):
         self.g = g
@@ -144,36 +112,26 @@ class _Kernel:
         self.pool_mask = ((1 << pool.stop) - (1 << pool.start)
                           if isinstance(pool, range) and pool.step == 1 and pool
                           else sum(1 << x for x in pool))
-        # fetched by the first sep: a search the budget guard refuses builds no table
-        self.table: Optional[list[int]] = None
         self.nodes = 0
         self.exhausted: list[int] = []
         # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
-        # pool range(1, n) and the sphere pairs around 0
+        # pool range(1, n) and the pairs inside the graph's layers
         self.orbit = orbit
 
-    def sep(self, u: int, v: int) -> int:
-        """Mask of the pool vertices x with d(x, u) != d(x, v): the mask m of
-        delta = v - u, rotated by u around Z_n (bit y moves to bit y + u),
-        one shift of the stored m | m << n, cut by ``pool_mask`` (the pool
-        lies in [0, n)).  As sep(u, v) = sep(v, u), a delta past n // 2 is
-        read as sep(v, u), whose delta n - delta is not: the table holds
-        deltas 0..n // 2 only."""
-        table = self.table
-        if table is None:
-            table = self.table = _separators(self.g)[1]
-        n = self.n
-        delta = (v - u) % n
-        if delta > n // 2:
-            u, delta = v, n - delta
-        return (table[delta] >> (n - u)) & self.pool_mask
-
-    def sphere_pairs(self) -> Iterator[int]:
-        """Masks of the pairs on one sphere around vertex 0, the pairs {0}
-        leaves colliding; lazy, so a refused search builds no table."""
-        for s in _separators(self.g)[0]:
-            for u, v in itertools.combinations(s, 2):
-                yield self.sep(u, v)
+    def pair_masks(self, blocks: Iterable[Sequence[int]]) -> Iterator[int]:
+        """For each pair u, v inside each block, the pool vertices x with
+        d(x, u) != d(x, v): the graph's ``separators`` mask of delta = v - u
+        rotated by u (one shift of the doubled mask), cut by ``pool_mask``.
+        As sep(u, v) = sep(v, u), a delta past n // 2 is read as the pair
+        v, u, whose delta n - delta the table holds.  Lazy: a search the
+        budget guard refuses builds no table."""
+        table, n, pool_mask = self.g.separators, self.n, self.pool_mask
+        for block in blocks:
+            for u, v in itertools.combinations(block, 2):
+                delta = (v - u) % n
+                if delta > n // 2:
+                    u, delta = v, n - delta
+                yield (table[delta] >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: Optional[int]) -> Optional[tuple[int, ...]]:
@@ -343,7 +301,7 @@ def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
     resolving set containing 0 of 1 + p vertices, p the first of ``picks``
     that has one."""
     kernel = _Kernel(g, range(1, g.n), orbit=True)
-    found = kernel.hit(kernel.sphere_pairs(), picks, budget)
+    found = kernel.hit(kernel.pair_masks(g.layers), picks, budget)
     return kernel, None if found is None else (0,) + found
 
 
@@ -416,9 +374,11 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     ``max_size`` set the search stops early and reports ``capped=True``
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
-    of ``allowed`` and of the cluster must lie in [0, n); a first call on
-    a graph that passes the budget guard builds all n // 2 + 1 masks of
-    its separator table.
+    of ``allowed`` and of the cluster must lie in [0, n).  Only budget 0
+    is refused before any mask is built, by the guard at size 0; a budget
+    below |allowed| builds the masks of every pair (on a graph's first
+    call, its whole separator table) and is refused if the search reaches
+    size 1.
     """
     pool = sorted(set(allowed))
     if not pool:
@@ -426,8 +386,7 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
     _check_budget(len(pool), 0, budget)  # hit's first guard, before any mask
     kernel = _Kernel(g, pool)
-    pairs = [kernel.sep(u, v) for block in cluster.blocks
-             for u, v in itertools.combinations(block, 2)]
+    pairs = list(kernel.pair_masks(cluster.blocks))
     if not all(pairs):
         return MinResolversResult(size=None, witness=None)
     limit = len(pool) if max_size is None else min(max_size, len(pool))

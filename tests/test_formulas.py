@@ -10,6 +10,7 @@ from circmd.formulas import (
     formula_dim,
     known_bounds,
     split,
+    table_row,
 )
 from circmd.graph import make_consecutive
 from circmd.resolve import is_resolving
@@ -149,6 +150,8 @@ def test_table_matches_the_ladder():
     for t in range(1, 9):
         for n in range(3, 3000):
             assert formula_dim(n, t) == _formula_dim_by_ladder(n, t), (n, t)
+    with pytest.raises(ValueError, match="order must be at least 3, got 2"):
+        table_row(2, 4)
 
 
 def test_sporadic_witnesses_resolve_at_the_formula_size():

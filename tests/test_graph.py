@@ -28,6 +28,8 @@ def test_canonical_steps_drops_zero_residues():
     assert canonical_steps(10, (10, 1)) == (1,)
     with pytest.raises(ValueError):
         canonical_steps(10, (10,))
+    with pytest.raises(ValueError, match="order must be at least 3, got 2"):
+        canonical_steps(2, (1,))
 
 
 def test_disconnected_step_set_rejected():
@@ -39,6 +41,13 @@ def test_make_consecutive_small_n_folds_to_complete():
     g = make_consecutive(6, 4)
     assert g.steps == (1, 2, 3)
     assert g.diameter == 1
+    # an order below 3 is refused by canonical_steps, after the step check
+    for n in (2, 0, -5):
+        with pytest.raises(ValueError, match=f"order must be at least 3, got {n}"):
+            make_consecutive(n, 4)
+    for n in (13, 2):
+        with pytest.raises(ValueError, match="max step must be at least 1, got 0"):
+            make_consecutive(n, 0)
 
 
 @given(nt_pairs)
@@ -97,6 +106,9 @@ def test_closed_form_validates_t():
         distance_closed_form(10, 6, 0, 1)
     with pytest.raises(ValueError):
         distance_closed_form(10, 0, 0, 1)
+    for i, j in ((0, 10), (-1, 0)):
+        with pytest.raises(ValueError, match=r"vertices must lie in \[0, 10\)"):
+            distance_closed_form(10, 2, i, j)
 
 
 def test_distance_row_example():
@@ -131,9 +143,14 @@ def test_diameter_set_members_at_max_distance():
 def test_diameter_set_shifts_with_vertex():
     g = make_consecutive(21, 4)
     assert diameter_set(g, 3) == frozenset((v + 3) % 21 for v in diameter_set(g, 0))
+    for other in (make_consecutive(21, 3), CirculantGraph(21, (1, 2, 3, 5))):
+        with pytest.raises(ValueError, match="requires step set"):
+            diameter_set(other, 0)
 
 
 def test_bfs_agrees_on_nonconsecutive_steps():
     g = CirculantGraph(12, (1, 5))
     for j in range(12):
         assert g.dist(0, j) == distance_bfs(g, 0, j)
+    with pytest.raises(ValueError, match=r"vertices must lie in \[0, 12\)"):
+        distance_bfs(g, 0, 12)

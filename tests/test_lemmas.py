@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
 import circmd.lemmas as lemmas
 import circmd.solver as solver
-from circmd.graph import make_consecutive
+from circmd.graph import CirculantGraph, make_consecutive
 from circmd.lemmas import (
     ANCHOR_PROBES,
     REGISTRY,
@@ -254,21 +255,30 @@ def test_check_lemma_builds_one_graph_per_order(monkeypatch):
 
 def test_check_lemma_builds_one_separator_table_per_order(monkeypatch):
     # every kernel at an order reads that order's one table: 96 kernels
-    # (min_resolvers calls and inducing-set searches) over 9 orders
-    kernels = []
+    # (min_resolvers calls and inducing-set searches) over 9 orders, and
+    # each order's table is built once
+    kernels, built = [], []
 
     class Counting(solver._Kernel):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             kernels.append(self)
 
+    def counting(g):
+        built.append(g.n)
+        return build(g)
+
+    build = CirculantGraph.separators.func
+    table = cached_property(counting)
+    table.__set_name__(CirculantGraph, "separators")
     monkeypatch.setattr(solver, "_Kernel", Counting)
-    solver._separators.cache_clear()
+    monkeypatch.setattr(CirculantGraph, "separators", table)
+    lemmas._graph.cache_clear()
     report = check_lemma(REGISTRY["L-2-4-3-r56"], (1, 2, 3))
     orders = {r.n for r in report.results}
     assert len(orders) == 9 and len(kernels) == 96
-    assert solver._separators.cache_info().misses == 9
-    assert len({id(k.table) for k in kernels if k.table is not None}) == 9
+    assert len({id(k.g.separators) for k in kernels}) == 9
+    assert sorted(built) == sorted(orders)  # the reads above built none
 
 
 def test_check_lemma_refuses_an_empty_k_range():

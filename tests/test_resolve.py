@@ -304,6 +304,10 @@ def test_pair_resolvers_example():
     assert pair_resolvers(g, 0) == frozenset({0, 1, 5, 9})
     g21 = make_consecutive(21, 4)
     assert pair_resolvers(g21, 3) == frozenset({3, 4, 8, 12, 16, 20})
+    with pytest.raises(ValueError, match="requires a consecutive step set"):
+        pair_resolvers(CirculantGraph(12, (1, 5)), 0)
+    with pytest.raises(ValueError, match="requires step set"):
+        pair_resolvers_arithmetic(make_consecutive(13, 3), 0)
 
 
 def test_pair_resolvers_scan_matches_arithmetic_form():

@@ -25,7 +25,12 @@ from circmd.solver import (
     min_resolvers,
 )
 from circmd import solver
-from circmd.solver import _Kernel, _basis_with_zero, _separators
+from circmd.solver import _Kernel, _basis_with_zero
+
+
+def _sep(kernel, u, v):
+    # the mask of one pair, which is a block of two vertices
+    return next(kernel.pair_masks([(u, v)]))
 
 
 def test_exact_matches_oracle_on_small_orders():
@@ -92,7 +97,7 @@ def test_orbit_cut_matches_the_plain_kernel():
             g = make_consecutive(n, t)
             res = exact_dim(g)
             kernel = _Kernel(g, range(1, n))
-            found = kernel.hit(kernel.sphere_pairs(),
+            found = kernel.hit(kernel.pair_masks(g.layers),
                                range(res.lower_bound_used - 1, n), None)
             basis = (0,) + found
             exhausted = tuple(p + 1 for p in kernel.exhausted)
@@ -181,8 +186,7 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
         raise AssertionError("separator mask built before the budget guard")
 
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    monkeypatch.setattr(_Kernel, "sep", no_mask)
-    monkeypatch.setattr(solver, "_separators", no_mask)
+    monkeypatch.setattr(CirculantGraph, "separators", property(no_mask))
     g = make_consecutive(400, 4)
     with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
         exact_dim(g)
@@ -194,22 +198,21 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
 
 def test_kernels_on_one_graph_share_one_separator_table():
     # the table belongs to the graph, not the kernel: kernels on other
-    # pools, or on an equal graph built anew, read the same object, and
-    # another order or step set gets its own
+    # pools read the same object, also after kernels on other graphs have
+    # run, while an equal graph built anew, another order or another step
+    # set gets its own
     g = make_consecutive(13, 4)
-    kernels = [_Kernel(g, range(13)), _Kernel(g, [0, 2, 5, 9]),
-               _Kernel(make_consecutive(13, 4), range(1, 13))]
-    for kernel in kernels:
-        kernel.sep(0, 1)
-    assert kernels[0].table is kernels[1].table is kernels[2].table
-    assert kernels[0].table is _separators(g)[1]
-    for other in (make_consecutive(14, 4), make_consecutive(13, 3),
-                  CirculantGraph(13, (1, 5))):
-        kernel = _Kernel(other, range(other.n))
-        kernel.sep(0, 1)
-        assert kernel.table is not kernels[0].table, other
-        assert kernel.table is _separators(other)[1], other
-        assert len(kernel.table) == other.n // 2 + 1, other
+    for kernel in (_Kernel(g, range(13)), _Kernel(g, [0, 2, 5, 9])):
+        _sep(kernel, 0, 1)
+    table = g.separators
+    assert len(table) == 13 // 2 + 1
+    for other in (make_consecutive(13, 4), make_consecutive(14, 4),
+                  make_consecutive(13, 3), CirculantGraph(13, (1, 5))):
+        _sep(_Kernel(other, range(other.n)), 0, 1)
+        assert other.separators is not table, other
+        assert len(other.separators) == other.n // 2 + 1, other
+    _sep(_Kernel(g, range(1, 13)), 0, 1)
+    assert g.separators is table
 
 
 def test_find_basis_of_size():
@@ -227,7 +230,7 @@ def test_kernel_adjacent_pair_masks_match_pair_resolvers():
             g = make_consecutive(n, t)
             kernel = _Kernel(g, range(n))
             for i in range(n):
-                mask = kernel.sep(i, (i + 1) % n)
+                mask = _sep(kernel, i, (i + 1) % n)
                 members = frozenset(x for x in g.vertices if mask >> x & 1)
                 assert members == pair_resolvers(g, i), (n, t, i)
                 if t == 4:
@@ -251,7 +254,7 @@ def test_kernel_masks_match_the_definition_for_every_shift():
                     v = (u + delta) % n
                     expected = sum(1 << x for x in g.vertices
                                    if g.dist(x, u) != g.dist(x, v))
-                    assert kernel.sep(u, v) == expected, (g, u, v)
+                    assert _sep(kernel, u, v) == expected, (g, u, v)
     assert {1, 2, 3, 4, 7, 8, 15, 16} <= diameters
 
 
@@ -273,9 +276,9 @@ def test_kernel_masks_are_symmetric_on_every_pool():
                 kernel = _Kernel(g, pool)
                 for u, v in itertools.combinations(range(n), 2):
                     expected = sum(1 << x for x in pool if dist[u][x] != dist[v][x])
-                    assert kernel.sep(u, v) == kernel.sep(v, u) == expected, \
+                    assert _sep(kernel, u, v) == _sep(kernel, v, u) == expected, \
                         (g, pool, u, v)
-                assert len(kernel.table) == n // 2 + 1
+            assert len(g.separators) == n // 2 + 1
 
 
 def _first_resolving_by_sweep(g, k):
@@ -405,7 +408,7 @@ def _sorted_pool_searches():
         g = CirculantGraph(n, steps)
         kernel = _Kernel(g, sorted(rng.sample(range(n), rng.randint(2, n))))
         vertices = rng.sample(range(n), rng.randint(2, 7))
-        pairs = [kernel.sep(u, v) for u, v in itertools.combinations(vertices, 2)]
+        pairs = list(kernel.pair_masks([vertices]))
         low = rng.randint(0, 5)
         found = kernel.hit(pairs, range(low, rng.randint(low, 5) + 1), None)
         yield found, kernel.exhausted, kernel.nodes
@@ -477,8 +480,7 @@ def test_last_two_picks_match_a_per_v_loop():
             runs = []
             for cls in (Counting, _PerVKernel):
                 kernel = cls(g, pool, orbit=orbit)
-                pairs = (kernel.sphere_pairs() if orbit
-                         else [kernel.sep(u, v) for u, v in uv])
+                pairs = kernel.pair_masks(g.layers if orbit else uv)
                 runs.append((kernel.hit(pairs, sizes, None), kernel.exhausted))
             assert runs[0] == runs[1], (g, pool, orbit, sizes)
     assert min(sides.values()) >= 1000, sides
@@ -501,7 +503,7 @@ def _last_two_calls():
                            sorted(rng.sample(range(n), rng.randint(2, n)))])
         kernel = _Kernel(g, pool)
         uv = list(itertools.combinations(rng.sample(range(n), rng.randint(2, 5)), 2))
-        pairs = [kernel.sep(u, v) for u, v in rng.sample(uv, rng.randint(0, len(uv)))]
+        pairs = list(kernel.pair_masks(rng.sample(uv, rng.randint(0, len(uv)))))
         if rng.random() < 0.5:  # as hit passes them
             pairs.sort(key=int.bit_count)
         start = rng.randrange(len(pool))
@@ -531,7 +533,7 @@ def test_last_two_picks_are_the_least_hitting_pair():
     # on K7 each mask is its own pair, so {5, 6} alone hits these: the
     # scan of the narrowest mask meets it, but 5 lies above the v range
     kernel = _Kernel(make_consecutive(7, 3), range(7))
-    pairs = [kernel.sep(u, v) for u, v in ((5, 6), (4, 6), (2, 6), (2, 5), (4, 5))]
+    pairs = list(kernel.pair_masks([(5, 6), (4, 6), (2, 6), (2, 5), (4, 5)]))
     assert pairs[0] == 1 << 5 | 1 << 6
     assert kernel._last_two(pairs, 0, 4) is None
     assert kernel._last_two(pairs, 0, 6) == (5, 6)
@@ -556,7 +558,7 @@ def test_masks_search_the_same_in_a_fresh_kernel():
     g = make_consecutive(13, 4)
     for pool in (range(1, 13), [0, 2, 3, 5, 8, 9, 11]):
         builder = _Kernel(g, pool)
-        pairs = list(builder.sphere_pairs())
+        pairs = list(builder.pair_masks(g.layers))
         runs = []
         for kernel in (builder, _Kernel(g, pool)):
             found = kernel.hit(pairs, range(2, 6), None)
@@ -612,7 +614,7 @@ def test_duplicate_masks_do_not_change_the_search():
     cases = []
     for n, t in ((13, 4), (24, 4), (26, 3), (37, 2)):
         g = make_consecutive(n, t)
-        uv = [(u, v) for s in _separators(g)[0] for u, v in itertools.combinations(s, 2)]
+        uv = [(u, v) for s in g.layers for u, v in itertools.combinations(s, 2)]
         cases.append((g, range(1, n), uv, range(n)))
         for _ in range(5):  # pairs inside blocks, over a random allowed set
             pool = sorted(rng.sample(range(n), rng.randint(n // 3, n)))
@@ -620,7 +622,7 @@ def test_duplicate_masks_do_not_change_the_search():
             vertices = rng.sample(range(n), 8)
             uv = [(u, v) for i in (0, 4)
                   for u, v in itertools.combinations(vertices[i:i + 4], 2)
-                  if kernel.sep(u, v)]
+                  if _sep(kernel, u, v)]
             cases.append((g, pool, uv, range(len(pool) + 1)))
     exhausted = 0
     for g, pool, uv, sizes in cases:
@@ -629,7 +631,7 @@ def test_duplicate_masks_do_not_change_the_search():
         for search, pairs in ((hit, uv), (hit, uv + repeats),
                               (keep_repeats, uv + repeats)):
             kernel = _Kernel(g, pool)
-            runs.append(search(kernel, [kernel.sep(u, v) for u, v in pairs], sizes))
+            runs.append(search(kernel, list(kernel.pair_masks(pairs)), sizes))
         assert runs[1] == runs[0] and runs[2] == runs[0], (g, pool)
         exhausted += len(runs[0][1])
     assert exhausted >= len(cases)
