@@ -41,7 +41,8 @@ class CirculantGraph:
     """Immutable circulant graph; safe for concurrent read access.  Its
     lazy entries, ``dist_row``, ``diameter``, ``layers``, ``separators`` and
     each mask in ``spheres``, are filled on first use: two readers may both
-    fill one, with the same value."""
+    fill one, with the same value.  ``whole_separators`` swaps in a longer
+    table whole, so a reader holding either finds delta at index delta."""
 
     n: int
     steps: tuple[int, ...]
@@ -111,11 +112,23 @@ class CirculantGraph:
 
     @cached_property
     def separators(self) -> list[int]:
-        """Entry delta <= n // 2: the doubled mask m | m << n of m =
-        sep(0, delta), the y with d(0, y) != d(0, y - delta).  Plane b holds
-        the y whose d(0, y) has bit b set; the two distances differ exactly
-        when some plane differs at y, so m = OR over planes P of
-        P ^ rot(P, delta), one shift of P doubled."""
+        """Entry delta: the doubled mask m | m << n of m = sep(0, delta), the
+        y with d(0, y) != d(0, y - delta), for delta <= n // 2 (and, on
+        consecutive steps, <= 4t: the widest pair of the solver's blocks)."""
+        n = self.n
+        return self._separator_table(min(n // 2, 4 * self.t)
+                                     if self.is_consecutive else n // 2)
+
+    def whole_separators(self) -> list[int]:
+        """``separators`` up to delta = n // 2, built anew and swapped in."""
+        table = self.__dict__["separators"] = self._separator_table(self.n // 2)
+        return table
+
+    def _separator_table(self, top: int) -> list[int]:
+        """``separators`` entries 0..top.  Plane b holds the y whose d(0, y)
+        has bit b set; the two distances differ exactly when some plane
+        differs at y, so m = OR over planes P of P ^ rot(P, delta), one
+        shift of P doubled."""
         n = self.n
         planes = [0] * self.diameter.bit_length()
         for d, layer in enumerate(self.layers):
@@ -126,7 +139,7 @@ class CirculantGraph:
                 d, b = d >> 1, b + 1
         doubled = [(plane, plane | plane << n) for plane in planes]
         full, table = (1 << n) - 1, []
-        for delta in range(n // 2 + 1):
+        for delta in range(top + 1):
             mask = 0
             for plane, twice in doubled:
                 mask |= plane ^ (twice >> (n - delta))

@@ -14,10 +14,12 @@ Two routes are provided and deliberately kept separate:
   off ANDs of the unhit masks in one scan of the narrowest or of the first
   pick's range, whichever is smaller (``_last_two``).  ``exact_dim`` and
   ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
-  pool is 1..n-1 and the blocks are the graph's ``layers``, the spheres
-  around 0.  Both also search each rotation class of sets about once (the
-  orbit cut, ``_orbit_range``).  ``min_resolvers`` passes the cluster's
-  blocks and the allowed set as the pool; it has no rotation to cut by.
+  pool is 1..n-1 and the blocks are the spheres around 0, read only past
+  the first budget guard, each interior one of a consecutive graph cut in
+  two (``_sphere_blocks``).  Both also search each rotation class of sets
+  about once (the orbit cut, ``_orbit_range``).  ``min_resolvers`` passes
+  the cluster's blocks and the allowed set as the pool; it has no
+  rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -123,14 +125,18 @@ class _Kernel:
         d(x, u) != d(x, v): the graph's ``separators`` mask of delta = v - u
         rotated by u (one shift of the doubled mask), cut by ``pool_mask``.
         As sep(u, v) = sep(v, u), a delta past n // 2 is read as the pair
-        v, u, whose delta n - delta the table holds.  Lazy: a search the
-        budget guard refuses builds no table."""
-        table, n, pool_mask = self.g.separators, self.n, self.pool_mask
+        v, u, whose delta n - delta the table holds; a delta past the
+        table's end takes the graph's ``whole_separators``.  Lazy: a search
+        the budget guard refuses builds no table."""
+        n, pool_mask, table = self.n, self.pool_mask, self.g.separators
+        half, top = n // 2, len(table) - 1
         for block in blocks:
             for u, v in itertools.combinations(block, 2):
                 delta = (v - u) % n
-                if delta > n // 2:
+                if delta > half:
                     u, delta = v, n - delta
+                if delta > top:
+                    table, top = self.g.whole_separators(), half
                 yield (table[delta] >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
@@ -293,6 +299,33 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
             f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
+def _sphere_blocks(g: CirculantGraph) -> Iterator[list[int]]:
+    """The graph's ``layers``, read at the first block asked for, with each
+    layer 3 <= d <= D - 2 of a consecutive graph of diameter D cut into its
+    arc t(d-1)+1..td and the mirror.  That drops only repeats: while both
+    arcs between u and v span t or more, x on one of them, p from u and
+    L - p from v along it, has d(x, u) = d(x, v) exactly when ceil(p / t) =
+    ceil((L - p) / t) (a route through the far end is a hop longer).  Moving
+    a cross pair (a, -b) t toward 0 takes the arc through 0 from a + b >=
+    4t + 2 down 2t and the other from n - a - b >= 2t + 2 (as n // 2 >
+    t(d + 1)) up 2t: p moves by t on each, both ceilings with it, and the t
+    vertices at each end that change arcs tie neither pair (ceilings <= 1
+    and >= 2).  So (a, -b) has the mask of (a - t, -(b - t)) in layer d - 1,
+    and in the end of a pair in layer 1 or 2, kept whole.  No pair left
+    spans over 4t: under t in an arc, a + b <= 4t in layers 1 and 2, and
+    n - a - b <= 4t in layers D - 1 and D."""
+    layers = g.layers
+    if not g.is_consecutive:
+        yield from layers
+        return
+    t, outer = g.t, max(3, len(layers) - 2)
+    yield from layers[:3]
+    for layer in layers[3:outer]:
+        yield layer[:t]
+        yield layer[t:]
+    yield from layers[outer:]
+
+
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
                      budget: Optional[int]
                      ) -> tuple[_Kernel, Optional[tuple[int, ...]]]:
@@ -301,7 +334,7 @@ def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
     resolving set containing 0 of 1 + p vertices, p the first of ``picks``
     that has one."""
     kernel = _Kernel(g, range(1, g.n), orbit=True)
-    found = kernel.hit(kernel.pair_masks(g.layers), picks, budget)
+    found = kernel.hit(kernel.pair_masks(_sphere_blocks(g)), picks, budget)
     return kernel, None if found is None else (0,) + found
 
 
@@ -377,8 +410,8 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     of ``allowed`` and of the cluster must lie in [0, n).  Only budget 0
     is refused before any mask is built, by the guard at size 0; a budget
     below |allowed| builds the masks of every pair (on a graph's first
-    call, its whole separator table) and is refused if the search reaches
-    size 1.
+    call, its separator table as far as they reach) and is refused if the
+    search reaches size 1.
     """
     pool = sorted(set(allowed))
     if not pool:

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -24,8 +26,8 @@ from circmd.solver import (
     find_basis_of_size,
     min_resolvers,
 )
-from circmd import solver
-from circmd.solver import _Kernel, _basis_with_zero
+from circmd import cli, solver
+from circmd.solver import _Kernel, _basis_with_zero, _sphere_blocks
 
 
 def _sep(kernel, u, v):
@@ -194,6 +196,98 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
         find_basis_of_size(g, 6)
     with pytest.raises(BudgetExceededError, match=r"C\(400, 0\)"):
         min_resolvers(g, Cluster([[0, 1]]), range(400), budget=0)
+
+
+def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
+    # a refused witness search builds no row, no layers and no table;
+    # exact_dim still builds dist_row, for its counting bound, and no more
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    lazy = {"dist_row", "layers", "separators"}
+    g = make_consecutive(400, 4)
+    with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
+        find_basis_of_size(g, 6)
+    assert not lazy & g.__dict__.keys()
+    with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
+        exact_dim(g)
+    assert lazy & g.__dict__.keys() == {"dist_row"}
+
+    # the CLI's formula route at n = 80 falls back to the same search
+    def no_read(*args):
+        raise AssertionError("graph read before the budget guard")
+
+    for name in lazy:
+        monkeypatch.setattr(CirculantGraph, name, property(no_read))
+    assert cli.main(["dim", "--n", "80", "--t", "4"]) == 3
+    assert "C(79, 5) candidates exceed budget" in capsys.readouterr().out
+
+
+def test_sphere_blocks_drop_only_repeated_masks():
+    # cutting the interior layers of a consecutive graph into arc and
+    # mirror leaves hit's deduplicated, width-sorted masks as the whole
+    # layers give them, and no pair more than 4t apart, so the table
+    # stops at delta = 4t
+    def ordered(masks):
+        return sorted(dict.fromkeys(masks), key=int.bit_count)
+
+    for t in range(1, 9):
+        for n in range(2 * t + 2, 201):
+            g = make_consecutive(n, t)
+            kernel = _Kernel(g, range(1, n))
+            blocks = list(_sphere_blocks(g))
+            split = ordered(kernel.pair_masks(blocks))
+            assert len(g.separators) == min(n // 2, 4 * t) + 1, (n, t)
+            assert all(min((v - u) % n, (u - v) % n) <= 4 * t
+                       for block in blocks
+                       for u, v in itertools.combinations(block, 2)), (n, t)
+            assert split == ordered(kernel.pair_masks(g.layers)), (n, t)
+
+
+def test_witness_search_builds_the_table_to_4t():
+    g = make_consecutive(492, 4)
+    assert find_basis_of_size(g, 4) == (0, 2, 244, 246)
+    short = g.separators
+    assert len(short) == 17
+    # a cluster pair 100 > 4t apart swaps in the whole table: 49..51 tie
+    # on it and 52 does not
+    pair = Cluster([[0, 100]])
+    assert min_resolvers(g, pair, range(49, 52)) == MinResolversResult(None, None)
+    assert len(g.separators) == 247 and len(short) == 17
+    assert min_resolvers(g, pair, range(49, 53)) == MinResolversResult(1, (52,))
+    sep = sum(1 << x for x in g.vertices if g.dist(x, 0) != g.dist(x, 100))
+    assert g.separators[100] == sep | sep << g.n
+    assert g.separators[:17] == short
+
+
+def test_concurrent_readers_see_a_whole_separator_table():
+    # threads on one graph each read every delta while the short table is
+    # swapped for the whole one: a table grown in place under a reader
+    # would hand out a mask at the wrong index
+    n, t = 200, 2
+    expected = make_consecutive(n, t).whole_separators()
+    deltas = range(n // 2, -1, -1)  # the widest first, past the short table
+    blocks = [(0, delta) for delta in deltas]
+    want = [expected[delta] & (1 << n) - 1 for delta in deltas]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g = make_consecutive(n, t)
+            seen = []
+
+            def read():
+                masks = list(_Kernel(g, range(n)).pair_masks(blocks))
+                seen.append(masks == want)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            assert seen == [True] * 8
+            assert g.separators == expected
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_kernels_on_one_graph_share_one_separator_table():
