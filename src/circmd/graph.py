@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .formulas import split
 
@@ -39,10 +39,9 @@ def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CirculantGraph:
     """Immutable circulant graph; safe for concurrent read access.  Its
-    lazy entries, ``dist_row``, ``diameter``, ``layers``, ``separators`` and
-    each mask in ``spheres``, are filled on first use: two readers may both
-    fill one, with the same value.  ``whole_separators`` swaps in a longer
-    table whole, so a reader holding either finds delta at index delta."""
+    lazy entries, ``dist_row``, ``diameter``, ``layers``, ``planes``, each
+    mask in ``spheres`` and each entry of ``separators``, are filled on
+    first use: two readers may both fill one, with the same value."""
 
     n: int
     steps: tuple[int, ...]
@@ -111,41 +110,36 @@ class CirculantGraph:
         return layers
 
     @cached_property
-    def separators(self) -> list[int]:
-        """Entry delta: the doubled mask m | m << n of m = sep(0, delta), the
-        y with d(0, y) != d(0, y - delta), for delta <= n // 2 (and, on
-        consecutive steps, <= 4t: the widest pair of the solver's blocks)."""
-        n = self.n
-        return self._separator_table(min(n // 2, 4 * self.t)
-                                     if self.is_consecutive else n // 2)
+    def separators(self) -> list[Optional[int]]:
+        """Entry delta, for delta <= n // 2: ``separator(delta)`` once that
+        has run, else None."""
+        return [None] * (self.n // 2 + 1)
 
-    def whole_separators(self) -> list[int]:
-        """``separators`` up to delta = n // 2, built anew and swapped in."""
-        table = self.__dict__["separators"] = self._separator_table(self.n // 2)
-        return table
-
-    def _separator_table(self, top: int) -> list[int]:
-        """``separators`` entries 0..top.  Plane b holds the y whose d(0, y)
-        has bit b set; the two distances differ exactly when some plane
-        differs at y, so m = OR over planes P of P ^ rot(P, delta), one
+    def separator(self, delta: int) -> int:
+        """The doubled mask m | m << n of m = sep(0, delta), the y with
+        d(0, y) != d(0, y - delta), for delta <= n // 2, stored in
+        ``separators``.  Two distances differ exactly when some plane
+        differs at y, so m = OR over ``planes`` P of P ^ rot(P, delta), one
         shift of P doubled."""
-        n = self.n
-        planes = [0] * self.diameter.bit_length()
+        n, mask = self.n, 0
+        for plane, twice in self.planes:
+            mask |= plane ^ (twice >> (n - delta))
+        mask &= (1 << n) - 1
+        mask |= mask << n
+        self.separators[delta] = mask
+        return mask
+
+    @cached_property
+    def planes(self) -> list[tuple[int, int]]:
+        """Plane b, alone and doubled: the y whose d(0, y) has bit b set."""
+        n, planes = self.n, [0] * self.diameter.bit_length()
         for d, layer in enumerate(self.layers):
             bits, b = sum(1 << y for y in layer), 0
             while d:  # layer d joins the planes of the set bits of d
                 if d & 1:
                     planes[b] |= bits
                 d, b = d >> 1, b + 1
-        doubled = [(plane, plane | plane << n) for plane in planes]
-        full, table = (1 << n) - 1, []
-        for delta in range(top + 1):
-            mask = 0
-            for plane, twice in doubled:
-                mask |= plane ^ (twice >> (n - delta))
-            mask &= full
-            table.append(mask | mask << n)
-        return table
+        return [(plane, plane | plane << n) for plane in planes]
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]

@@ -5,21 +5,21 @@ Two routes are provided and deliberately kept separate:
 - The kernel, ``_Kernel``: a set resolves given vertex pairs exactly when
   it hits the separator mask of each, sep(u, v) = {x : d(x, u) != d(x, v)}
   as an n-bit integer, which ``pair_masks`` rotates out of the graph's
-  ``separators`` table.  Its one entry, ``hit``, takes the pairs' masks
-  and a range of sizes and, size by size, runs the budget guard and a
-  lexicographic depth-first search over subsets of a candidate pool
-  (``_descend``); the first hit set found is the least.  A node keeps the
-  masks its picks leave unhit; inner nodes are cut by the disjoint-sets
-  bound of hitting-set branch and bound, and the last two picks are read
-  off ANDs of the unhit masks in one scan of the narrowest or of the first
-  pick's range, whichever is smaller (``_last_two``).  ``exact_dim`` and
-  ``find_basis_of_size`` fix vertex 0 (rotations act transitively): the
-  pool is 1..n-1 and the blocks are the spheres around 0, read only past
-  the first budget guard, each interior one of a consecutive graph cut in
-  two (``_sphere_blocks``).  Both also search each rotation class of sets
-  about once (the orbit cut, ``_orbit_range``).  ``min_resolvers`` passes
-  the cluster's blocks and the allowed set as the pool; it has no
-  rotation to cut by.
+  ``separators`` list, filled gap by gap as pairs ask.  Its one entry,
+  ``hit``, takes the pairs' masks and a range of sizes and, size by size,
+  runs the budget guard and a lexicographic depth-first search over
+  subsets of a candidate pool (``_descend``); the first hit set found is
+  the least.  A node keeps the masks its picks leave unhit; inner nodes
+  are cut by the disjoint-sets bound of hitting-set branch and bound, and
+  the last two picks are read off ANDs of the unhit masks in one scan of
+  the narrowest or of the first pick's range, whichever is smaller
+  (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
+  (rotations act transitively): the pool is 1..n-1 and the blocks are the
+  spheres around 0, read only past the first budget guard, each interior
+  one of a consecutive graph cut in two (``_sphere_blocks``).  Both also
+  search each rotation class of sets about once (the orbit cut,
+  ``_orbit_range``).  ``min_resolvers`` passes the cluster's blocks and
+  the allowed set as the pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -103,7 +103,7 @@ def _search_lower_bound(g: CirculantGraph) -> int:
 class _Kernel:
     """Search state only: the depth-first search over subsets of the
     sorted candidate ``pool`` in ascending lexicographic order, on the
-    masks of its graph's ``separators`` table cut to the pool.  Bit x
+    masks of its graph's ``separators`` entries cut to the pool.  Bit x
     stands for vertex x."""
 
     def __init__(self, g: CirculantGraph, pool: Sequence[int], orbit: bool = False):
@@ -122,22 +122,22 @@ class _Kernel:
 
     def pair_masks(self, blocks: Iterable[Sequence[int]]) -> Iterator[int]:
         """For each pair u, v inside each block, the pool vertices x with
-        d(x, u) != d(x, v): the graph's ``separators`` mask of delta = v - u
-        rotated by u (one shift of the doubled mask), cut by ``pool_mask``.
-        As sep(u, v) = sep(v, u), a delta past n // 2 is read as the pair
-        v, u, whose delta n - delta the table holds; a delta past the
-        table's end takes the graph's ``whole_separators``.  Lazy: a search
-        the budget guard refuses builds no table."""
-        n, pool_mask, table = self.n, self.pool_mask, self.g.separators
-        half, top = n // 2, len(table) - 1
+        d(x, u) != d(x, v): the graph's ``separators`` entry of delta = v - u
+        (``separator(delta)`` while it is None) rotated by u, one shift of
+        the doubled mask, cut by ``pool_mask``.  As sep(u, v) = sep(v, u),
+        a delta past n // 2 is read as the pair v, u, of gap n - delta.
+        Lazy: a search the budget guard refuses builds no mask."""
+        g, n, pool_mask = self.g, self.n, self.pool_mask
+        table, half = g.separators, n // 2
         for block in blocks:
             for u, v in itertools.combinations(block, 2):
                 delta = (v - u) % n
                 if delta > half:
                     u, delta = v, n - delta
-                if delta > top:
-                    table, top = self.g.whole_separators(), half
-                yield (table[delta] >> (n - u)) & pool_mask
+                m = table[delta]
+                if m is None:
+                    m = g.separator(delta)
+                yield (m >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: Optional[int]) -> Optional[tuple[int, ...]]:
@@ -312,8 +312,9 @@ def _sphere_blocks(g: CirculantGraph) -> Iterator[list[int]]:
     vertices at each end that change arcs tie neither pair (ceilings <= 1
     and >= 2).  So (a, -b) has the mask of (a - t, -(b - t)) in layer d - 1,
     and in the end of a pair in layer 1 or 2, kept whole.  No pair left
-    spans over 4t: under t in an arc, a + b <= 4t in layers 1 and 2, and
-    n - a - b <= 4t in layers D - 1 and D."""
+    spans over 4t (under t in an arc, a + b <= 4t in layers 1 and 2, and
+    n - a - b <= 4t in layers D - 1 and D), so a witness search fills at
+    most the 4t + 1 ``separators`` entries 0..4t."""
     layers = g.layers
     if not g.is_consecutive:
         yield from layers
@@ -409,9 +410,9 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     lower-bound claims without computing the true minimum).  Every vertex
     of ``allowed`` and of the cluster must lie in [0, n).  Only budget 0
     is refused before any mask is built, by the guard at size 0; a budget
-    below |allowed| builds the masks of every pair (on a graph's first
-    call, its separator table as far as they reach) and is refused if the
-    search reaches size 1.
+    below |allowed| builds the masks of every pair (and the graph's
+    ``separators`` entries of their gaps not yet filled) and is refused
+    if the search reaches size 1.
     """
     pool = sorted(set(allowed))
     if not pool:

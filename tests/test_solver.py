@@ -224,8 +224,8 @@ def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
 def test_sphere_blocks_drop_only_repeated_masks():
     # cutting the interior layers of a consecutive graph into arc and
     # mirror leaves hit's deduplicated, width-sorted masks as the whole
-    # layers give them, and no pair more than 4t apart, so the table
-    # stops at delta = 4t
+    # layers give them, and no pair more than 4t apart, so the entries
+    # past delta = 4t are still unfilled
     def ordered(masks):
         return sorted(dict.fromkeys(masks), key=int.bit_count)
 
@@ -235,7 +235,7 @@ def test_sphere_blocks_drop_only_repeated_masks():
             kernel = _Kernel(g, range(1, n))
             blocks = list(_sphere_blocks(g))
             split = ordered(kernel.pair_masks(blocks))
-            assert len(g.separators) == min(n // 2, 4 * t) + 1, (n, t)
+            assert set(g.separators[4 * t + 1:]) <= {None}, (n, t)
             assert all(min((v - u) % n, (u - v) % n) <= 4 * t
                        for block in blocks
                        for u, v in itertools.combinations(block, 2)), (n, t)
@@ -245,28 +245,29 @@ def test_sphere_blocks_drop_only_repeated_masks():
 def test_witness_search_builds_the_table_to_4t():
     g = make_consecutive(492, 4)
     assert find_basis_of_size(g, 4) == (0, 2, 244, 246)
-    short = g.separators
-    assert len(short) == 17
-    # a cluster pair 100 > 4t apart swaps in the whole table: 49..51 tie
-    # on it and 52 does not
+    table = g.separators
+    short = table[:17]
+    assert len(table) == 247 and set(table[17:]) == {None}
+    # a cluster pair 100 > 4t apart fills entry 100 alone: 49..51 tie on
+    # it and 52 does not
     pair = Cluster([[0, 100]])
     assert min_resolvers(g, pair, range(49, 52)) == MinResolversResult(None, None)
-    assert len(g.separators) == 247 and len(short) == 17
     assert min_resolvers(g, pair, range(49, 53)) == MinResolversResult(1, (52,))
     sep = sum(1 << x for x in g.vertices if g.dist(x, 0) != g.dist(x, 100))
-    assert g.separators[100] == sep | sep << g.n
-    assert g.separators[:17] == short
+    assert g.separators is table and table[100] == sep | sep << g.n
+    assert all(a is b for a, b in zip(table[:17], short))
+    assert {d for d in range(17, 247) if table[d] is None} == \
+        set(range(17, 247)) - {100}
 
 
 def test_concurrent_readers_see_a_whole_separator_table():
-    # threads on one graph each read every delta while the short table is
-    # swapped for the whole one: a table grown in place under a reader
-    # would hand out a mask at the wrong index
+    # threads on one fresh graph fill its entries at the same time, half
+    # from the widest delta down and half from 0 up: each sees the masks
+    # of the definition, and the list ends whole
     n, t = 200, 2
-    expected = make_consecutive(n, t).whole_separators()
-    deltas = range(n // 2, -1, -1)  # the widest first, past the short table
-    blocks = [(0, delta) for delta in deltas]
-    want = [expected[delta] & (1 << n) - 1 for delta in deltas]
+    row = make_consecutive(n, t).dist_row
+    want = [sum(1 << x for x in range(n) if row[x] != row[x - delta])
+            for delta in range(n // 2 + 1)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -274,18 +275,20 @@ def test_concurrent_readers_see_a_whole_separator_table():
             g = make_consecutive(n, t)
             seen = []
 
-            def read():
-                masks = list(_Kernel(g, range(n)).pair_masks(blocks))
-                seen.append(masks == want)
+            def read(deltas):
+                masks = list(_Kernel(g, range(n)).pair_masks(
+                    [(0, delta) for delta in deltas]))
+                seen.append(masks == [want[delta] for delta in deltas])
 
-            threads = [threading.Thread(target=read) for _ in range(8)]
+            threads = [threading.Thread(target=read, args=(deltas,))
+                       for deltas in [range(n // 2, -1, -1), range(n // 2 + 1)] * 4]
             for th in threads:
                 th.start()
             for th in threads:
                 th.join(timeout=10)
                 assert not th.is_alive()
             assert seen == [True] * 8
-            assert g.separators == expected
+            assert g.separators == [m | m << n for m in want]
     finally:
         sys.setswitchinterval(old)
 
