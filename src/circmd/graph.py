@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .formulas import split
-
 
 def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
     """Fold steps into [1, n//2], drop zeros, merge duplicates.
@@ -167,24 +165,6 @@ def make_consecutive(n: int, t: int) -> CirculantGraph:
     return CirculantGraph(n, tuple(range(1, min(t, n // 2) + 1)))
 
 
-def distance_closed_form(n: int, t: int, i: int, j: int) -> int:
-    """Hop count between i and j in C(n, +/-{1..t}), one pair at a time:
-    the reference ``dist_row`` is checked against.
-
-    With delta the circular gap between i and j folded into [0, n//2],
-    the distance is ceil(delta / t): each hop covers at most t positions
-    along the shorter arc.
-    """
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"vertices must lie in [0, {n}), got ({i}, {j})")
-    if not 1 <= t <= n // 2:
-        raise ValueError(f"closed form needs 1 <= t <= n//2, got t={t}, n={n}")
-    delta = (j - i) % n
-    if delta > n // 2:
-        delta = n - delta
-    return -(-delta // t)
-
-
 def _bfs_row(n: int, steps, source: int) -> list[int]:
     dist = [-1] * n
     dist[source] = 0
@@ -206,23 +186,3 @@ def check_vertices(g: CirculantGraph, vertices: Iterable[int]) -> None:
     for x in vertices:
         if not 0 <= x < n:
             raise ValueError(f"vertex must lie in [0, {n}), got {x}")
-
-
-def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
-    """Independent shortest-path oracle: plain BFS from i, no closed form."""
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError(f"vertices must lie in [0, {g.n}), got ({i}, {j})")
-    return _bfs_row(g.n, g.steps, i)[j]
-
-
-def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
-    """Vertices at diameter distance from v, for t = 4 and n = 8k + r.
-
-    For these graphs the diameter is k + 1 and the far set from v is the
-    arc {v + 4k + 1, ..., v + 4k + r - 1} of size r - 1.
-    """
-    if not (g.is_consecutive and g.t == 4):
-        raise ValueError("diameter_set requires step set {1,2,3,4}")
-    check_vertices(g, (v,))
-    k, r = split(g.n, 4)
-    return frozenset((v + 4 * k + j) % g.n for j in range(1, r))

@@ -242,10 +242,6 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
     return LemmaReport(d.id, tuple(ordered))
 
 
-def check_all(k_range: Iterable[int] = (1, 2, 3)) -> list[LemmaReport]:
-    return [check_lemma(d, k_range) for d in REGISTRY.values()]
-
-
 # ---------------------------------------------------------------------------
 # descriptor templates
 # ---------------------------------------------------------------------------

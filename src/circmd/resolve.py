@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .formulas import split
 from .graph import CirculantGraph, check_vertices
 
 
@@ -130,6 +129,9 @@ def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[lis
     return list(classes.values())
 
 
+# is_cluster_for, resolves_cluster and pair_resolvers serve only the tests,
+# but perfbench/tracing.py wraps them by name; they move to
+# tests/references.py once the benchmark drops their spans.
 def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster) -> bool:
     """True iff each block is a block under the landmarks and the blocks
     lie in pairwise distinct representation classes.  Every landmark and
@@ -170,15 +172,3 @@ def pair_resolvers(g: CirculantGraph, i: int) -> frozenset[int]:
     check_vertices(g, (i,))
     j = (i + 1) % g.n
     return frozenset(x for x in g.vertices if g.dist(x, i) != g.dist(x, j))
-
-
-def pair_resolvers_arithmetic(g: CirculantGraph, i: int) -> frozenset[int]:
-    """Arithmetic form of pair_resolvers for t = 4, n = 8k + r: the two
-    progressions {i - 4j} and {i + 1 + 4j}, 0 <= j <= k.  Kept separate
-    from the scan so the two can be cross-checked."""
-    if not (g.is_consecutive and g.t == 4):
-        raise ValueError("arithmetic form requires step set {1,2,3,4}")
-    k, _ = split(g.n, 4)
-    down = ((i - 4 * j) % g.n for j in range(k + 1))
-    up = ((i + 1 + 4 * j) % g.n for j in range(k + 1))
-    return frozenset(down) | frozenset(up)

@@ -408,22 +408,27 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     ``max_size`` set the search stops early and reports ``capped=True``
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
-    of ``allowed`` and of the cluster must lie in [0, n).  Only budget 0
-    is refused before any mask is built, by the guard at size 0; a budget
-    below |allowed| builds the masks of every pair (and the graph's
-    ``separators`` entries of their gaps not yet filled) and is refused
-    if the search reaches size 1.
+    of ``allowed`` and of the cluster must lie in [0, n).  The budget
+    (None: ``default_budget()``, read once) is guarded before any mask is
+    built, at size 0 and, when a block holds a pair and ``max_size`` > 0,
+    at size 1: so a budget below |allowed| refuses such a cluster even
+    when no vertex of ``allowed`` resolves it.
     """
+    if budget is None:
+        budget = default_budget()
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
     check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
-    _check_budget(len(pool), 0, budget)  # hit's first guard, before any mask
+    limit = len(pool) if max_size is None else min(max_size, len(pool))
+    # hit's guards up to the least size that can hit a pair
+    reach = 1 if limit > 0 and any(len(b) > 1 for b in cluster.blocks) else 0
+    for size in range(reach + 1):
+        _check_budget(len(pool), size, budget)
     kernel = _Kernel(g, pool)
     pairs = list(kernel.pair_masks(cluster.blocks))
     if not all(pairs):
         return MinResolversResult(size=None, witness=None)
-    limit = len(pool) if max_size is None else min(max_size, len(pool))
     witness = kernel.hit(pairs, range(limit + 1), budget)
     if witness is None:
         return MinResolversResult(size=None, witness=None, capped=True)

@@ -13,11 +13,12 @@ from circmd.cli import main
 from circmd.constructions import REMARK_19_PUBLISHED, basis_t4
 from circmd.formulas import formula_dim
 from circmd.graph import _bfs_row, make_consecutive
-from circmd.lemmas import REGISTRY, check_all, window_tightness
+from circmd.lemmas import REGISTRY, window_tightness
 from circmd.resolve import is_resolving
 from circmd.solver import brute_force_dim, exact_dim
 
 from conftest import record_criterion
+from references import check_all
 
 
 @lru_cache(maxsize=None)

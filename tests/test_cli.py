@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -304,6 +305,20 @@ def test_negative_budget_is_usage_error(monkeypatch, capsys, flag, env, code):
 def test_exports_resolve_once():
     assert len(set(circmd.__all__)) == len(circmd.__all__)
     assert [name for name in circmd.__all__ if not hasattr(circmd, name)] == []
+    # the test-only references live in tests/references.py, not in the package
+    unexported = {"distance_closed_form", "distance_bfs", "diameter_set", "check_all",
+                  "is_cluster_for", "resolves_cluster", "pair_resolvers"}
+    assert not unexported & set(circmd.__all__)
+    assert [name for name in sorted(unexported) if hasattr(circmd, name)] == []
+    # the graph and resolve machinery does not depend on the formula table
+    for module in (circmd.graph, circmd.resolve):
+        imported = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if "formulas" in name.split(".")], module
 
 
 def test_table_formats_agree(capsys):

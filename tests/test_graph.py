@@ -3,14 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmd.formulas import split
-from circmd.graph import (
-    CirculantGraph,
-    canonical_steps,
-    diameter_set,
-    distance_bfs,
-    distance_closed_form,
-    make_consecutive,
-)
+from circmd.graph import CirculantGraph, canonical_steps, make_consecutive
+
+from references import diameter_set, distance_bfs, distance_closed_form
 
 # (n, t) pairs where the step set stays consecutive after folding
 nt_pairs = st.integers(min_value=5, max_value=60).flatmap(

@@ -17,10 +17,11 @@ from circmd.resolve import (
     is_cluster_for,
     is_resolving,
     pair_resolvers,
-    pair_resolvers_arithmetic,
     representation,
     resolves_cluster,
 )
+
+from references import pair_resolvers_arithmetic
 
 orders_t4 = st.integers(min_value=10, max_value=40)
 

@@ -9,13 +9,7 @@ import pytest
 
 from circmd.formulas import formula_dim
 from circmd.graph import CirculantGraph, make_consecutive
-from circmd.resolve import (
-    Cluster,
-    is_resolving,
-    pair_resolvers,
-    pair_resolvers_arithmetic,
-    resolves_cluster,
-)
+from circmd.resolve import Cluster, is_resolving, pair_resolvers, resolves_cluster
 from circmd.solver import (
     BudgetExceededError,
     DimResult,
@@ -28,6 +22,8 @@ from circmd.solver import (
 )
 from circmd import cli, solver
 from circmd.solver import _Kernel, _basis_with_zero, _sphere_blocks
+
+from references import pair_resolvers_arithmetic
 
 
 def _sep(kernel, u, v):
@@ -196,6 +192,22 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
         find_basis_of_size(g, 6)
     with pytest.raises(BudgetExceededError, match=r"C\(400, 0\)"):
         min_resolvers(g, Cluster([[0, 1]]), range(400), budget=0)
+
+
+def test_min_resolvers_guards_size_one_before_any_mask(monkeypatch):
+    # a cluster with a pair needs size 1, so a budget below |allowed| is
+    # refused before any mask, row, layer, plane or separator entry is built
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    lazy = {"dist_row", "layers", "planes", "separators"}
+    g = make_consecutive(30, 4)
+    for budget in range(1, 30):
+        with pytest.raises(BudgetExceededError,
+                           match=r"C\(30, 1\) candidates exceed budget"):
+            min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30), budget=budget)
+        assert not lazy & g.__dict__.keys(), budget
+    # singletons need no vertex: size 0 passes the budget of C(30, 0)
+    result = min_resolvers(g, Cluster([[0], [10]]), range(30), budget=1)
+    assert (result.size, result.witness) == (0, ())
 
 
 def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
