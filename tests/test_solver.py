@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 import sys
 import threading
@@ -506,15 +505,12 @@ def test_min_resolvers_matches_plain_sweep():
 
 def _sorted_pool_searches():
     # the min_resolvers path: sorted random pools, not range(1, n), on
-    # 1-3 step circulants, for sizes drawn from 0..5, so that the draw
+    # C(n, +/-{1..t}), t <= 6, for sizes drawn from 0..5, so that the draw
     # holds sets found at once, found after exhausted sizes, and none found
     rng = random.Random(15)
     for _ in range(1500):
         n = rng.randint(7, 40)
-        steps = [n]
-        while math.gcd(n, *steps) != 1:  # connected
-            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
-        g = CirculantGraph(n, steps)
+        g = make_consecutive(n, rng.randint(1, min(6, n // 2)))
         kernel = _Kernel(g, sorted(rng.sample(range(n), rng.randint(2, n))))
         vertices = rng.sample(range(n), rng.randint(2, 7))
         pairs = list(kernel.pair_masks([vertices]))
@@ -524,14 +520,14 @@ def _sorted_pool_searches():
 
 
 def test_kernel_on_sorted_pools_is_pinned():
-    # found set, exhausted sizes and node count (6,111 in all)
+    # found set, exhausted sizes and node count (6,682 in all)
     digest = hashlib.sha256()
     outcomes = set()
     for found, exhausted, nodes in _sorted_pool_searches():
         outcomes.add("none" if found is None else bool(exhausted))
         digest.update(repr((found, exhausted, nodes)).encode())
     assert outcomes == {"none", False, True}
-    assert digest.hexdigest().startswith("4f4c75132d10b1a8")
+    assert digest.hexdigest().startswith("488f5fd14dd9128b")
 
 
 def test_kernel_answers_on_sorted_pools_are_pinned():
@@ -539,7 +535,7 @@ def test_kernel_answers_on_sorted_pools_are_pinned():
     digest = hashlib.sha256()
     for found, exhausted, _ in _sorted_pool_searches():
         digest.update(repr((found, exhausted)).encode())
-    assert digest.hexdigest().startswith("05f36b2c2933db9c")
+    assert digest.hexdigest().startswith("039b783d880d3c53")
 
 
 class _PerVKernel(_Kernel):
@@ -560,7 +556,7 @@ class _PerVKernel(_Kernel):
 
 def test_last_two_picks_match_a_per_v_loop():
     # the one scan of the last two picks against _PerVKernel: found set and
-    # exhausted sizes on 1-3 step circulants, with the orbit cut on the
+    # exhausted sizes on C(n, +/-{1..t}), t <= 6, with the orbit cut on the
     # pool range(1, n) and the sphere pairs, and without it on sorted
     # random pools and the pairs inside random vertex sets; the draw must
     # reach both scan sets, the narrowest mask when it is narrower than
@@ -576,10 +572,7 @@ def test_last_two_picks_match_a_per_v_loop():
 
     for _ in range(1000):
         n = rng.randint(7, 36)
-        steps = [n]
-        while math.gcd(n, *steps) != 1:  # connected
-            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
-        g = CirculantGraph(n, steps)
+        g = make_consecutive(n, rng.randint(1, min(6, n // 2)))
         drawn = sorted(rng.sample(range(n), rng.randint(2, n)))
         vertices = rng.sample(range(n), rng.randint(2, 7))
         uv = list(itertools.combinations(vertices, 2))
@@ -596,18 +589,15 @@ def test_last_two_picks_match_a_per_v_loop():
 
 
 def _last_two_calls():
-    # direct _last_two calls on fresh kernels: 1-3 step circulants, range
-    # pools and sorted pools with gaps, the masks of a random subset of the
-    # pairs inside a few vertices, or none, in random order half the time
-    # (so pairs[0] is often not the narrowest), and v ranges from one
+    # direct _last_two calls on fresh kernels: C(n, +/-{1..t}), t <= 6,
+    # range pools and sorted pools with gaps, the masks of a random subset
+    # of the pairs inside a few vertices, or none, in random order half the
+    # time (so pairs[0] is often not the narrowest), and v ranges from one
     # vertex to the whole pool
     rng = random.Random(27)
     for _ in range(3000):
         n = rng.randint(7, 36)
-        steps = [n]
-        while math.gcd(n, *steps) != 1:  # connected
-            steps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
-        g = CirculantGraph(n, steps)
+        g = make_consecutive(n, rng.randint(1, min(6, n // 2)))
         pool = rng.choice([range(1, n), range(rng.randrange(n - 1), n),
                            sorted(rng.sample(range(n), rng.randint(2, n)))])
         kernel = _Kernel(g, pool)
