@@ -1,79 +1,46 @@
-"""Circulant graphs on Z_n with precomputed distance rows.
+"""Circulant graphs C(n, +/-{1..t}) on Z_n with precomputed distance rows.
 
-A circulant graph C(n, +/-S) has vertices 0..n-1 and an edge between i and j
-whenever (j - i) mod n or (i - j) mod n lies in the step set S.  Rotation
-i -> i + c is an automorphism, so the full distance table is determined by
-the single row of distances from vertex 0.
+C(n, +/-{1..t}) has vertices 0..n-1 and an edge between i and j whenever
+their circular gap is at most t.  Rotation i -> i + c is an automorphism,
+so the full distance table is determined by the single row of distances
+from vertex 0, and that row is the closed form ceil(gap / t).
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 
-def canonical_steps(n: int, raw_steps) -> tuple[int, ...]:
-    """Fold steps into [1, n//2], drop zeros, merge duplicates.
-
-    A step s and n - s generate the same edges, and s = 0 mod n generates
-    none, so every step set has a unique canonical form inside [1, n//2].
-    """
-    if n < 3:
-        raise ValueError(f"order must be at least 3, got {n}")
-    folded = set()
-    for s in raw_steps:
-        s = s % n
-        if s == 0:
-            continue
-        folded.add(min(s, n - s))
-    if not folded:
-        raise ValueError("step set is empty after canonicalization")
-    return tuple(sorted(folded))
-
-
 @dataclass(frozen=True)
 class CirculantGraph:
-    """Immutable circulant graph; safe for concurrent read access.  Its
-    lazy entries, ``dist_row``, ``diameter``, ``layers``, ``planes``, each
-    mask in ``spheres`` and each entry of ``separators``, are filled on
-    first use: two readers may both fill one, with the same value."""
+    """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
+    for concurrent read access.  Its lazy entries, ``dist_row``,
+    ``diameter``, ``layers``, ``planes``, each mask in ``spheres`` and each
+    entry of ``separators``, are filled on first use: two readers may both
+    fill one, with the same value."""
 
     n: int
-    steps: tuple[int, ...]
+    t: int
 
     def __post_init__(self):
-        steps = canonical_steps(self.n, self.steps)
-        object.__setattr__(self, "steps", steps)
-        if math.gcd(self.n, *steps) != 1:
-            raise ValueError(f"C({self.n}, {steps}) is disconnected")
-
-    @property
-    def is_consecutive(self) -> bool:
-        """True when the step set is {1, 2, ..., t}: t distinct steps up to t."""
-        return len(self.steps) == self.steps[-1]
-
-    @property
-    def t(self) -> int:
-        """Largest step; for consecutive step sets this is the usual t."""
-        return self.steps[-1]
+        if self.n < 3:
+            raise ValueError(f"order must be at least 3, got {self.n}")
+        if not 1 <= self.t <= self.n // 2:
+            raise ValueError(f"max step must lie in [1, {self.n // 2}], got {self.t}")
 
     @cached_property
     def dist_row(self) -> tuple[int, ...]:
         """Distances from vertex 0; entry d gives dist(0, d).
 
-        For consecutive step sets the closed form ceil(d / t) fills the
-        half row d = 0..n//2 in one pass, and entry n - d mirrors entry d;
-        other step sets take a BFS.  Rotation invariance extends it to all
-        pairs.
+        The closed form ceil(d / t) fills the half row d = 0..n//2 in one
+        pass, and entry n - d mirrors entry d.  Rotation invariance extends
+        it to all pairs.
         """
-        if self.is_consecutive:
-            n, t = self.n, self.t
-            half = [-(-d // t) for d in range(n // 2 + 1)]
-            return tuple(half + half[(n - 1) // 2:0:-1])
-        return tuple(_bfs_row(self.n, self.steps, 0))
+        n, t = self.n, self.t
+        half = [-(-d // t) for d in range(n // 2 + 1)]
+        return tuple(half + half[(n - 1) // 2:0:-1])
 
     @cached_property
     def spheres(self) -> dict[int, int]:
@@ -82,21 +49,15 @@ class CirculantGraph:
 
     def sphere(self, r: int) -> int:
         """Mask of the vertices at distance r <= diameter from 0, doubled
-        (m | m << n) so that ``>> (n - x)`` rotates it to x: for consecutive
-        steps the arc t(r-1)+1 .. min(tr, n//2) and its mirror (r = 0: {0}),
-        else one pass over ``layers``, which fills every radius."""
+        (m | m << n) so that ``>> (n - x)`` rotates it to x: the arc
+        t(r-1)+1 .. min(tr, n//2) and its mirror (r = 0: {0})."""
         spheres, n = self.spheres, self.n
         if r not in spheres:
-            if self.is_consecutive:
-                t = self.t
-                lo, hi = t * (r - 1) + 1, min(t * r, n // 2)
-                arc = (1 << hi - lo + 1) - 1
-                m = arc << lo | arc << n - hi if r else 1
-                spheres[r] = m | m << n
-            else:
-                for d, layer in enumerate(self.layers):
-                    m = sum(1 << y for y in layer)
-                    spheres[d] = m | m << n
+            t = self.t
+            lo, hi = t * (r - 1) + 1, min(t * r, n // 2)
+            arc = (1 << hi - lo + 1) - 1
+            m = arc << lo | arc << n - hi if r else 1
+            spheres[r] = m | m << n
         return spheres[r]
 
     @cached_property
@@ -151,32 +112,18 @@ class CirculantGraph:
         return range(self.n)
 
     def __repr__(self):
-        return f"CirculantGraph(n={self.n}, steps={self.steps})"
+        return f"CirculantGraph(n={self.n}, steps={tuple(range(1, self.t + 1))})"
 
 
 def make_consecutive(n: int, t: int) -> CirculantGraph:
     """Build C(n, +/-{1, ..., t}).
 
-    Steps beyond n//2 fold back, so t >= n//2 yields the complete graph;
-    only the steps up to n//2 are built, so a huge t costs nothing extra.
+    Steps beyond n//2 fold back, so t >= n//2 yields the complete graph
+    C(n, +/-{1..n//2}); a huge t costs nothing extra.
     """
     if t < 1:
         raise ValueError(f"max step must be at least 1, got {t}")
-    return CirculantGraph(n, tuple(range(1, min(t, n // 2) + 1)))
-
-
-def _bfs_row(n: int, steps, source: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for s in steps:
-            for u in ((v + s) % n, (v - s) % n):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-    return dist
+    return CirculantGraph(n, min(t, n // 2))
 
 
 def check_vertices(g: CirculantGraph, vertices: Iterable[int]) -> None:

@@ -167,8 +167,6 @@ def pair_resolvers(g: CirculantGraph, i: int) -> frozenset[int]:
     Every resolving set must intersect this set for every i, since some
     landmark has to separate the adjacent pair {i, i+1}.
     """
-    if not g.is_consecutive:
-        raise ValueError("pair_resolvers requires a consecutive step set")
     check_vertices(g, (i,))
     j = (i + 1) % g.n
     return frozenset(x for x in g.vertices if g.dist(x, i) != g.dist(x, j))

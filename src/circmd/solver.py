@@ -16,10 +16,10 @@ Two routes are provided and deliberately kept separate:
   (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
   (rotations act transitively): the pool is 1..n-1 and the blocks are the
   spheres around 0, read only past the first budget guard, each interior
-  one of a consecutive graph cut in two (``_sphere_blocks``).  Both also
-  search each rotation class of sets about once (the orbit cut,
-  ``_orbit_range``).  ``min_resolvers`` passes the cluster's blocks and
-  the allowed set as the pool; it has no rotation to cut by.
+  one cut in two (``_sphere_blocks``).  Both also search each rotation
+  class of sets about once (the orbit cut, ``_orbit_range``).
+  ``min_resolvers`` passes the cluster's blocks and the allowed set as the
+  pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -95,7 +95,7 @@ def _counting_lower_bound(g: CirculantGraph) -> int:
 
 def _search_lower_bound(g: CirculantGraph) -> int:
     lb = _counting_lower_bound(g)
-    if g.is_consecutive and g.n >= 2 * g.t + 2 and g.t >= 2:
+    if g.n >= 2 * g.t + 2 and g.t >= 2:
         lb = max(lb, known_bounds(g.n, g.t).lower)
     return lb
 
@@ -301,9 +301,9 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
 
 def _sphere_blocks(g: CirculantGraph) -> Iterator[list[int]]:
     """The graph's ``layers``, read at the first block asked for, with each
-    layer 3 <= d <= D - 2 of a consecutive graph of diameter D cut into its
-    arc t(d-1)+1..td and the mirror.  That drops only repeats: while both
-    arcs between u and v span t or more, x on one of them, p from u and
+    layer 3 <= d <= D - 2, D the diameter, cut into its arc t(d-1)+1..td
+    and the mirror.  That drops only repeats: while both arcs between u
+    and v span t or more, x on one of them, p from u and
     L - p from v along it, has d(x, u) = d(x, v) exactly when ceil(p / t) =
     ceil((L - p) / t) (a route through the far end is a hop longer).  Moving
     a cross pair (a, -b) t toward 0 takes the arc through 0 from a + b >=
@@ -316,9 +316,6 @@ def _sphere_blocks(g: CirculantGraph) -> Iterator[list[int]]:
     n - a - b <= 4t in layers D - 1 and D), so a witness search fills at
     most the 4t + 1 ``separators`` entries 0..4t."""
     layers = g.layers
-    if not g.is_consecutive:
-        yield from layers
-        return
     t, outer = g.t, max(3, len(layers) - 2)
     yield from layers[:3]
     for layer in layers[3:outer]:

@@ -33,17 +33,25 @@ def distance_closed_form(n: int, t: int, i: int, j: int) -> int:
     return -(-delta // t)
 
 
-def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
-    """Hop count between i and j by a breadth-first search from i, level
-    by level over the step set, that stops at the level holding j."""
-    n = g.n
-    _check_pair(n, i, j)
-    seen, level, d = {i}, {i}, 0
-    while j not in level:
-        level = {(v + e) % n for v in level for s in g.steps for e in (s, -s)} - seen
-        seen |= level
+def bfs_row(g: CirculantGraph, i: int) -> list[int]:
+    """Hop counts from i to every vertex by a breadth-first search from i,
+    level by level over the steps +/-1..t."""
+    n, steps = g.n, range(1, g.t + 1)
+    row = [-1] * n
+    level, d = {i}, 0
+    while level:
+        for v in level:
+            row[v] = d
+        level = {(v + e) % n for v in level for s in steps for e in (s, -s)}
+        level = {v for v in level if row[v] < 0}
         d += 1
-    return d
+    return row
+
+
+def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:
+    """Hop count between i and j, read off ``bfs_row`` from i."""
+    _check_pair(g.n, i, j)
+    return bfs_row(g, i)[j]
 
 
 def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
@@ -52,7 +60,7 @@ def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
     For these graphs the diameter is k + 1 and the far set from v is the
     arc {v + 4k + 1, ..., v + 4k + r - 1} of size r - 1.
     """
-    if not (g.is_consecutive and g.t == 4):
+    if g.t != 4:
         raise ValueError("diameter_set requires step set {1,2,3,4}")
     check_vertices(g, (v,))
     k, r = split(g.n, 4)
@@ -62,7 +70,7 @@ def diameter_set(g: CirculantGraph, v: int) -> frozenset[int]:
 def pair_resolvers_arithmetic(g: CirculantGraph, i: int) -> frozenset[int]:
     """Arithmetic form of ``pair_resolvers`` for t = 4, n = 8k + r: the two
     progressions {i - 4j} and {i + 1 + 4j}, 0 <= j <= k."""
-    if not (g.is_consecutive and g.t == 4):
+    if g.t != 4:
         raise ValueError("arithmetic form requires step set {1,2,3,4}")
     k, _ = split(g.n, 4)
     down = ((i - 4 * j) % g.n for j in range(k + 1))

@@ -12,13 +12,13 @@ from itertools import combinations
 from circmd.cli import main
 from circmd.constructions import REMARK_19_PUBLISHED, basis_t4
 from circmd.formulas import formula_dim
-from circmd.graph import _bfs_row, make_consecutive
+from circmd.graph import make_consecutive
 from circmd.lemmas import REGISTRY, window_tightness
 from circmd.resolve import is_resolving
 from circmd.solver import brute_force_dim, exact_dim
 
 from conftest import record_criterion
-from references import check_all
+from references import bfs_row, check_all
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +139,7 @@ def test_acceptance_7_closed_form_equals_bfs_all_pairs():
         for t in range(1, min(5, n // 2) + 1):
             g = make_consecutive(n, t)
             for i in range(n):
-                row = _bfs_row(n, g.steps, i)
+                row = bfs_row(g, i)
                 for j in range(n):
                     checked += 1
                     if g.dist(i, j) != row[j]:

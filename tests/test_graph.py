@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmd.formulas import split
-from circmd.graph import CirculantGraph, canonical_steps, make_consecutive
+from circmd.graph import CirculantGraph, make_consecutive
 
 from references import diameter_set, distance_bfs, distance_closed_form
 
@@ -12,31 +12,21 @@ nt_pairs = st.integers(min_value=5, max_value=60).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=min(5, n // 2))))
 
 
-def test_canonical_steps_folds_and_merges():
-    assert canonical_steps(6, (1, 2, 3, 4)) == (1, 2, 3)
-    assert canonical_steps(8, (1, 2, 3, 4)) == (1, 2, 3, 4)
-    assert canonical_steps(10, (7, 9)) == (1, 3)
-    assert canonical_steps(10, (5, 5)) == (5,)
-
-
-def test_canonical_steps_drops_zero_residues():
-    assert canonical_steps(10, (10, 1)) == (1,)
-    with pytest.raises(ValueError):
-        canonical_steps(10, (10,))
-    with pytest.raises(ValueError, match="order must be at least 3, got 2"):
-        canonical_steps(2, (1,))
-
-
-def test_disconnected_step_set_rejected():
-    with pytest.raises(ValueError):
-        CirculantGraph(10, (2,))
+def test_graph_refuses_t_outside_one_to_half_n():
+    for n, t in ((10, 0), (10, 6), (11, 6), (11, -1)):
+        with pytest.raises(ValueError, match=rf"max step must lie in \[1, {n // 2}\], got {t}"):
+            CirculantGraph(n, t)
+    for n in (2, 0, -5):
+        with pytest.raises(ValueError, match=f"order must be at least 3, got {n}"):
+            CirculantGraph(n, 1)
+    assert CirculantGraph(11, 5) == make_consecutive(11, 9)
 
 
 def test_make_consecutive_small_n_folds_to_complete():
     g = make_consecutive(6, 4)
-    assert g.steps == (1, 2, 3)
+    assert g.t == 3
     assert g.diameter == 1
-    # an order below 3 is refused by canonical_steps, after the step check
+    # an order below 3 is refused by CirculantGraph, after the step check
     for n in (2, 0, -5):
         with pytest.raises(ValueError, match=f"order must be at least 3, got {n}"):
             make_consecutive(n, 4)
@@ -83,17 +73,15 @@ def test_dist_row_equals_the_per_pair_closed_form():
 
 def test_sphere_masks_match_the_definition():
     # {y : d(0, y) = r}, doubled, for every r: the closed-form arcs on odd and
-    # even n (the antipode) up to the complete graph, and the BFS row's scan
-    graphs = [make_consecutive(n, t) for n in range(3, 61) for t in range(1, n // 2 + 1)]
-    graphs += [CirculantGraph(n, steps) for steps in [(1, 5), (2, 3), (1, 3, 4), (2, 5)]
-               for n in range(11, 41)]
-    for g in graphs:
-        d = [distance_closed_form(g.n, g.t, 0, y) if g.is_consecutive
-             else distance_bfs(g, 0, y) for y in g.vertices]
-        for r in range(max(d) + 1):
-            m = sum(1 << y for y in g.vertices if d[y] == r)
-            assert g.sphere(r) == m | m << g.n, (g, r)
-        assert set(g.spheres) == set(d)
+    # even n (the antipode) up to the complete graph
+    for n in range(3, 61):
+        for t in range(1, n // 2 + 1):
+            g = make_consecutive(n, t)
+            d = [distance_closed_form(n, t, 0, y) for y in g.vertices]
+            for r in range(max(d) + 1):
+                m = sum(1 << y for y in g.vertices if d[y] == r)
+                assert g.sphere(r) == m | m << n, (g, r)
+            assert set(g.spheres) == set(d)
 
 
 def test_closed_form_validates_t():
@@ -138,14 +126,12 @@ def test_diameter_set_members_at_max_distance():
 def test_diameter_set_shifts_with_vertex():
     g = make_consecutive(21, 4)
     assert diameter_set(g, 3) == frozenset((v + 3) % 21 for v in diameter_set(g, 0))
-    for other in (make_consecutive(21, 3), CirculantGraph(21, (1, 2, 3, 5))):
+    for other in (make_consecutive(21, 3), make_consecutive(21, 5)):
         with pytest.raises(ValueError, match="requires step set"):
             diameter_set(other, 0)
 
 
 def test_bfs_agrees_on_nonconsecutive_steps():
-    g = CirculantGraph(12, (1, 5))
-    for j in range(12):
-        assert g.dist(0, j) == distance_bfs(g, 0, j)
+    g = make_consecutive(12, 5)
     with pytest.raises(ValueError, match=r"vertices must lie in \[0, 12\)"):
         distance_bfs(g, 0, 12)

@@ -157,16 +157,7 @@ def _reference_pairs(g, X, vertices):
 
 def _random_case(rng):
     n = rng.randint(3, 40)
-    if rng.random() < 0.5:
-        g = make_consecutive(n, rng.randint(1, n // 2))
-    else:
-        while True:
-            steps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(3, n // 2)))
-            try:
-                g = CirculantGraph(n, tuple(steps))
-                break
-            except ValueError:  # disconnected step set
-                pass
+    g = make_consecutive(n, rng.randint(1, n // 2))
     X = [rng.randrange(n) for _ in range(rng.randint(1, 5))]  # unsorted, may repeat
     draw = rng.random()
     if draw < 0.1:
@@ -178,7 +169,7 @@ def _random_case(rng):
 
 def test_resolve_matches_pairwise_reference():
     # is_resolving's routes: a twin found by a probe, a least twin beyond
-    # the probes, a resolving set; and sets without 0, BFS graphs
+    # the probes, a resolving set; and sets without 0
     rng = random.Random(909)
     routes = Counter()
     for _ in range(400):
@@ -189,7 +180,6 @@ def test_resolve_matches_pairwise_reference():
         routes["resolving" if not pairs else
                "probe" if pairs[0][0] < _PROBES else "beyond probes"] += 1
         routes["without 0"] += 0 not in X
-        routes["bfs"] += not g.is_consecutive
         least = {v: v for v in g.vertices}
         for u, v in reversed(pairs):  # the least partner of v is set last
             least[v] = u
@@ -202,7 +192,7 @@ def test_resolve_matches_pairwise_reference():
         stuck = [p for b in cluster.blocks for p in _reference_pairs(g, Y, b)]
         w = resolves_cluster(g, Y, cluster)
         assert (None if w is None else (w.u, w.v)) == min(stuck, default=None)
-    assert len(routes) == 5 and min(routes.values()) >= 50, routes
+    assert len(routes) == 4 and min(routes.values()) >= 50, routes
 
 
 def _check_all_against_reference(g, X, rng):
@@ -245,19 +235,19 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
     # one graph object answers many landmark sets from the sphere masks it
     # keeps; the answers must not depend on which masks earlier calls filled
     rng = random.Random(2026)
-    for g in (make_consecutive(29, 3), CirculantGraph(31, (2, 7))):
+    for g in (make_consecutive(29, 3), make_consecutive(31, 7)):
         for i in range(60):
             X = [rng.randrange(g.n) for _ in range(rng.randint(1, 5))]  # unsorted, may repeat
             if i % 10 == 9:
                 X = rng.sample(range(g.n), g.n)  # all of V
             _check_all_against_reference(g, X, rng)
         _assert_spheres_match_the_definition(g)
-        fresh = CirculantGraph(g.n, g.steps)  # equal, with no masks yet
+        fresh = CirculantGraph(g.n, g.t)  # equal, with no masks yet
         assert fresh == g and fresh.spheres == {}
         _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
         _assert_spheres_match_the_definition(fresh)
-    # two graphs of one order, different steps, called in turn
-    a, b = make_consecutive(13, 4), CirculantGraph(13, (1, 5))
+    # two graphs of one order, different t, called in turn
+    a, b = make_consecutive(13, 4), make_consecutive(13, 6)
     for _ in range(30):
         X = [rng.randrange(13) for _ in range(rng.randint(1, 4))]
         for g in (a, b, a):
@@ -305,8 +295,6 @@ def test_pair_resolvers_example():
     assert pair_resolvers(g, 0) == frozenset({0, 1, 5, 9})
     g21 = make_consecutive(21, 4)
     assert pair_resolvers(g21, 3) == frozenset({3, 4, 8, 12, 16, 20})
-    with pytest.raises(ValueError, match="requires a consecutive step set"):
-        pair_resolvers(CirculantGraph(12, (1, 5)), 0)
     with pytest.raises(ValueError, match="requires step set"):
         pair_resolvers_arithmetic(make_consecutive(13, 3), 0)
 

@@ -74,12 +74,11 @@ def test_search_answers_are_pinned():
 
 def test_orbit_cut_agrees_with_oracle_off_consecutive_steps():
     # exact_dim extends only prenecklace gap sequences: dim and the
-    # lex-least basis must still match the oracle's plain sweep
-    step_sets = [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
-                 (1, 5), (2, 3), (1, 3, 4), (2, 5), (1, 4)]
-    for steps in step_sets:
+    # lex-least basis must still match the oracle's plain sweep, also at
+    # orders below 2t + 2 and on complete graphs, where t folds to n // 2
+    for t in range(1, 7):
         for n in range(7, 19):
-            g = CirculantGraph(n, steps)
+            g = make_consecutive(n, t)
             res, oracle = exact_dim(g), brute_force_dim(g)
             assert (res.dim, res.basis) == (oracle.dim, oracle.basis), g
 
@@ -151,11 +150,6 @@ def test_oracle_max_k_stops_the_sweep():
         assert type(exc.value) is BudgetExceededError
     with pytest.raises(ValueError, match="max_k must be at least 1"):
         brute_force_dim(g, 0)
-
-
-def test_nonconsecutive_steps_are_searchable():
-    g = CirculantGraph(12, (1, 5))
-    assert exact_dim(g).dim == brute_force_dim(g).dim
 
 
 def test_max_k_raises_when_exceeded():
@@ -307,15 +301,15 @@ def test_concurrent_readers_see_a_whole_separator_table():
 def test_kernels_on_one_graph_share_one_separator_table():
     # the table belongs to the graph, not the kernel: kernels on other
     # pools read the same object, also after kernels on other graphs have
-    # run, while an equal graph built anew, another order or another step
-    # set gets its own
+    # run, while an equal graph built anew, another order or another t
+    # gets its own
     g = make_consecutive(13, 4)
     for kernel in (_Kernel(g, range(13)), _Kernel(g, [0, 2, 5, 9])):
         _sep(kernel, 0, 1)
     table = g.separators
     assert len(table) == 13 // 2 + 1
     for other in (make_consecutive(13, 4), make_consecutive(14, 4),
-                  make_consecutive(13, 3), CirculantGraph(13, (1, 5))):
+                  make_consecutive(13, 3), make_consecutive(13, 5)):
         _sep(_Kernel(other, range(other.n)), 0, 1)
         assert other.separators is not table, other
         assert len(other.separators) == other.n // 2 + 1, other
@@ -347,14 +341,12 @@ def test_kernel_adjacent_pair_masks_match_pair_resolvers():
 
 def test_kernel_masks_match_the_definition_for_every_shift():
     # sep(u, u + delta) against {x : d(x, u) != d(x, u + delta)} for every
-    # delta, on closed-form and BFS rows; the diameters include 2^j - 1
-    # and 2^j, where the number of distance bit-planes grows
-    step_sets = [tuple(range(1, t + 1)) for t in range(1, 7)]
-    step_sets += [(1, 5), (2, 3), (1, 3, 4), (2, 5)]
+    # delta, for t = 1..6; the diameters include 2^j - 1 and 2^j, where the
+    # number of distance bit-planes grows
     diameters = set()
-    for steps in step_sets:
+    for t in range(1, 7):
         for n in range(7, 41):
-            g = CirculantGraph(n, steps)
+            g = make_consecutive(n, t)
             diameters.add(g.diameter)
             kernel = _Kernel(g, range(n))
             for delta in range(n):
@@ -368,15 +360,13 @@ def test_kernel_masks_match_the_definition_for_every_shift():
 
 def test_kernel_masks_are_symmetric_on_every_pool():
     # sep(u, v) == sep(v, u) == {x in pool : d(x, u) != d(x, v)} for every
-    # pair, on closed-form and BFS rows; odd and even n, so delta = n / 2
-    # occurs.  The graph's table keeps deltas 0..n // 2 and serves a larger
-    # one as the reversed pair
+    # pair, for t = 1..5; odd and even n, so delta = n / 2 occurs.  The
+    # graph's table keeps deltas 0..n // 2 and serves a larger one as the
+    # reversed pair
     rng = random.Random(23)
-    step_sets = [tuple(range(1, t + 1)) for t in range(1, 6)]
-    step_sets += [(1, 5), (2, 3), (1, 3, 4)]
-    for steps in step_sets:
+    for t in range(1, 6):
         for n in range(7, 31):
-            g = CirculantGraph(n, steps)
+            g = make_consecutive(n, t)
             dist = [[g.dist(x, u) for x in range(n)] for u in range(n)]
             pools = [range(n), range(1, n),
                      sorted(rng.sample(range(n), rng.randint(1, n)))]
@@ -397,14 +387,12 @@ def _first_resolving_by_sweep(g, k):
 
 
 def test_find_basis_of_size_matches_plain_sweep():
-    step_sets = [(1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5),
-                 (1, 5), (2, 3), (1, 3, 4)]
-    for steps in step_sets:
+    for t in range(2, 6):
         for n in range(7, 17):
-            g = CirculantGraph(n, steps)
+            g = make_consecutive(n, t)
             for k in range(1, 6):
                 assert find_basis_of_size(g, k) == _first_resolving_by_sweep(g, k), \
-                    (n, steps, k)
+                    (n, t, k)
 
 
 def _formula_route_searches():
