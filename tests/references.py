@@ -42,8 +42,8 @@ def bfs_row(g: CirculantGraph, i: int) -> list[int]:
     while level:
         for v in level:
             row[v] = d
-        level = {(v + e) % n for v in level for s in steps for e in (s, -s)}
-        level = {v for v in level if row[v] < 0}
+        level = {u for v in level for s in steps
+                 for u in ((v + s) % n, (v - s) % n) if row[u] < 0}
         d += 1
     return row
 
