@@ -16,10 +16,9 @@ from typing import Iterable, Optional
 @dataclass(frozen=True)
 class CirculantGraph:
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
-    for concurrent read access.  Its lazy entries, ``dist_row``,
-    ``diameter``, ``layers``, ``planes``, each mask in ``spheres`` and each
-    entry of ``separators``, are filled on first use: two readers may both
-    fill one, with the same value."""
+    for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``,
+    each mask in ``spheres`` and each entry of ``separators``, are filled on
+    first use: two readers may both fill one, with the same value."""
 
     n: int
     t: int
@@ -32,12 +31,9 @@ class CirculantGraph:
 
     @cached_property
     def dist_row(self) -> tuple[int, ...]:
-        """Distances from vertex 0; entry d gives dist(0, d).
-
-        The closed form ceil(d / t) fills the half row d = 0..n//2 in one
-        pass, and entry n - d mirrors entry d.  Rotation invariance extends
-        it to all pairs.
-        """
+        """Entry d: dist(0, d), for ``dist`` and ``resolve``.  The closed form
+        ceil(d / t) fills the half row d = 0..n//2 in one pass, and entry
+        n - d mirrors entry d.  Rotation invariance extends it to all pairs."""
         n, t = self.n, self.t
         half = [-(-d // t) for d in range(n // 2 + 1)]
         return tuple(half + half[(n - 1) // 2:0:-1])
@@ -47,26 +43,25 @@ class CirculantGraph:
         """Entry r: ``sphere(r)``, kept on first use."""
         return {}
 
-    def sphere(self, r: int) -> int:
-        """Mask of the vertices at distance r <= diameter from 0, doubled
-        (m | m << n) so that ``>> (n - x)`` rotates it to x: the arc
-        t(r-1)+1 .. min(tr, n//2) and its mirror (r = 0: {0})."""
-        spheres, n = self.spheres, self.n
-        if r not in spheres:
-            t = self.t
-            lo, hi = t * (r - 1) + 1, min(t * r, n // 2)
-            arc = (1 << hi - lo + 1) - 1
-            m = arc << lo | arc << n - hi if r else 1
-            spheres[r] = m | m << n
-        return spheres[r]
+    def arc(self, d: int, e: Optional[int] = None) -> range:
+        """The y in 1..n//2 at distance d..e (None: d) from 0, for 1 <= d <=
+        e <= diameter: t(d-1)+1 .. min(te, n//2), as d(0, y) = ceil(y / t)."""
+        t, e = self.t, d if e is None else e
+        return range(t * (d - 1) + 1, min(t * e, self.n // 2) + 1)
 
-    @cached_property
-    def layers(self) -> list[list[int]]:
-        """Entry d: the vertices at distance d from 0, ascending."""
-        layers: list[list[int]] = [[] for _ in range(self.diameter + 1)]
-        for y, d in enumerate(self.dist_row):
-            layers[d].append(y)
-        return layers
+    def arc_mask(self, d: int, e: Optional[int] = None) -> int:
+        """Mask of the vertices at distance d..e from 0: ``arc(d, e)`` and its mirror."""
+        arc = self.arc(d, e)
+        ones = (1 << len(arc)) - 1
+        return ones << arc.start | ones << self.n + 1 - arc.stop
+
+    def sphere(self, r: int) -> int:
+        """The vertices at distance r <= diameter from 0, ``arc_mask(r)`` ({0}
+        at r = 0), doubled (m | m << n) so that ``>> (n - x)`` rotates it to x."""
+        if r not in self.spheres:
+            m = self.arc_mask(r) if r else 1
+            self.spheres[r] = m | m << self.n
+        return self.spheres[r]
 
     @cached_property
     def separators(self) -> list[Optional[int]]:
@@ -90,22 +85,23 @@ class CirculantGraph:
 
     @cached_property
     def planes(self) -> list[tuple[int, int]]:
-        """Plane b, alone and doubled: the y whose d(0, y) has bit b set."""
-        n, planes = self.n, [0] * self.diameter.bit_length()
-        for d, layer in enumerate(self.layers):
-            bits, b = sum(1 << y for y in layer), 0
-            while d:  # layer d joins the planes of the set bits of d
-                if d & 1:
-                    planes[b] |= bits
-                d, b = d >> 1, b + 1
-        return [(plane, plane | plane << n) for plane in planes]
+        """Plane b, alone and doubled: the y whose d(0, y) has bit b set,
+        one ``arc_mask`` for each run of 2^b distances with bit b set."""
+        n, top, planes = self.n, self.diameter, []
+        for b in range(top.bit_length()):
+            run, plane = 1 << b, 0
+            for d in range(run, top + 1, 2 * run):
+                plane |= self.arc_mask(d, min(d + run - 1, top))
+            planes.append((plane, plane | plane << n))
+        return planes
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]
 
-    @cached_property
+    @property
     def diameter(self) -> int:
-        return max(self.dist_row)
+        """ceil((n // 2) / t), the distance of the antipode n // 2."""
+        return -(-(self.n // 2) // self.t)
 
     @property
     def vertices(self) -> range:

@@ -15,9 +15,10 @@ Two routes are provided and deliberately kept separate:
   the narrowest or of the first pick's range, whichever is smaller
   (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
   (rotations act transitively): the pool is 1..n-1 and the blocks are the
-  spheres around 0, read only past the first budget guard, each interior
-  one cut in two (``_sphere_blocks``).  Both also search each rotation
-  class of sets about once (the orbit cut, ``_orbit_range``).
+  spheres around 0, the graph's arcs and mirrors, read only past the first
+  budget guard, each interior one cut in two (``_sphere_blocks``).  Both
+  also search each rotation class of sets about once (the orbit cut,
+  ``_orbit_range``).
   ``min_resolvers`` passes the cluster's blocks and the allowed set as the
   pool; it has no rotation to cut by.
 
@@ -117,7 +118,7 @@ class _Kernel:
         self.nodes = 0
         self.exhausted: list[int] = []
         # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
-        # pool range(1, n) and the pairs inside the graph's layers
+        # pool range(1, n) and the pairs inside the spheres around 0
         self.orbit = orbit
 
     def pair_masks(self, blocks: Iterable[Sequence[int]]) -> Iterator[int]:
@@ -299,29 +300,32 @@ def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
             f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
-def _sphere_blocks(g: CirculantGraph) -> Iterator[list[int]]:
-    """The graph's ``layers``, read at the first block asked for, with each
-    layer 3 <= d <= D - 2, D the diameter, cut into its arc t(d-1)+1..td
-    and the mirror.  That drops only repeats: while both arcs between u
-    and v span t or more, x on one of them, p from u and
-    L - p from v along it, has d(x, u) = d(x, v) exactly when ceil(p / t) =
-    ceil((L - p) / t) (a route through the far end is a hop longer).  Moving
-    a cross pair (a, -b) t toward 0 takes the arc through 0 from a + b >=
-    4t + 2 down 2t and the other from n - a - b >= 2t + 2 (as n // 2 >
-    t(d + 1)) up 2t: p moves by t on each, both ceilings with it, and the t
-    vertices at each end that change arcs tie neither pair (ceilings <= 1
-    and >= 2).  So (a, -b) has the mask of (a - t, -(b - t)) in layer d - 1,
-    and in the end of a pair in layer 1 or 2, kept whole.  No pair left
-    spans over 4t (under t in an arc, a + b <= 4t in layers 1 and 2, and
-    n - a - b <= 4t in layers D - 1 and D), so a witness search fills at
-    most the 4t + 1 ``separators`` entries 0..4t."""
-    layers = g.layers
-    t, outer = g.t, max(3, len(layers) - 2)
-    yield from layers[:3]
-    for layer in layers[3:outer]:
-        yield layer[:t]
-        yield layer[t:]
-    yield from layers[outer:]
+def _sphere_blocks(g: CirculantGraph) -> Iterator[Sequence[int]]:
+    """The spheres around 0, read at the first block asked for: {0}, then
+    sphere d = 1..D, D the diameter, as its ``arc`` and the mirror above it
+    (an antipode n / 2 once), cut in two for 3 <= d <= D - 2, else whole.
+    That drops only repeats: while both arcs between u and v span t or more, x
+    on one of them, p from u and L - p from v along it, has d(x, u) = d(x, v)
+    exactly when ceil(p / t) = ceil((L - p) / t) (a route through the far end
+    is a hop longer).  Moving a cross pair (a, -b) t toward 0 takes the arc
+    through 0 from a + b >= 4t + 2 down 2t and the other from n - a - b >=
+    2t + 2 (as n // 2 > t(d + 1)) up 2t: p moves by t on each, both ceilings
+    with it, and the t vertices at each end that change arcs tie neither pair
+    (ceilings <= 1 and >= 2).  So (a, -b) has the mask of (a - t, -(b - t)) in
+    sphere d - 1, and in the end of a pair in sphere 1 or 2, kept whole.  No
+    pair left spans over 4t (under t in an arc, a + b <= 4t in spheres 1 and
+    2, and n - a - b <= 4t in spheres D - 1 and D), so a witness search fills
+    at most the 4t + 1 ``separators`` entries 0..4t."""
+    n, t, top = g.n, g.t, g.diameter
+    yield [0]
+    for d in range(1, top + 1):
+        if d == 3:  # spheres 3..D - 2 fill one arc, t vertices each
+            for lo in g.arc(3, top - 2)[::t]:
+                yield range(lo, lo + t)
+                yield range(n + 1 - lo - t, n + 1 - lo)
+        if not 3 <= d <= top - 2:
+            arc = g.arc(d)
+            yield [*arc, *range(max(n - arc[-1], arc.stop), n + 1 - arc.start)]
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],

@@ -2,8 +2,9 @@
 
 Each recomputes by a second route what the package answers by its own:
 distances one pair at a time (closed form) and by a BFS that shares no
-code with ``CirculantGraph``, the far set and the R_i sets of the t = 4
-analysis in their arithmetic form, and the whole lemma battery in one call.
+code with ``CirculantGraph``, the layers of vertices by distance from 0
+off that BFS, the far set and the R_i sets of the t = 4 analysis in their
+arithmetic form, and the whole lemma battery in one call.
 Tests import it by module name, as they import ``conftest``.
 """
 
@@ -46,6 +47,16 @@ def bfs_row(g: CirculantGraph, i: int) -> list[int]:
                  for u in ((v + s) % n, (v - s) % n) if row[u] < 0}
         d += 1
     return row
+
+
+def layers(g: CirculantGraph) -> list[list[int]]:
+    """Entry d: the vertices at distance d from 0, ascending, read off
+    ``bfs_row`` from 0."""
+    row = bfs_row(g, 0)
+    by_distance: list[list[int]] = [[] for _ in range(max(row) + 1)]
+    for y, d in enumerate(row):
+        by_distance[d].append(y)
+    return by_distance
 
 
 def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:

@@ -73,7 +73,8 @@ def test_dist_row_equals_the_per_pair_closed_form():
 
 def test_sphere_masks_match_the_definition():
     # {y : d(0, y) = r}, doubled, for every r: the closed-form arcs on odd and
-    # even n (the antipode) up to the complete graph
+    # even n (the antipode) up to the complete graph; and off the same arcs,
+    # the diameter and each plane {y : bit b of d(0, y) is set}, alone and doubled
     for n in range(3, 61):
         for t in range(1, n // 2 + 1):
             g = make_consecutive(n, t)
@@ -82,6 +83,10 @@ def test_sphere_masks_match_the_definition():
                 m = sum(1 << y for y in g.vertices if d[y] == r)
                 assert g.sphere(r) == m | m << n, (g, r)
             assert set(g.spheres) == set(d)
+            assert g.diameter == max(d) and len(g.planes) == max(d).bit_length(), g
+            for b, plane in enumerate(g.planes):
+                m = sum(1 << y for y in g.vertices if d[y] >> b & 1)
+                assert plane == (m, m | m << n), (g, b)
 
 
 def test_closed_form_validates_t():

@@ -22,7 +22,7 @@ from circmd.solver import (
 from circmd import cli, solver
 from circmd.solver import _Kernel, _basis_with_zero, _sphere_blocks
 
-from references import pair_resolvers_arithmetic
+from references import bfs_row, layers, pair_resolvers_arithmetic
 
 
 def _sep(kernel, u, v):
@@ -93,7 +93,7 @@ def test_orbit_cut_matches_the_plain_kernel():
             g = make_consecutive(n, t)
             res = exact_dim(g)
             kernel = _Kernel(g, range(1, n))
-            found = kernel.hit(kernel.pair_masks(g.layers),
+            found = kernel.hit(kernel.pair_masks(layers(g)),
                                range(res.lower_bound_used - 1, n), None)
             basis = (0,) + found
             exhausted = tuple(p + 1 for p in kernel.exhausted)
@@ -189,9 +189,9 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
 
 def test_min_resolvers_guards_size_one_before_any_mask(monkeypatch):
     # a cluster with a pair needs size 1, so a budget below |allowed| is
-    # refused before any mask, row, layer, plane or separator entry is built
+    # refused before any mask, row, plane or separator entry is built
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    lazy = {"dist_row", "layers", "planes", "separators"}
+    lazy = {"dist_row", "planes", "separators"}
     g = make_consecutive(30, 4)
     for budget in range(1, 30):
         with pytest.raises(BudgetExceededError,
@@ -204,22 +204,26 @@ def test_min_resolvers_guards_size_one_before_any_mask(monkeypatch):
 
 
 def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
-    # a refused witness search builds no row, no layers and no table;
-    # exact_dim still builds dist_row, for its counting bound, and no more
+    # a refused witness search reads not even the diameter, and builds no
+    # row, no planes, no sphere and no table; a refused exact_dim reads only
+    # the closed-form diameter, for its counting bound, and builds none either
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    lazy = {"dist_row", "layers", "separators"}
-    g = make_consecutive(400, 4)
-    with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
-        find_basis_of_size(g, 6)
-    assert not lazy & g.__dict__.keys()
-    with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
-        exact_dim(g)
-    assert lazy & g.__dict__.keys() == {"dist_row"}
+    lazy = {"dist_row", "planes", "spheres", "separators"}
 
-    # the CLI's formula route at n = 80 falls back to the same search
     def no_read(*args):
         raise AssertionError("graph read before the budget guard")
 
+    g = make_consecutive(400, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(CirculantGraph, "diameter", property(no_read))
+        with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
+            find_basis_of_size(g, 6)
+    assert not lazy & g.__dict__.keys()
+    with pytest.raises(BudgetExceededError, match=r"C\(399, 4\)"):
+        exact_dim(g)
+    assert not lazy & g.__dict__.keys()
+
+    # the CLI's formula route at n = 80 falls back to the same search
     for name in lazy:
         monkeypatch.setattr(CirculantGraph, name, property(no_read))
     assert cli.main(["dim", "--n", "80", "--t", "4"]) == 3
@@ -230,7 +234,8 @@ def test_sphere_blocks_drop_only_repeated_masks():
     # cutting the interior layers of a consecutive graph into arc and
     # mirror leaves hit's deduplicated, width-sorted masks as the whole
     # layers give them, and no pair more than 4t apart, so the entries
-    # past delta = 4t are still unfilled
+    # past delta = 4t are still unfilled; the blocks cover each vertex once,
+    # each inside one layer of the BFS, so a lost or doubled antipode shows
     def ordered(masks):
         return sorted(dict.fromkeys(masks), key=int.bit_count)
 
@@ -239,12 +244,15 @@ def test_sphere_blocks_drop_only_repeated_masks():
             g = make_consecutive(n, t)
             kernel = _Kernel(g, range(1, n))
             blocks = list(_sphere_blocks(g))
+            depth = bfs_row(g, 0)
+            assert sorted(itertools.chain(*blocks)) == list(range(n)), (n, t)
+            assert all(len({depth[y] for y in block}) == 1 for block in blocks), (n, t)
             split = ordered(kernel.pair_masks(blocks))
             assert set(g.separators[4 * t + 1:]) <= {None}, (n, t)
             assert all(min((v - u) % n, (u - v) % n) <= 4 * t
                        for block in blocks
                        for u, v in itertools.combinations(block, 2)), (n, t)
-            assert split == ordered(kernel.pair_masks(g.layers)), (n, t)
+            assert split == ordered(kernel.pair_masks(layers(g))), (n, t)
 
 
 def test_witness_search_builds_the_table_to_4t():
@@ -570,7 +578,7 @@ def test_last_two_picks_match_a_per_v_loop():
             runs = []
             for cls in (Counting, _PerVKernel):
                 kernel = cls(g, pool, orbit=orbit)
-                pairs = kernel.pair_masks(g.layers if orbit else uv)
+                pairs = kernel.pair_masks(layers(g) if orbit else uv)
                 runs.append((kernel.hit(pairs, sizes, None), kernel.exhausted))
             assert runs[0] == runs[1], (g, pool, orbit, sizes)
     assert min(sides.values()) >= 1000, sides
@@ -645,7 +653,7 @@ def test_masks_search_the_same_in_a_fresh_kernel():
     g = make_consecutive(13, 4)
     for pool in (range(1, 13), [0, 2, 3, 5, 8, 9, 11]):
         builder = _Kernel(g, pool)
-        pairs = list(builder.pair_masks(g.layers))
+        pairs = list(builder.pair_masks(layers(g)))
         runs = []
         for kernel in (builder, _Kernel(g, pool)):
             found = kernel.hit(pairs, range(2, 6), None)
@@ -701,7 +709,7 @@ def test_duplicate_masks_do_not_change_the_search():
     cases = []
     for n, t in ((13, 4), (24, 4), (26, 3), (37, 2)):
         g = make_consecutive(n, t)
-        uv = [(u, v) for s in g.layers for u, v in itertools.combinations(s, 2)]
+        uv = [(u, v) for s in layers(g) for u, v in itertools.combinations(s, 2)]
         cases.append((g, range(1, n), uv, range(n)))
         for _ in range(5):  # pairs inside blocks, over a random allowed set
             pool = sorted(rng.sample(range(n), rng.randint(n // 3, n)))
