@@ -16,9 +16,9 @@ from typing import Iterable, Optional
 @dataclass(frozen=True)
 class CirculantGraph:
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
-    for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``,
-    each mask in ``spheres`` and each entry of ``separators``, are filled on
-    first use: two readers may both fill one, with the same value."""
+    for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``
+    and each entry of the lists ``spheres`` and ``separators``, are filled
+    on first use: two readers may both fill one, with the same value."""
 
     n: int
     t: int
@@ -39,9 +39,10 @@ class CirculantGraph:
         return tuple(half + half[(n - 1) // 2:0:-1])
 
     @cached_property
-    def spheres(self) -> dict[int, int]:
-        """Entry r: ``sphere(r)``, kept on first use."""
-        return {}
+    def spheres(self) -> list[Optional[int]]:
+        """Entry r, for r <= diameter: ``sphere(r)`` once that has run,
+        else None."""
+        return [None] * (self.diameter + 1)
 
     def arc(self, d: int, e: Optional[int] = None) -> range:
         """The y in 1..n//2 at distance d..e (None: d) from 0, for 1 <= d <=
@@ -57,11 +58,12 @@ class CirculantGraph:
 
     def sphere(self, r: int) -> int:
         """The vertices at distance r <= diameter from 0, ``arc_mask(r)`` ({0}
-        at r = 0), doubled (m | m << n) so that ``>> (n - x)`` rotates it to x."""
-        if r not in self.spheres:
-            m = self.arc_mask(r) if r else 1
-            self.spheres[r] = m | m << self.n
-        return self.spheres[r]
+        at r = 0), doubled (m | m << n) so that ``>> (n - x)`` rotates it to
+        x, stored in ``spheres``."""
+        m = self.arc_mask(r) if r else 1
+        m |= m << self.n
+        self.spheres[r] = m
+        return m
 
     @cached_property
     def separators(self) -> list[Optional[int]]:

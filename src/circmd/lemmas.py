@@ -164,9 +164,9 @@ def _gap_witness(g: CirculantGraph, gap: int, size: int) -> Optional[tuple[int, 
     return min_resolvers(g, classes, allowed, max_size=size - 2).witness
 
 
-def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
-    """Every resolving s-set, s = ``d.claimed_min``, must have pairwise
-    circular gaps >= r - s.
+def _check_basis_gap(d: LemmaDescriptor, n: int, r: int) -> InstantiationResult:
+    """Every resolving s-set, s = ``d.claimed_min``, of C(n, +-{1..4}), n =
+    8k + r, must have pairwise circular gaps >= r - s.
 
     A rotation takes a resolving s-set with a pair ``gap`` apart to one
     containing 0 and gap, so one search per small gap decides the claim.
@@ -179,7 +179,7 @@ def _check_basis_gap(d: LemmaDescriptor, n: int) -> InstantiationResult:
     if find_basis_of_size(g, size) is None:
         return InstantiationResult(d.id, n, (), "vacuous",
                                    f"no resolving set of size {size} exists")
-    min_gap = split(n, 4)[1] - size
+    min_gap = r - size
     for gap in range(1, min_gap):
         witness = _gap_witness(g, gap, size)
         if witness is not None:
@@ -195,17 +195,17 @@ _DIM_LOWER_N_CAP = 28  # keeps the brute-force oracle sweep at desk scale
 
 def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
                      ) -> list[InstantiationResult]:
-    k_max = max(k_range)
+    k_max, stop = max(k_range), _DIM_LOWER_N_CAP + 1
     results = []
     for t in (2, 3, 4, 5):
+        low = 2 * t + 2
         if d.id == "thm-general-t":
-            cases = [(n, t) for n in range(2 * t + 2, 2 * t + 3 + 2 * k_max)]
+            cases = [(n, t) for n in range(low, min(low + 2 * k_max + 1, stop))]
         else:  # thm-vetrik-lb: the orders up to k = k_max where known_bounds,
             # and so exact_dim, takes dim >= t + 1; the sweep checks that rule
-            cases = [(n, t + 1) for n in range(2 * t + 2, 2 * t * k_max + 2 * t + 2)
+            cases = [(n, t + 1) for n in range(low, min(low + 2 * t * k_max, stop))
                      if "lb-residue" in known_bounds(n, t).provenance]
-        cases = [(n, bound) for n, bound in cases if n <= _DIM_LOWER_N_CAP]
-        for n, bound in sorted(set(cases)):
+        for n, bound in cases:
             key = (("n", n), ("t", t))
             try:  # a superset of a resolving set resolves: sizes < bound decide
                 dim = brute_force_dim(make_consecutive(n, t), max_k=bound - 1).dim
@@ -225,20 +225,15 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
         raise ValueError("k_range must be nonempty")
     if any(k < 1 for k in k_range):
         raise ValueError("k values must be at least 1")
-    results: list[InstantiationResult] = []
-    if d.kind == "dim-lower":
-        results = _check_dim_lower(d, k_range)
-    elif d.kind == "basis-gap":
-        for k in k_range:
-            for r in d.residues:
-                results.append(_check_basis_gap(d, 8 * k + r))
-    else:
-        for k in k_range:
-            for r in sorted(d.residues):
-                n = 8 * k + r
-                results += [_check_cluster_instantiation(d, n, {"a": a, **extra})
-                            for a in ANCHOR_PROBES for extra in d.param_grid(n, k)]
-    ordered = sorted(results, key=lambda r: (r.n, r.params))
+    results = _check_dim_lower(d, k_range) if d.kind == "dim-lower" else []
+    for k, r in itertools.product(k_range, sorted(d.residues)):  # none for dim-lower
+        n = 8 * k + r
+        if d.kind == "basis-gap":
+            results.append(_check_basis_gap(d, n, r))
+        else:
+            results += [_check_cluster_instantiation(d, n, {"a": a, **extra})
+                        for a in ANCHOR_PROBES for extra in d.param_grid(n, k)]
+    ordered = sorted(results, key=lambda x: (x.n, x.params))
     return LemmaReport(d.id, tuple(ordered))
 
 
@@ -478,13 +473,11 @@ def window_bound_counterexample(n: int) -> tuple[tuple[int, ...], tuple[int, ...
 def window_tightness(n: int) -> dict[int, dict]:
     """For each L in 2..5, a size-L subset of a 5-window whose exact minimum
     resolver count is L-1, showing the window bound is tight."""
-    g = make_consecutive(n, 4)
-    witnesses = {}
-    for ell in range(2, 6):
-        for subset in itertools.combinations(range(5), ell):
-            cluster = Cluster([list(subset)])
-            result = min_resolvers(g, cluster, g.vertices)
-            if result.size == ell - 1:
-                witnesses[ell] = {"subset": subset, "resolvers": result.witness}
-                break
+    g, witnesses = _graph(n), {}
+    for p in _window_params(n, 0):
+        subset = p["offsets"]
+        if len(subset) not in witnesses:
+            result = min_resolvers(g, Cluster([subset]), g.vertices)
+            if result.size == p["min_required"]:
+                witnesses[len(subset)] = {"subset": subset, "resolvers": result.witness}
     return witnesses

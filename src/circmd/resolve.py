@@ -112,7 +112,7 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[Witnes
         twins = (1 << n) - (2 << u)  # the vertices above u
         for x in X:
             r = row[u - x]
-            twins &= (spheres[r] if r in spheres else sphere(r)) >> n - x
+            twins &= (spheres[r] or sphere(r)) >> n - x
             if not twins:
                 break
         else:

@@ -111,7 +111,9 @@ class _Kernel:
         self.g = g
         self.n = g.n
         self.pool = pool
-        # not lazy: another kernel's masks for this graph and pool search the same
+        # not lazy: another kernel's masks for this graph and pool search the same;
+        # a range has its own branch, as the mask of range(1, n), which every
+        # witness search passes, takes two shifts, a sorted list one per vertex
         self.pool_mask = ((1 << pool.stop) - (1 << pool.start)
                           if isinstance(pool, range) and pool.step == 1 and pool
                           else sum(1 << x for x in pool))
@@ -135,10 +137,7 @@ class _Kernel:
                 delta = (v - u) % n
                 if delta > half:
                     u, delta = v, n - delta
-                m = table[delta]
-                if m is None:
-                    m = g.separator(delta)
-                yield (m >> (n - u)) & pool_mask
+                yield ((table[delta] or g.separator(delta)) >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: Optional[int]) -> Optional[tuple[int, ...]]:

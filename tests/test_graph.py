@@ -82,7 +82,7 @@ def test_sphere_masks_match_the_definition():
             for r in range(max(d) + 1):
                 m = sum(1 << y for y in g.vertices if d[y] == r)
                 assert g.sphere(r) == m | m << n, (g, r)
-            assert set(g.spheres) == set(d)
+            assert len(g.spheres) == max(d) + 1 and None not in g.spheres, g
             assert g.diameter == max(d) and len(g.planes) == max(d).bit_length(), g
             for b, plane in enumerate(g.planes):
                 m = sum(1 << y for y in g.vertices if d[y] >> b & 1)

@@ -225,10 +225,11 @@ def _check_all_against_reference(g, X, rng):
 
 
 def _assert_spheres_match_the_definition(g):
-    assert g.spheres
-    for r, mask in g.spheres.items():
+    # one entry per radius 0..diameter, some filled, each filled one exact
+    assert len(g.spheres) == g.diameter + 1 and any(g.spheres)
+    for r, mask in enumerate(g.spheres):
         m = sum(1 << y for y in g.vertices if g.dist(0, y) == r)
-        assert mask == m | m << g.n, (g, r)
+        assert mask in (None, m | m << g.n), (g, r)
 
 
 def test_warm_sphere_masks_match_the_pairwise_reference():
@@ -243,7 +244,7 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
             _check_all_against_reference(g, X, rng)
         _assert_spheres_match_the_definition(g)
         fresh = CirculantGraph(g.n, g.t)  # equal, with no masks yet
-        assert fresh == g and fresh.spheres == {}
+        assert fresh == g and fresh.spheres == [None] * (g.diameter + 1)
         _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
         _assert_spheres_match_the_definition(fresh)
     # two graphs of one order, different t, called in turn
@@ -256,7 +257,7 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
         _assert_spheres_match_the_definition(g)
     # a warm graph still rejects a landmark outside [0, 13), and fills no mask
     is_resolving(a, range(13))
-    warm = dict(a.spheres)
+    warm = list(a.spheres)
     cluster = Cluster([[1, 12], [5, 8]])
     for X in [(13, 1, 2), (0, -1), (-13,)]:
         for check in (is_resolving, equivalence_classes,
@@ -273,12 +274,21 @@ def _no_zip(g, landmarks):
 
 
 def test_a_probe_decides_before_any_zip(monkeypatch):
-    g = make_consecutive(809, 4)
-    # a least twin found by a probe zips no representation
+    # a least twin found by a probe zips no representation; on a fresh graph
+    # the call fills each radius it reads once, each a distance from a probe
+    # to a landmark, and leaves every other sphere entry None
+    read, fill = [], CirculantGraph.sphere
     with monkeypatch.context() as m:
         m.setattr(resolve, "_reps", _no_zip)
-        assert is_resolving(g, (5, 0, 1)) == WitnessPair(2, 3)
-        assert is_resolving(g, (407, 0, 4, 1)) == WitnessPair(2, 3)
+        m.setattr(CirculantGraph, "sphere", lambda g, r: read.append(r) or fill(g, r))
+        for X, u, v in (((5, 0, 1), 2, 3), ((407, 0, 4, 1), 2, 3),
+                        ((0, 300), 1, 2), ((1, 2, 3, 4), 0, 5)):
+            g = make_consecutive(809, 4)
+            read.clear()
+            assert is_resolving(g, X) == WitnessPair(u, v)
+            assert len(read) == len(set(read)), X
+            assert set(read) <= {g.dist(x, p) for p in range(_PROBES) for x in X}, X
+            assert [r for r, mask in enumerate(g.spheres) if mask] == sorted(read), X
     # a resolving set, or one whose least twin lies beyond the probes
     # (every probe a landmark), is zipped
     assert is_resolving(g, (407, 0, 4, 1, 406, 7)) is None

@@ -72,7 +72,7 @@ def test_search_answers_are_pinned():
     assert nodes < 9_000
 
 
-def test_orbit_cut_agrees_with_oracle_off_consecutive_steps():
+def test_orbit_cut_agrees_with_oracle_on_small_orders():
     # exact_dim extends only prenecklace gap sequences: dim and the
     # lex-least basis must still match the oracle's plain sweep, also at
     # orders below 2t + 2 and on complete graphs, where t folds to n // 2
