@@ -17,8 +17,8 @@ from typing import Iterable, Optional
 class CirculantGraph:
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
     for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``
-    and each entry of the lists ``spheres`` and ``separators``, are filled
-    on first use: two readers may both fill one, with the same value."""
+    and each entry of ``spheres``, ``separators`` and ``probe_twins``, are
+    filled on first use: two readers may both fill one, with the same value."""
 
     n: int
     t: int
@@ -31,12 +31,10 @@ class CirculantGraph:
 
     @cached_property
     def dist_row(self) -> tuple[int, ...]:
-        """Entry d: dist(0, d), for ``dist`` and ``resolve``.  The closed form
-        ceil(d / t) fills the half row d = 0..n//2 in one pass, and entry
-        n - d mirrors entry d.  Rotation invariance extends it to all pairs."""
-        n, t = self.n, self.t
-        half = [-(-d // t) for d in range(n // 2 + 1)]
-        return tuple(half + half[(n - 1) // 2:0:-1])
+        """Entry d: dist(0, d) = ceil(d / t), for ``dist`` and ``resolve``: 0 and
+        t copies of each distance 1..diameter, cut at d = n // 2 and mirrored."""
+        half = [0, *sorted([*range(1, self.diameter + 1)] * self.t)][:self.n // 2 + 1]
+        return tuple(half + half[(self.n - 1) // 2:0:-1])
 
     @cached_property
     def spheres(self) -> list[Optional[int]]:
@@ -96,6 +94,11 @@ class CirculantGraph:
                 plane |= self.arc_mask(d, min(d + run - 1, top))
             planes.append((plane, plane | plane << n))
         return planes
+
+    @cached_property
+    def probe_twins(self) -> list[Optional[int]]:
+        """Entry x: None until ``is_resolving`` packs the probes' twins about x."""
+        return [None] * self.n
 
     def dist(self, i: int, j: int) -> int:
         return self.dist_row[(j - i) % self.n]

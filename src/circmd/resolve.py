@@ -7,15 +7,14 @@ arguments: the equivalence "same representation under S", blocks (subsets
 of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
-Each check zips r(v|X) for all v from its landmarks' rows, sliced from
-dist_row on every call.  is_resolving zips only when no probe u < _PROBES
-has a twin on the graph's sphere masks.
+Each check zips r(v|X) for all v from rows sliced from dist_row on every
+call; is_resolving only when its landmarks' ``probe_twins`` leave no twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import CirculantGraph, check_vertices
 
@@ -56,15 +55,14 @@ class Cluster:
         return frozenset().union(*self.blocks)
 
 
-_PROBES = 5  # vertices checked for a twin from sphere masks before any zip
+_PROBES = 5  # vertices checked for a twin, packed per landmark, before any zip
 
 
-def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Entry v is r(v|X), zipped from the landmarks' rows: dist_row rotated
-    to start at each landmark."""
+def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """r(v|X) for v = 0..n-1, zipped from dist_row rotated to each landmark."""
     row, n = g.dist_row, g.n
     columns = [row[-x % n:] + row[:-x % n] for x in landmarks]
-    return list(zip(*columns)) if columns else [()] * n
+    return zip(*columns) if columns else iter([()] * n)
 
 
 def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, ...]:
@@ -78,10 +76,8 @@ def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple
 
 def _least_collision(keys: Sequence[tuple[int, ...]],
                      vertices: Sequence[int]) -> Optional[WitnessPair]:
-    """Lexicographically least pair of sorted vertices with equal keys;
-    keys[i] is the representation of vertices[i]."""
-    if len(set(keys)) == len(vertices):
-        return None
+    """Lexicographically least pair of sorted vertices with equal keys, or
+    None; keys[i] is the representation of vertices[i]."""
     last = dict(zip(keys, vertices))
     for i, (u, key) in enumerate(zip(vertices, keys)):
         if last[key] != u:
@@ -100,24 +96,25 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[Witnes
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
 
-    The twins above each probe u < _PROBES, the AND of the spheres through
-    u about the landmarks, come first: the first u with one gives the least
-    pair, as a twin w < u would have paired with u at w's own probe.
-    """
+    Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
+    entries holds the twins above probe u: its lowest bit u * n + w gives
+    the least pair (u, w), as a twin below u pairs with u at its own probe.
+    Else the zip decides; only a failing set lists its keys."""
     X = _landmark_set(g, landmarks)
-    n, row, spheres, sphere = g.n, g.dist_row, g.spheres, g.sphere
-    for u in range(min(_PROBES, n)):
-        if u in X:  # only u is at distance 0 from u
-            continue
-        twins = (1 << n) - (2 << u)  # the vertices above u
-        for x in X:
-            r = row[u - x]
-            twins &= (spheres[r] or sphere(r)) >> n - x
-            if not twins:
-                break
-        else:
-            return WitnessPair(u, (twins & -twins).bit_length() - 1)
-    return _least_collision(_reps(g, X), g.vertices)
+    n, table, twins = g.n, g.probe_twins, -1
+    for x in X:
+        if table[x] is None:  # field u: u's sphere about x above u, empty if x = u
+            row, spheres, top, packed = g.dist_row, g.spheres, 1 << n, 0
+            for u in range(min(_PROBES, n)):
+                r = row[u - x]
+                packed |= ((spheres[r] or g.sphere(r)) >> n - x & top - (2 << u)) << u * n
+            table[x] = packed
+        twins &= table[x]
+    if twins:
+        return WitnessPair(*divmod((twins & -twins).bit_length() - 1, n))
+    if len(set(_reps(g, X))) == n:
+        return None
+    return _least_collision(list(_reps(g, X)), g.vertices)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:
@@ -138,7 +135,7 @@ def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster
     block vertex must lie in [0, n)."""
     X = set(landmarks)
     check_vertices(g, (*X, *cluster.vertices))
-    reps = _reps(g, X)
+    reps = list(_reps(g, X))
     block_reps = [{reps[v] for v in block} for block in cluster.blocks]
     return (all(len(r) == 1 for r in block_reps)
             and len(set().union(*block_reps)) == len(block_reps))
@@ -155,7 +152,7 @@ def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
     """
     X = set(landmarks)
     check_vertices(g, (*X, *cluster.vertices))
-    reps = _reps(g, X)
+    reps = list(_reps(g, X))
     blocks = [sorted(block) for block in cluster.blocks]
     stuck = (_least_collision([reps[v] for v in b], b) for b in blocks)
     return min(filter(None, stuck), default=None)

@@ -1,10 +1,12 @@
 """Reference forms the tests check the package against.
 
 Each recomputes by a second route what the package answers by its own:
-distances one pair at a time (closed form) and by a BFS that shares no
-code with ``CirculantGraph``, the layers of vertices by distance from 0
-off that BFS, the far set and the R_i sets of the t = 4 analysis in their
-arithmetic form, and the whole lemma battery in one call.
+distances one pair at a time (closed form), one vertex at a time (the
+distance row) and by a BFS that shares no code with ``CirculantGraph``,
+the layers of vertices by distance from 0 off that BFS, the probe twins
+of ``is_resolving`` one pair at a time, the far set and the R_i sets of
+the t = 4 analysis in their arithmetic form, and the whole lemma battery
+in one call.
 Tests import it by module name, as they import ``conftest``.
 """
 
@@ -32,6 +34,22 @@ def distance_closed_form(n: int, t: int, i: int, j: int) -> int:
     if delta > n // 2:
         delta = n - delta
     return -(-delta // t)
+
+
+def dist_row_per_vertex(n: int, t: int) -> tuple[int, ...]:
+    """Entry d: dist(0, d), the closed form ceil(d / t) computed for each
+    d = 0..n//2 in turn, with entry n - d mirroring entry d."""
+    half = [-(-d // t) for d in range(n // 2 + 1)]
+    return tuple(half + half[(n - 1) // 2:0:-1])
+
+
+def probe_twins_pairwise(g: CirculantGraph, x: int, probes: int) -> int:
+    """Entry x of ``g.probe_twins`` off ``g.dist``, one pair at a time: at
+    bit offset u * n, for each probe u < probes, the w > u with
+    d(w, x) = d(u, x)."""
+    n = g.n
+    return sum(1 << u * n + w for u in range(min(probes, n))
+               for w in range(u + 1, n) if g.dist(w, x) == g.dist(u, x))
 
 
 def bfs_row(g: CirculantGraph, i: int) -> list[int]:

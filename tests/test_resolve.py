@@ -21,7 +21,7 @@ from circmd.resolve import (
     resolves_cluster,
 )
 
-from references import pair_resolvers_arithmetic
+from references import pair_resolvers_arithmetic, probe_twins_pairwise
 
 orders_t4 = st.integers(min_value=10, max_value=40)
 
@@ -224,12 +224,16 @@ def _check_all_against_reference(g, X, rng):
     assert is_cluster_for(g, X, true)
 
 
-def _assert_spheres_match_the_definition(g):
-    # one entry per radius 0..diameter, some filled, each filled one exact
+def _assert_masks_match_the_definition(g):
+    # one sphere entry per radius 0..diameter and one probe-twin entry per
+    # vertex, some of each filled, each filled one exact
     assert len(g.spheres) == g.diameter + 1 and any(g.spheres)
     for r, mask in enumerate(g.spheres):
         m = sum(1 << y for y in g.vertices if g.dist(0, y) == r)
         assert mask in (None, m | m << g.n), (g, r)
+    assert len(g.probe_twins) == g.n and any(g.probe_twins)
+    for x, packed in enumerate(g.probe_twins):
+        assert packed in (None, probe_twins_pairwise(g, x, _PROBES)), (g, x)
 
 
 def test_warm_sphere_masks_match_the_pairwise_reference():
@@ -242,11 +246,12 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
             if i % 10 == 9:
                 X = rng.sample(range(g.n), g.n)  # all of V
             _check_all_against_reference(g, X, rng)
-        _assert_spheres_match_the_definition(g)
+        _assert_masks_match_the_definition(g)
         fresh = CirculantGraph(g.n, g.t)  # equal, with no masks yet
         assert fresh == g and fresh.spheres == [None] * (g.diameter + 1)
+        assert fresh.probe_twins == [None] * g.n
         _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
-        _assert_spheres_match_the_definition(fresh)
+        _assert_masks_match_the_definition(fresh)
     # two graphs of one order, different t, called in turn
     a, b = make_consecutive(13, 4), make_consecutive(13, 6)
     for _ in range(30):
@@ -254,10 +259,10 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
         for g in (a, b, a):
             _check_all_against_reference(g, X, rng)
     for g in (a, b):
-        _assert_spheres_match_the_definition(g)
+        _assert_masks_match_the_definition(g)
     # a warm graph still rejects a landmark outside [0, 13), and fills no mask
     is_resolving(a, range(13))
-    warm = list(a.spheres)
+    warm = list(a.spheres), list(a.probe_twins)
     cluster = Cluster([[1, 12], [5, 8]])
     for X in [(13, 1, 2), (0, -1), (-13,)]:
         for check in (is_resolving, equivalence_classes,
@@ -266,7 +271,33 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
                       lambda g, X: is_cluster_for(g, X, cluster)):
             with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
                 check(a, X)
-    assert a.spheres == warm
+    assert (a.spheres, a.probe_twins) == warm
+
+
+def test_probe_twins_fill_only_the_landmarks_entries():
+    # a fresh graph has no entry; each call fills exactly the entries of
+    # its landmarks not yet filled, each the pairwise packing, and a call
+    # that rejects a landmark fills none
+    g = make_consecutive(809, 4)
+    assert g.probe_twins == [None] * 809
+    filled = set()
+    for X in ((0, 1, 4, 7, 406, 407), (5, 0, 1), (0, 300), range(5), (808, 404, 405)):
+        is_resolving(g, X)
+        filled |= set(X)
+        assert {x for x, e in enumerate(g.probe_twins) if e is not None} == filled, X
+    for X in ((809, 2, 3), (9, 10, -1)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 809\)"):
+            is_resolving(g, X)
+    assert {x for x, e in enumerate(g.probe_twins) if e is not None} == filled
+    for x in filled:
+        assert g.probe_twins[x] == probe_twins_pairwise(g, x, _PROBES), x
+    # every entry of the small orders, where n < _PROBES cuts the fields
+    for n in range(3, 13):
+        for t in range(1, n // 2 + 1):
+            g = make_consecutive(n, t)
+            is_resolving(g, g.vertices)
+            assert g.probe_twins == [probe_twins_pairwise(g, x, _PROBES)
+                                     for x in g.vertices], g
 
 
 def _no_zip(g, landmarks):
