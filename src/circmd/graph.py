@@ -17,8 +17,8 @@ from typing import Iterable, Optional
 class CirculantGraph:
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
     for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``
-    and each entry of ``spheres``, ``separators`` and ``probe_twins``, are
-    filled on first use: two readers may both fill one, with the same value."""
+    and each entry of ``separators`` and ``probe_twins``, are filled on
+    first use: two readers may both fill one, with the same value."""
 
     n: int
     t: int
@@ -36,12 +36,6 @@ class CirculantGraph:
         half = [0, *sorted([*range(1, self.diameter + 1)] * self.t)][:self.n // 2 + 1]
         return tuple(half + half[(self.n - 1) // 2:0:-1])
 
-    @cached_property
-    def spheres(self) -> list[Optional[int]]:
-        """Entry r, for r <= diameter: ``sphere(r)`` once that has run,
-        else None."""
-        return [None] * (self.diameter + 1)
-
     def arc(self, d: int, e: Optional[int] = None) -> range:
         """The y in 1..n//2 at distance d..e (None: d) from 0, for 1 <= d <=
         e <= diameter: t(d-1)+1 .. min(te, n//2), as d(0, y) = ceil(y / t)."""
@@ -53,15 +47,6 @@ class CirculantGraph:
         arc = self.arc(d, e)
         ones = (1 << len(arc)) - 1
         return ones << arc.start | ones << self.n + 1 - arc.stop
-
-    def sphere(self, r: int) -> int:
-        """The vertices at distance r <= diameter from 0, ``arc_mask(r)`` ({0}
-        at r = 0), doubled (m | m << n) so that ``>> (n - x)`` rotates it to
-        x, stored in ``spheres``."""
-        m = self.arc_mask(r) if r else 1
-        m |= m << self.n
-        self.spheres[r] = m
-        return m
 
     @cached_property
     def separators(self) -> list[Optional[int]]:

@@ -72,10 +72,6 @@ class LemmaReport:
     def failed(self) -> tuple[InstantiationResult, ...]:
         return tuple(r for r in self.results if r.status == "fail")
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
 
 @functools.lru_cache(maxsize=1)
 def _graph(n: int) -> CirculantGraph:

@@ -99,22 +99,26 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[Witnes
     Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
     entries holds the twins above probe u: its lowest bit u * n + w gives
     the least pair (u, w), as a twin below u pairs with u at its own probe.
-    Else the zip decides; only a failing set lists its keys."""
+    Else one list of the zipped keys decides and gives the least pair."""
     X = _landmark_set(g, landmarks)
     n, table, twins = g.n, g.probe_twins, -1
     for x in X:
         if table[x] is None:  # field u: u's sphere about x above u, empty if x = u
-            row, spheres, top, packed = g.dist_row, g.spheres, 1 << n, 0
+            row, top, packed, last = g.dist_row, 1 << n, 0, -1
             for u in range(min(_PROBES, n)):
                 r = row[u - x]
-                packed |= ((spheres[r] or g.sphere(r)) >> n - x & top - (2 << u)) << u * n
+                if r != last:  # arc_mask(r), {0} at r = 0, doubled and rotated to x
+                    last, m = r, g.arc_mask(r) if r else 1
+                    sphere = (m | m << n) >> n - x
+                packed |= (sphere & top - (2 << u)) << u * n
             table[x] = packed
         twins &= table[x]
     if twins:
         return WitnessPair(*divmod((twins & -twins).bit_length() - 1, n))
-    if len(set(_reps(g, X))) == n:
+    keys = list(_reps(g, X))
+    if len(set(keys)) == n:
         return None
-    return _least_collision(list(_reps(g, X)), g.vertices)
+    return _least_collision(keys, g.vertices)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:

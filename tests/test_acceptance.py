@@ -121,7 +121,7 @@ def test_acceptance_5_general_lower_bounds():
 
 def test_acceptance_6_lemma_registry_and_window_tightness():
     reports = check_all((1, 2, 3))
-    failing = [r.descriptor_id for r in reports if not r.ok]
+    failing = [r.descriptor_id for r in reports if r.failed]
     statuses = {s for r in reports for s in
                 (res.status for res in r.results)}
     witnesses = window_tightness(13)

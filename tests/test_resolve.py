@@ -225,20 +225,15 @@ def _check_all_against_reference(g, X, rng):
 
 
 def _assert_masks_match_the_definition(g):
-    # one sphere entry per radius 0..diameter and one probe-twin entry per
-    # vertex, some of each filled, each filled one exact
-    assert len(g.spheres) == g.diameter + 1 and any(g.spheres)
-    for r, mask in enumerate(g.spheres):
-        m = sum(1 << y for y in g.vertices if g.dist(0, y) == r)
-        assert mask in (None, m | m << g.n), (g, r)
+    # one probe-twin entry per vertex, some filled, each filled one exact
     assert len(g.probe_twins) == g.n and any(g.probe_twins)
     for x, packed in enumerate(g.probe_twins):
         assert packed in (None, probe_twins_pairwise(g, x, _PROBES)), (g, x)
 
 
 def test_warm_sphere_masks_match_the_pairwise_reference():
-    # one graph object answers many landmark sets from the sphere masks it
-    # keeps; the answers must not depend on which masks earlier calls filled
+    # one graph object answers many landmark sets from the probe twins it
+    # keeps; the answers must not depend on which entries earlier calls filled
     rng = random.Random(2026)
     for g in (make_consecutive(29, 3), make_consecutive(31, 7)):
         for i in range(60):
@@ -248,8 +243,7 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
             _check_all_against_reference(g, X, rng)
         _assert_masks_match_the_definition(g)
         fresh = CirculantGraph(g.n, g.t)  # equal, with no masks yet
-        assert fresh == g and fresh.spheres == [None] * (g.diameter + 1)
-        assert fresh.probe_twins == [None] * g.n
+        assert fresh == g and fresh.probe_twins == [None] * g.n
         _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
         _assert_masks_match_the_definition(fresh)
     # two graphs of one order, different t, called in turn
@@ -262,7 +256,7 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
         _assert_masks_match_the_definition(g)
     # a warm graph still rejects a landmark outside [0, 13), and fills no mask
     is_resolving(a, range(13))
-    warm = list(a.spheres), list(a.probe_twins)
+    warm = list(a.probe_twins)
     cluster = Cluster([[1, 12], [5, 8]])
     for X in [(13, 1, 2), (0, -1), (-13,)]:
         for check in (is_resolving, equivalence_classes,
@@ -271,7 +265,7 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
                       lambda g, X: is_cluster_for(g, X, cluster)):
             with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
                 check(a, X)
-    assert (a.spheres, a.probe_twins) == warm
+    assert a.probe_twins == warm
 
 
 def test_probe_twins_fill_only_the_landmarks_entries():
@@ -305,21 +299,13 @@ def _no_zip(g, landmarks):
 
 
 def test_a_probe_decides_before_any_zip(monkeypatch):
-    # a least twin found by a probe zips no representation; on a fresh graph
-    # the call fills each radius it reads once, each a distance from a probe
-    # to a landmark, and leaves every other sphere entry None
-    read, fill = [], CirculantGraph.sphere
+    # a least twin found by a probe zips no representation, on a fresh graph
     with monkeypatch.context() as m:
         m.setattr(resolve, "_reps", _no_zip)
-        m.setattr(CirculantGraph, "sphere", lambda g, r: read.append(r) or fill(g, r))
         for X, u, v in (((5, 0, 1), 2, 3), ((407, 0, 4, 1), 2, 3),
                         ((0, 300), 1, 2), ((1, 2, 3, 4), 0, 5)):
             g = make_consecutive(809, 4)
-            read.clear()
             assert is_resolving(g, X) == WitnessPair(u, v)
-            assert len(read) == len(set(read)), X
-            assert set(read) <= {g.dist(x, p) for p in range(_PROBES) for x in X}, X
-            assert [r for r, mask in enumerate(g.spheres) if mask] == sorted(read), X
     # a resolving set, or one whose least twin lies beyond the probes
     # (every probe a landmark), is zipped
     assert is_resolving(g, (407, 0, 4, 1, 406, 7)) is None

@@ -205,11 +205,11 @@ def test_min_resolvers_guards_size_one_before_any_mask(monkeypatch):
 
 def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
     # a refused witness search reads not even the diameter, and builds no
-    # row, no planes, no sphere, no separator and no probe twins; a refused
-    # exact_dim reads only the closed-form diameter, for its counting bound,
-    # and builds none either
+    # row, no planes, no separator and no probe twins; a refused exact_dim
+    # reads only the closed-form diameter, for its counting bound, and
+    # builds none either
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    lazy = {"dist_row", "planes", "spheres", "separators", "probe_twins"}
+    lazy = {"dist_row", "planes", "separators", "probe_twins"}
 
     def no_read(*args):
         raise AssertionError("graph read before the budget guard")
