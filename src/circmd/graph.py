@@ -70,13 +70,17 @@ class CirculantGraph:
 
     @cached_property
     def planes(self) -> list[tuple[int, int]]:
-        """Plane b, alone and doubled: the y whose d(0, y) has bit b set,
-        one ``arc_mask`` for each run of 2^b distances with bit b set."""
-        n, top, planes = self.n, self.diameter, []
-        for b in range(top.bit_length()):
-            run, plane = 1 << b, 0
-            for d in range(run, top + 1, 2 * run):
-                plane |= self.arc_mask(d, min(d + run - 1, top))
+        """Plane b, alone and doubled: the y whose d(0, y) has bit b set.  On
+        1..n//2 these are runs of t * 2^b ones at period t * 2^(b+1) from
+        y = t(2^b - 1) + 1, laid down by one repunit multiply and cut at
+        n // 2; the other half is that half reversed, bit y to bit n - y."""
+        n, t, half, planes = self.n, self.t, self.n // 2, []
+        for b in range(self.diameter.bit_length()):
+            run, period = t << b, t << b + 1
+            start = run - t + 1
+            repunit = ((1 << period * ((half - start) // period + 1)) - 1) // ((1 << period) - 1)
+            m = ((1 << run) - 1) * repunit << start & (2 << half) - 1
+            plane = m | int(f"{m:0{n + 1}b}"[::-1], 2)
             planes.append((plane, plane | plane << n))
         return planes
 
@@ -113,8 +117,8 @@ def make_consecutive(n: int, t: int) -> CirculantGraph:
 
 
 def check_vertices(g: CirculantGraph, vertices: Iterable[int]) -> None:
-    """Raise ValueError unless every vertex lies in [0, n).  A plain loop:
-    it costs less than min and max on the small sets the oracle checks."""
+    """Raise ValueError unless every vertex lies in [0, n).  The oracle's
+    ``is_resolving`` runs this loop, message included, inline."""
     n = g.n
     for x in vertices:
         if not 0 <= x < n:

@@ -13,22 +13,23 @@ call; is_resolving only when its landmarks' ``probe_twins`` leave no twin.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import CirculantGraph, check_vertices
 
 
-@dataclass(frozen=True, order=True)
-class WitnessPair:
+class WitnessPair(namedtuple("WitnessPair", "u v")):
     """Two distinct vertices sharing a representation; a failure certificate."""
 
-    u: int
-    v: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, pair: cls(*pair))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.u == self.v:
+    def __new__(cls, u: int, v: int):
+        if u == v:
             raise ValueError("witness pair must consist of distinct vertices")
+        return tuple.__new__(cls, (u, v))
 
 
 @dataclass(frozen=True)
@@ -84,26 +85,25 @@ def _least_collision(keys: Sequence[tuple[int, ...]],
             return WitnessPair(u, vertices[keys.index(key, i + 1)])
 
 
-def _landmark_set(g: CirculantGraph, landmarks: Iterable[int]) -> set[int]:
-    X = set(landmarks)
-    if not X:
-        raise ValueError("landmark set must be nonempty")
-    check_vertices(g, X)
-    return X
-
-
 def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[WitnessPair]:
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
 
     Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
     entries holds the twins above probe u: its lowest bit u * n + w gives
-    the least pair (u, w), as a twin below u pairs with u at its own probe.
-    Else one list of the zipped keys decides and gives the least pair."""
-    X = _landmark_set(g, landmarks)
+    the least pair (u, w), as a twin below u pairs with u at its own probe;
+    w > u, so the pair is built unvalidated.  Else one list of the zipped
+    keys decides and gives the least pair."""
+    X = set(landmarks)
+    if not X:
+        raise ValueError("landmark set must be nonempty")
     n, table, twins = g.n, g.probe_twins, -1
+    for x in X:  # every landmark checked before any entry is filled
+        if not 0 <= x < n:
+            raise ValueError(f"vertex must lie in [0, {n}), got {x}")
     for x in X:
-        if table[x] is None:  # field u: u's sphere about x above u, empty if x = u
+        entry = table[x]
+        if entry is None:  # field u: u's sphere about x above u, empty if x = u
             row, top, packed, last = g.dist_row, 1 << n, 0, -1
             for u in range(min(_PROBES, n)):
                 r = row[u - x]
@@ -111,10 +111,10 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[Witnes
                     last, m = r, g.arc_mask(r) if r else 1
                     sphere = (m | m << n) >> n - x
                 packed |= (sphere & top - (2 << u)) << u * n
-            table[x] = packed
-        twins &= table[x]
+            table[x] = entry = packed
+        twins &= entry
     if twins:
-        return WitnessPair(*divmod((twins & -twins).bit_length() - 1, n))
+        return tuple.__new__(WitnessPair, divmod((twins & -twins).bit_length() - 1, n))
     keys = list(_reps(g, X))
     if len(set(keys)) == n:
         return None
@@ -124,8 +124,12 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[Witnes
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:
     """Partition of V by equal representation, classes ordered by least
     member.  Every landmark must lie in [0, n)."""
+    X = set(landmarks)
+    if not X:
+        raise ValueError("landmark set must be nonempty")
+    check_vertices(g, X)
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v, rep in enumerate(_reps(g, _landmark_set(g, landmarks))):
+    for v, rep in enumerate(_reps(g, X)):
         classes.setdefault(rep, []).append(v)
     return list(classes.values())
 

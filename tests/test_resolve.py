@@ -317,6 +317,37 @@ def test_a_probe_decides_before_any_zip(monkeypatch):
     assert not is_cluster_for(h, (), Cluster([[1], [5]]))
 
 
+def test_witness_pairs_are_validated_named_tuples():
+    # a plain (u, v) compares equal to WitnessPair(u, v), so the type is
+    # checked: the probe route builds its pair without the constructor, the
+    # zip route and resolves_cluster through it
+    rng = random.Random(4040)
+    routes = Counter()
+    for _ in range(300):
+        g, X = _random_case(rng)
+        w = is_resolving(g, X)
+        stuck = resolves_cluster(g, X, Cluster([rng.sample(range(g.n), min(g.n, 4))]))
+        for pair, route in ((w, "probe" if w and w.u < _PROBES else "zip"),
+                            (stuck, "cluster")):
+            if pair is not None:
+                assert type(pair) is WitnessPair and pair.u < pair.v, (g, X, pair)
+                routes[route] += 1
+    assert len(routes) == 3 and min(routes.values()) >= 30, routes
+    w = WitnessPair(v=23, u=1)
+    for make in (lambda: WitnessPair(3, 3), lambda: WitnessPair._make((3, 3)),
+                 lambda: w._replace(v=1)):
+        with pytest.raises(ValueError, match="distinct vertices"):
+            make()
+    assert w._replace(v=24) == WitnessPair._make((1, 24)) == (1, 24)
+    assert repr(w) == "WitnessPair(u=1, v=23)" and w == (1, 23)
+    assert hash(w) == hash((1, 23)) and len({w, (1, 23)}) == 1
+    assert (0, 30) < w < WitnessPair(1, 24) < (2, 3)
+    assert sorted([WitnessPair(2, 3), (1, 30), w]) == [w, (1, 30), (2, 3)]
+    with pytest.raises(AttributeError):
+        w.u = 2
+    assert not hasattr(w, "__dict__")
+
+
 def test_pair_resolvers_example():
     g = make_consecutive(13, 4)
     assert pair_resolvers(g, 0) == frozenset({0, 1, 5, 9})
