@@ -26,7 +26,6 @@ from . import __version__
 from .constructions import METHODS, NoFormulaError, answer, basis_t4
 from .formulas import formula_dim, known_bounds
 from .graph import make_consecutive
-from .lemmas import REGISTRY, check_lemma, manifest
 from .resolve import is_resolving, representation
 from .solver import BudgetExceededError, default_budget
 
@@ -142,6 +141,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
 
 
 def _cmd_check_lemmas(args) -> tuple[dict, int]:
+    from .lemmas import REGISTRY, check_lemma, manifest  # loaded on first use
     if args.id == "all":
         descriptors = list(REGISTRY.values())
     elif args.id in REGISTRY:

@@ -240,6 +240,32 @@ def test_malformed_budget_env_fails_the_command_not_the_import(monkeypatch, caps
     assert "CIRCMD_BUDGET" in capsys.readouterr().err
 
 
+LAZY_LEMMAS_PROBE = """
+import contextlib, io, sys
+import circmd, circmd.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert circmd.cli.main(["dim", "--n", "81", "--t", "4"]) == 0
+    assert circmd.cli.main(["verify", "--n", "13", "--t", "4", "--set", "0,1"]) == 1
+assert "circmd.lemmas" not in sys.modules, "dim or verify loaded the lemma battery"
+assert set(circmd.__all__) <= set(dir(circmd)), "dir(circmd) hides a lazy name"
+assert len(circmd.REGISTRY) == 23
+assert circmd.lemmas is sys.modules["circmd.lemmas"]
+names = {}
+exec("from circmd import *", names)
+assert set(circmd.__all__) <= set(names), "from circmd import * missed a name"
+assert not hasattr(circmd, "no_such_name")  # any error but AttributeError propagates
+"""
+
+
+def test_dim_and_verify_leave_the_lemma_battery_unloaded():
+    # a fresh interpreter: in this one the tests have imported circmd.lemmas
+    src = Path(circmd.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", LAZY_LEMMAS_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv,code", [
     (("dim", "--n", "13", "--t", "4"), 0),
@@ -310,15 +336,25 @@ def test_exports_resolve_once():
                   "is_cluster_for", "resolves_cluster", "pair_resolvers"}
     assert not unexported & set(circmd.__all__)
     assert [name for name in sorted(unexported) if hasattr(circmd, name)] == []
-    # the graph and resolve machinery does not depend on the formula table
-    for module in (circmd.graph, circmd.resolve):
+    def imports(nodes):
         imported = set()
-        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        for node in nodes:
             if isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported.update(alias.name for alias in node.names)
-        assert not [name for name in imported if "formulas" in name.split(".")], module
+        return {part for name in imported for part in name.split(".")}
+
+    # the graph and resolve machinery does not depend on the formula table
+    for module in (circmd.graph, circmd.resolve):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert "formulas" not in imports(ast.walk(tree)), module
+    # nothing on the dim/verify path loads the lemma battery at import time;
+    # only top-level statements count, so check-lemmas may import it inside
+    for module in (circmd.cli, circmd.constructions, circmd.solver, circmd.formulas,
+                   circmd.graph, circmd.resolve):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert "lemmas" not in imports(tree.body), module
 
 
 def test_table_formats_agree(capsys):
