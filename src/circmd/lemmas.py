@@ -1,19 +1,22 @@
-"""Machine-checkable registry of the lower-bound lemma battery (t = 4).
+"""Machine-checkable registry of the lower-bound lemma battery.
 
-Each registry entry encodes one combinatorial claim of the form "any set X
-that simultaneously resolves this family of blocks has at least c
-elements" (or, for the two general theorems, a direct lower bound on the
-metric dimension).  The claims are validated empirically: for every
-admissible order n = 8k + r and parameter tuple, an exhaustive ascending
-search confirms that no smaller resolving set exists.
+The cluster and basis-gap claims are about t = 4, C(n, +-{1..4}); the two
+dim-lower theorems are swept over t = 2..5.  Each cluster entry encodes
+one combinatorial claim of the form "any set X that simultaneously
+resolves this family of blocks has at least c elements"; the two
+theorems are direct lower bounds on the metric dimension.  The claims are
+validated empirically: for every admissible order n = 8k + r and every
+instance, an exhaustive ascending search confirms that no smaller
+resolving set exists.
 
-Block templates are written at anchor 0 as affine expressions in the
-parameters; ``check_lemma`` probes each at every anchor in
-``ANCHOR_PROBES`` and ``instantiate`` shifts it there.  Instantiations
-where offsets collide mod n (small-n wraparound) are reported as
-degenerate rather than silently skipped.  A claim with two or more blocks
-presumes a cluster: it is reported vacuous, not failing, when no landmark
-set of at most 3 vertices induces one, a set the kernel searches for.
+A cluster claim's one template callable, ``instances(n, k)``, yields each
+instance as (parameters besides the anchor, blocks at anchor 0, excluded
+offsets); ``check_lemma`` probes each at every anchor in ``ANCHOR_PROBES``
+and ``instantiate`` shifts it there.  Instantiations where offsets
+collide mod n (small-n wraparound) are reported as degenerate rather than
+silently skipped.  A claim with two or more blocks presumes a cluster: it
+is reported vacuous, not failing, when no landmark set of at most 3
+vertices induces one, a set the kernel searches for.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from .solver import NoBasisWithinError, brute_force_dim, find_basis_of_size, min
 ANCHOR_PROBES = (0, 1)
 
 Blocks = list[list[int]]
-ParamGrid = Callable[[int, int], Iterable[dict]]
-BlocksFn = Callable[[int, int, dict], Blocks]
-ExcludedFn = Callable[[int, int, dict], set[int]]
+# (n, k) -> each instance at n = 8k + r as (params, blocks, excluded offsets)
+Instances = Callable[[int, int], Iterable[tuple[dict, Blocks, Iterable[int]]]]
 
 
 class DegenerateInstantiationError(ValueError):
@@ -49,9 +51,7 @@ class LemmaDescriptor:
     claim: str
     claimed_min: Optional[int] = None
     residues: tuple[int, ...] = ()
-    param_grid: ParamGrid = lambda n, k: ({},)  # parameters besides the anchor
-    blocks_fn: Optional[BlocksFn] = None
-    excluded_fn: Optional[ExcludedFn] = None
+    instances: Optional[Instances] = None  # the cluster template
 
 
 @dataclass(frozen=True)
@@ -80,33 +80,24 @@ def _graph(n: int) -> CirculantGraph:
     return make_consecutive(n, 4)
 
 
-def instantiate(d: LemmaDescriptor, n: int, params: dict
+def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
                 ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
-    """Concrete (graph, cluster, allowed set) for one parameter tuple,
-    the template shifted to the anchor ``params["a"]``.
+    """Concrete (graph, cluster, allowed set) in C(n, +-{1..4}): the blocks
+    and excluded offsets of a template shifted to the anchor ``a``.
 
     Raises DegenerateInstantiationError when template offsets collide mod n.
     """
-    if d.kind != "cluster":
-        raise ValueError(f"descriptor {d.id!r} has no cluster template")
-    k, r = split(n, 4)
-    if r not in d.residues:
-        raise ValueError(f"{d.id!r} admits residues {d.residues}, got n={n} (r={r})")
     g = _graph(n)
-    a = params["a"]
-    blocks = [[(a + x) % n for x in b] for b in d.blocks_fn(n, k, params)]
-    for b in blocks:
+    shifted = [[(a + x) % n for x in b] for b in blocks]
+    for b in shifted:
         if len(set(b)) != len(b):
             raise DegenerateInstantiationError(
-                f"{d.id}: block {sorted(b)} has duplicate vertices mod {n}")
+                f"block {sorted(b)} has duplicate vertices mod {n}")
     try:
-        cluster = Cluster(blocks)
+        cluster = Cluster(shifted)
     except ValueError as exc:
-        raise DegenerateInstantiationError(f"{d.id}: {exc}") from exc
-    allowed = frozenset(g.vertices)
-    if d.excluded_fn is not None:
-        allowed -= {(a + x) % n for x in d.excluded_fn(n, k, params)}
-    return g, cluster, allowed
+        raise DegenerateInstantiationError(str(exc)) from exc
+    return g, cluster, frozenset(g.vertices) - {(a + x) % n for x in excluded}
 
 
 def _find_inducing_set(g: CirculantGraph, cluster: Cluster
@@ -127,13 +118,14 @@ def _find_inducing_set(g: CirculantGraph, cluster: Cluster
     return min_resolvers(g, members, pool, max_size=3).witness
 
 
-def _check_cluster_instantiation(d: LemmaDescriptor, n: int, params: dict
+def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dict,
+                                 blocks: Blocks, excluded: Iterable[int]
                                  ) -> InstantiationResult:
-    key = tuple(sorted(params.items()))
+    key = tuple(sorted({"a": a, **params}.items()))
     try:
-        g, cluster, allowed = instantiate(d, n, params)
+        g, cluster, allowed = instantiate(n, a, blocks, excluded)
     except DegenerateInstantiationError as exc:
-        return InstantiationResult(d.id, n, key, "degenerate", str(exc))
+        return InstantiationResult(d.id, n, key, "degenerate", f"{d.id}: {exc}")
     required = params.get("min_required", d.claimed_min)
     result = min_resolvers(g, cluster, allowed, max_size=required - 1)
     if result.capped:
@@ -191,6 +183,9 @@ _DIM_LOWER_N_CAP = 28  # keeps the brute-force oracle sweep at desk scale
 
 def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
                      ) -> list[InstantiationResult]:
+    if d.id not in ("thm-general-t", "thm-vetrik-lb"):
+        raise ValueError(f"no dim-lower check for {d.id!r}: only "
+                         "'thm-general-t' and 'thm-vetrik-lb' are known")
     k_max, stop = max(k_range), _DIM_LOWER_N_CAP + 1
     results = []
     for t in (2, 3, 4, 5):
@@ -221,14 +216,16 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
         raise ValueError("k_range must be nonempty")
     if any(k < 1 for k in k_range):
         raise ValueError("k values must be at least 1")
+    if d.kind == "cluster" and d.instances is None:
+        raise ValueError(f"cluster descriptor {d.id!r} has no instances")
     results = _check_dim_lower(d, k_range) if d.kind == "dim-lower" else []
     for k, r in itertools.product(k_range, sorted(d.residues)):  # none for dim-lower
         n = 8 * k + r
         if d.kind == "basis-gap":
             results.append(_check_basis_gap(d, n, r))
         else:
-            results += [_check_cluster_instantiation(d, n, {"a": a, **extra})
-                        for a in ANCHOR_PROBES for extra in d.param_grid(n, k)]
+            results += [_check_cluster_instantiation(d, n, a, *instance)
+                        for instance in d.instances(n, k) for a in ANCHOR_PROBES]
     ordered = sorted(results, key=lambda x: (x.n, x.params))
     return LemmaReport(d.id, tuple(ordered))
 
@@ -244,88 +241,52 @@ def _simple_cluster(id_: str, claim: str, residues: tuple[int, ...],
     at the orders with k >= ``min_k``."""
     return LemmaDescriptor(
         id=id_, kind="cluster", claim=claim, claimed_min=claimed_min,
-        residues=residues, param_grid=lambda n, k: ({},) if k >= min_k else (),
-        blocks_fn=lambda n, k, p: base)
+        residues=residues,
+        instances=lambda n, k: [({}, base, ())] if k >= min_k else [])
 
 
-def _window_params(n: int, k: int):
+def _window(n: int, k: int):
     for ell in range(2, 6):
         for subset in itertools.combinations(range(5), ell):
-            yield {"offsets": subset, "min_required": ell - 1}
+            yield {"offsets": subset, "min_required": ell - 1}, [subset], ()
 
 
-def _window_blocks(n, k, p):
-    return [list(p["offsets"])]
-
-
-def _r56_params(n, k):
+def _r56(n, k):
     # at n = 8k+2 the triple's far end a+4k+4 is nearer the other way
     # around (backward arc 4k-1 < forward 4k+3), the blocks stop being
     # equidistant from a+1, and two vertices suffice: ell = k is excluded
     ell_max = k - 1 if n % 8 == 2 else k
     for ell in range(0, ell_max + 1):
-        for sign in (1, -1):
-            yield {"ell": ell, "sign": sign}
+        for s in (1, -1):
+            yield ({"ell": ell, "sign": s},
+                   [[0, s], [s * (j + 4 * ell) for j in (2, 3, 4)]], ())
 
 
-def _r56_blocks(n, k, p):
-    s, ell = p["sign"], p["ell"]
-    return [[0, s], [s * (j + 4 * ell) for j in (2, 3, 4)]]
-
-
-def _akbk8_params(n, k):
+def _akbk8(n, k):
+    ladder = [[4 * k + 4, 4 * k + 5, 4 * k + 6]]
+    ladder += [[4 * k + 4 + 4 * i, 4 * k + 5 + 4 * i] for i in range(1, k + 1)]
     for m, mp in itertools.combinations(range(1, k + 1), 2):
-        yield {"m": m, "m_prime": mp}
+        near = [[8 * k + 7, 1], [4 * m + 2, 4 * m + 4], [4 * mp + 1, 4 * mp + 3]]
+        yield {"m": m, "m_prime": mp}, ladder + near, range(4 * mp + 2)
 
 
-def _akbk8_blocks(n, k, p):
-    m, mp = p["m"], p["m_prime"]
-    blocks = [[4 * k + 4, 4 * k + 5, 4 * k + 6]]
-    blocks += [[4 * k + 4 + 4 * i, 4 * k + 5 + 4 * i] for i in range(1, k + 1)]
-    blocks += [[8 * k + 7, 1], [4 * m + 2, 4 * m + 4], [4 * mp + 1, 4 * mp + 3]]
-    return blocks
+def _ak7(n, k):
+    yield {}, [[x, x + 1] for x in range(0, 4 * k + 5, 2)], ()
 
 
-def _akbk8_excluded(n, k, p):
-    return set(range(0, 4 * p["m_prime"] + 2))
-
-
-def _ak7_blocks(n, k, p):
-    blocks = []
-    for i in range(0, k + 2):
-        blocks.append([4 * i, 4 * i + 1])
-        if i <= k:
-            blocks.append([4 * i + 2, 4 * i + 3])
-    return blocks
-
-
-def _akbk7_params(n, k):
+def _akbk7(n, k):
+    ladder = [[3 + 4 * i, 4 + 4 * i] for i in range(0, k)]
+    ladder.append([3 + 4 * k, 4 + 4 * k, 5 + 4 * k])
     for mp in range(1, k + 1):
-        yield {"m_prime": mp}
+        top = 4 * (k + mp)
+        yield {"m_prime": mp}, ladder + [[3 + top, 4 + top], [5 + top, 6 + top]], ()
 
 
-def _akbk7_blocks(n, k, p):
-    top = 4 * (k + p["m_prime"])
-    blocks = [[3 + 4 * i, 4 + 4 * i] for i in range(0, k)]
-    blocks.append([3 + 4 * k, 4 + 4 * k, 5 + 4 * k])
-    blocks += [[3 + top, 4 + top], [5 + top, 6 + top]]
-    return blocks
-
-
-def _l2223_params(n, k):
+def _l2223(n, k):
     for ell in range(0, k + 1):
-        yield {"ell": ell}
-
-
-def _l2223_blocks(n, k, p):
-    return [[1, 2],
-            [4 * k + 2, 4 * k + 3],
-            [4 * k + 4, 4 * k + 5],
-            [4 * (k + p["ell"]) + j for j in (7, 8, 9)]]
-
-
-def _l2223_excluded(n, k, p):
-    return {2 + 4 * i for i in range(0, p["ell"] + 1)}
+        blocks = [[1, 2], [4 * k + 2, 4 * k + 3], [4 * k + 4, 4 * k + 5],
+                  [4 * (k + ell) + j for j in (7, 8, 9)]]
+        yield {"ell": ell}, blocks, range(2, 4 * ell + 3, 4)
 
 
 def _build_registry() -> dict[str, LemmaDescriptor]:
@@ -337,8 +298,7 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "far plateau fits strictly inside a window (see "
                   "window_bound_counterexample), so those residues are "
                   "excluded",
-            residues=(2, 5, 6, 7, 8, 9),
-            param_grid=_window_params, blocks_fn=_window_blocks),
+            residues=(2, 5, 6, 7, 8, 9), instances=_window),
         _simple_cluster(
             "Obs-0123",
             "the pairs {a,a+1} and {a+2,a+3} cannot be resolved together by "
@@ -350,35 +310,29 @@ def _build_registry() -> dict[str, LemmaDescriptor]:
                   "triple {a+s(2+4L), a+s(3+4L), a+s(4+4L)} needs 3 resolvers "
                   "(L <= k, except L <= k-1 for r = 2 where {a+1, a+2} "
                   "resolves the L = k cluster)",
-            claimed_min=3, residues=(2, 5, 6),
-            param_grid=_r56_params, blocks_fn=_r56_blocks),
+            claimed_min=3, residues=(2, 5, 6), instances=_r56),
         LemmaDescriptor(
             id="L-8-AkBk", kind="cluster",
             claim="for n = 8k+8: the antipodal ladder A_0..A_k plus the three "
                   "near pairs B_1..B_3 needs 3 resolvers outside the arc "
                   "[a, a+4m'+1]",
-            claimed_min=3, residues=(8,),
-            param_grid=_akbk8_params, blocks_fn=_akbk8_blocks,
-            excluded_fn=_akbk8_excluded),
+            claimed_min=3, residues=(8,), instances=_akbk8),
         LemmaDescriptor(
             id="L-7-Ak", kind="cluster",
             claim="for n = 8k+7: the full alternating ladder of adjacent "
                   "pairs needs 3 resolvers",
-            claimed_min=3, residues=(7,), blocks_fn=_ak7_blocks),
+            claimed_min=3, residues=(7,), instances=_ak7),
         LemmaDescriptor(
             id="L-7-AkBk", kind="cluster",
             claim="for n = 8k+7: the pair ladder with a widened top block "
                   "and two displaced pairs needs 3 resolvers",
-            claimed_min=3, residues=(7,),
-            param_grid=_akbk7_params, blocks_fn=_akbk7_blocks),
+            claimed_min=3, residues=(7,), instances=_akbk7),
         LemmaDescriptor(
             id="L-2-22-3", kind="cluster",
             claim="for n = 8k+7: {a+1,a+2}, two antipodal pairs and a "
                   "displaced triple need 3 resolvers outside an arithmetic "
                   "progression",
-            claimed_min=3, residues=(7,),
-            param_grid=_l2223_params, blocks_fn=_l2223_blocks,
-            excluded_fn=_l2223_excluded),
+            claimed_min=3, residues=(7,), instances=_l2223),
         _simple_cluster(
             "r5-0156", "for r in {2,5}: the 4-set {a,a+1,a+5,a+6} needs 2 "
             "resolvers", (2, 5), 2, [[0, 1, 5, 6]]),
@@ -470,10 +424,9 @@ def window_tightness(n: int) -> dict[int, dict]:
     """For each L in 2..5, a size-L subset of a 5-window whose exact minimum
     resolver count is L-1, showing the window bound is tight."""
     g, witnesses = _graph(n), {}
-    for p in _window_params(n, 0):
-        subset = p["offsets"]
+    for params, (subset,), _ in _window(n, 0):
         if len(subset) not in witnesses:
             result = min_resolvers(g, Cluster([subset]), g.vertices)
-            if result.size == p["min_required"]:
+            if result.size == params["min_required"]:
                 witnesses[len(subset)] = {"subset": subset, "resolvers": result.witness}
     return witnesses

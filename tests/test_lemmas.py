@@ -7,6 +7,7 @@ import pytest
 
 import circmd.lemmas as lemmas
 import circmd.solver as solver
+from circmd.formulas import split
 from circmd.graph import CirculantGraph, make_consecutive
 from circmd.lemmas import (
     ANCHOR_PROBES,
@@ -49,30 +50,73 @@ def test_manifest_covers_registry():
         assert e["kind"] in ("cluster", "basis-gap", "dim-lower")
 
 
+def _instance(d, n, params):
+    """(blocks, excluded) of the instance of ``d`` at n with these params."""
+    (instance,) = [i[1:] for i in d.instances(n, split(n, 4)[0]) if i[0] == params]
+    return instance
+
+
+def _check_at_anchor_0(d, n):
+    """check_lemma's result for the one instance of ``d`` at n, anchor 0."""
+    return _check_cluster_instantiation(d, n, 0, {}, *_instance(d, n, {}))
+
+
 def test_instantiate_example():
     d = REGISTRY["L-2-4-3-r56"]
-    g, cluster, allowed = instantiate(d, 13, {"a": 0, "ell": 0, "sign": 1})
+    g, cluster, allowed = instantiate(13, 0, *_instance(d, 13, {"ell": 0, "sign": 1}))
     assert cluster.blocks == (frozenset({0, 1}), frozenset({2, 3, 4}))
     assert allowed == frozenset(range(13))
 
 
-def test_instantiate_rejects_wrong_residue():
-    d = REGISTRY["m3-2-1-2"]
-    with pytest.raises(ValueError, match="admits residues"):
-        instantiate(d, 13, {"a": 0})
-    with pytest.raises(ValueError, match="has no cluster template"):
-        instantiate(REGISTRY["thm-general-t"], 13, {"a": 0})
+def test_cluster_orders_lie_in_the_descriptor_residues():
+    # instantiate takes the order as given; check_lemma alone picks it
+    for d in REGISTRY.values():
+        if d.kind == "cluster":
+            report = check_lemma(d, (1, 2))
+            assert report.results, d.id
+            assert {split(r.n, 4)[1] for r in report.results} <= set(d.residues), d.id
+
+
+def test_cluster_templates_are_pinned():
+    # every instance for k = 1..6, so also the orders the k <= 3 report
+    # pins below never reach
+    digest, count = hashlib.sha256(), 0
+    for d in REGISTRY.values():
+        if d.kind != "cluster":
+            continue
+        for k, r in itertools.product(range(1, 7), sorted(d.residues)):
+            n = 8 * k + r
+            for params, blocks, excluded in d.instances(n, k):
+                digest.update(repr((d.id, n, sorted(params.items()),
+                                    [list(b) for b in blocks], sorted(excluded))).encode())
+                count += 1
+    assert count == 1336
+    assert digest.hexdigest().startswith("2ecf265470278ca1")
+
+
+def test_check_lemma_refuses_a_descriptor_it_cannot_check(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept an unknown dim-lower claim")
+
+    monkeypatch.setattr(lemmas, "brute_force_dim", no_sweep)
+    bound = LemmaDescriptor(id="my-bound", kind="dim-lower", claim="dim >= 2")
+    with pytest.raises(ValueError, match="'thm-general-t' and 'thm-vetrik-lb'"):
+        check_lemma(bound, (1,))
+    bare = LemmaDescriptor(id="bare", kind="cluster", claim="no template",
+                           claimed_min=2, residues=(5,))
+    with pytest.raises(ValueError, match="'bare' has no instances"):
+        check_lemma(bare, (1,))
 
 
 def test_wraparound_collision_is_degenerate():
     d = REGISTRY["L-2-22-3"]
     # at k = 1, ell = 1 the triple {a+15, a+16, a+17} wraps onto itself
     with pytest.raises(DegenerateInstantiationError):
-        instantiate(d, 15, {"a": 0, "ell": 1})
+        instantiate(15, 0, *_instance(d, 15, {"ell": 1}))
     # a block whose offsets meet mod n is degenerate, not a smaller block
     dup = LemmaDescriptor(id="dup", kind="cluster", claim="0, 1 and n", claimed_min=3,
-                          residues=(5,), blocks_fn=lambda n, k, p: [[0, 1, n]])
-    result = _check_cluster_instantiation(dup, 13, {"a": 0})
+                          residues=(5,), instances=lambda n, k: [({}, [[0, 1, n]], ())])
+    result = _check_at_anchor_0(dup, 13)
     assert result.status == "degenerate"
     assert result.detail == "dup: block [0, 0, 1] has duplicate vertices mod 13"
 
@@ -95,31 +139,31 @@ def test_cluster_check_reports_vacuous_and_fail():
     # does; a one-block claim presumes no cluster and simply fails
     vacuous = _simple_cluster("five-four", "blocks of five and four", (5,), 9,
                               [list(range(5)), [5, 6, 7, 8]])
-    result = _check_cluster_instantiation(vacuous, 13, {"a": 0})
+    result = _check_at_anchor_0(vacuous, 13)
     assert result.status == "vacuous"
-    g, cluster, _ = instantiate(vacuous, 13, {"a": 0})
+    g, cluster, _ = instantiate(13, 0, *_instance(vacuous, 13, {}))
     assert _find_inducing_set(g, cluster) is None
 
     false = _simple_cluster("two-pairs", "two pairs", (5,), 3, [[0, 1], [2, 3]])
-    result = _check_cluster_instantiation(false, 13, {"a": 0})
+    result = _check_at_anchor_0(false, 13)
     assert result.status == "fail"
     assert result.detail == "(0, 2) resolves the cluster with 2 < 3"
-    g, cluster, _ = instantiate(false, 13, {"a": 0})
+    g, cluster, _ = instantiate(13, 0, *_instance(false, 13, {}))
     assert _find_inducing_set(g, cluster) == (6,)
     assert is_cluster_for(g, (6,), cluster)
 
     pair = _simple_cluster("pair", "one pair", (5,), 3, [[0, 1]])
-    result = _check_cluster_instantiation(pair, 13, {"a": 0})
+    result = _check_at_anchor_0(pair, 13)
     assert result.status == "fail"
     assert result.detail == "(0,) resolves the cluster with 1 < 3"
 
     # with R_0 excluded nothing left can separate the pair {0, 1}
     walled = LemmaDescriptor(
         id="walled-pair", kind="cluster", claim="one pair, R_0 excluded",
-        claimed_min=3, residues=(5,), blocks_fn=lambda n, k, p: [[0, 1]],
-        excluded_fn=lambda n, k, p: pair_resolvers(make_consecutive(n, 4), 0))
+        claimed_min=3, residues=(5,),
+        instances=lambda n, k: [({}, [[0, 1]], pair_resolvers(make_consecutive(n, 4), 0))])
     for n in (13, 21):
-        result = _check_cluster_instantiation(walled, n, {"a": 0})
+        result = _check_at_anchor_0(walled, n)
         assert result.status == "pass"
         assert result.detail == "unresolvable within the allowed set"
 
@@ -181,7 +225,7 @@ def test_r56_pair_triple_bound_fails_at_ell_k_for_r2():
         cluster = Cluster([[0, 1], [4 * k + 2, 4 * k + 3, 4 * k + 4]])
         res = min_resolvers(g, cluster, g.vertices)
         assert res.size == 2  # the published claim says >= 3
-        grid = list(REGISTRY["L-2-4-3-r56"].param_grid(n, k))
+        grid = [p for p, _, _ in REGISTRY["L-2-4-3-r56"].instances(n, k)]
         assert all(p["ell"] <= k - 1 for p in grid)
 
 
