@@ -29,6 +29,9 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+_LEMMA_NAMES = ("REGISTRY", "LemmaDescriptor", "check_lemma", "instantiate",
+                "manifest", "window_bound_counterexample", "window_tightness")
+
 __all__ = [
     "Answer",
     "BoundsReport",
@@ -36,31 +39,22 @@ __all__ = [
     "CirculantGraph",
     "Cluster",
     "DimResult",
-    "LemmaDescriptor",
     "NoBasisWithinError",
-    "REGISTRY",
     "WitnessPair",
     "basis_t4",
     "brute_force_dim",
-    "check_lemma",
     "equivalence_classes",
     "exact_dim",
     "find_basis_of_size",
     "formula_dim",
-    "instantiate",
     "is_resolving",
     "known_bounds",
     "make_consecutive",
-    "manifest",
     "min_resolvers",
     "representation",
     "split",
-    "window_bound_counterexample",
-    "window_tightness",
+    *_LEMMA_NAMES,
 ]
-
-_LEMMA_NAMES = ("REGISTRY", "LemmaDescriptor", "check_lemma", "instantiate",
-                "manifest", "window_bound_counterexample", "window_tightness")
 
 
 def __getattr__(name):

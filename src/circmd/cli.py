@@ -36,10 +36,9 @@ EXIT_BUDGET = 3
 
 
 def _bounds_payload(n: int, t: int) -> Optional[dict]:
-    if t < 2 or n < 2 * t + 2:
-        return None
     b = known_bounds(n, t)
-    return {"lower": b.lower, "upper": b.upper, "provenance": list(b.provenance)}
+    return None if b is None else {
+        "lower": b.lower, "upper": b.upper, "provenance": list(b.provenance)}
 
 
 def _parse_vertex_set(spec: str, n: int) -> list[int]:

@@ -27,10 +27,12 @@ k >= 1, with vertex a + b*k for each (a, b) of the rule:
     t = 4, s = 9 (upper-8k9):  {0, 1, 4, 7, 4k+6, 4k+7}
 
 Below n = 2t + 2 the graph is complete or nearly so, and no row but a
-sporadic one applies.  For t = 4 the paper states its residue formula from
-n = 6, but C(8, +/-{1..4}) and C(9, +/-{1..4}) are complete graphs with
-dimensions 7 and 8, which the residue cases would contradict; n = 6..9 is
-left to exact search (see the divergence note in the table output).
+sporadic one applies.  ``known_bounds`` states no bound there, nor for
+t = 1: like ``table_row`` it returns None where none of its rules
+applies.  For t = 4 the paper states its residue formula from n = 6, but
+C(8, +/-{1..4}) and C(9, +/-{1..4}) are complete graphs with dimensions
+7 and 8, which the residue cases would contradict; n = 6..9 is left to
+exact search (see the divergence note in the table output).
 """
 
 from __future__ import annotations
@@ -91,27 +93,23 @@ class BoundsReport:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def known_bounds(n: int, t: int) -> BoundsReport:
-    """Best general bounds on dim C(n, +/-{1..t}) for n >= 2t + 2.
+def known_bounds(n: int, t: int) -> Optional[BoundsReport]:
+    """Best general bounds on dim C(n, +/-{1..t}), or None where no rule
+    applies: t < 2, or n < 2t + 2, where the graph is complete or nearly so.
 
     Each rule is a residue test on s of n = 2t*k + s (``split``) and is
     tagged in the provenance when it fires:
 
-    - lb-general:   dim >= t, always (n >= 2t + 2).
+    - lb-general:   dim >= t, always.
     - lb-residue:   dim >= t + 1 iff t + 2 <= s <= 2t + 1 (Vetrik,
                     Canad. Math. Bull. 2017).
     - ub-even-step: dim <= t + 1 + ((s - t - 2) mod 2t) / 2 iff t and n
                     are both even, that is n = 2kt + t + 2p with the
                     least p >= 1 (Chau and Gosselin, Opuscula Math. 2017).
     - ub-residue:   dim <= t + 1 iff 2 <= s <= t + 2.
-
-    Below n = 2t + 2 the graph is complete (dim = n - 1) and none of
-    these rules applies, so that range is rejected.
     """
-    if t < 2:
-        raise ValueError(f"bounds require t >= 2, got {t}")
-    if n < 2 * t + 2:
-        raise ValueError(f"complete-graph range: bounds require n >= {2 * t + 2}, got {n}")
+    if t < 2 or n < 2 * t + 2:
+        return None
     _, s = split(n, t)
     lower, provenance = t, ["lb-general"]
     upper: Optional[int] = None

@@ -42,9 +42,9 @@ class CirculantGraph:
         t, e = self.t, d if e is None else e
         return range(t * (d - 1) + 1, min(t * e, self.n // 2) + 1)
 
-    def arc_mask(self, d: int, e: Optional[int] = None) -> int:
-        """Mask of the vertices at distance d..e from 0: ``arc(d, e)`` and its mirror."""
-        arc = self.arc(d, e)
+    def arc_mask(self, d: int) -> int:
+        """Mask of the vertices at distance d from 0: ``arc(d)`` and its mirror."""
+        arc = self.arc(d)
         ones = (1 << len(arc)) - 1
         return ones << arc.start | ones << self.n + 1 - arc.stop
 

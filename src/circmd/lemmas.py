@@ -216,6 +216,10 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
         raise ValueError("k_range must be nonempty")
     if any(k < 1 for k in k_range):
         raise ValueError("k values must be at least 1")
+    if d.kind not in ("cluster", "basis-gap", "dim-lower"):
+        raise ValueError(f"descriptor {d.id!r} has unknown kind {d.kind!r}")
+    if d.kind != "dim-lower" and not d.residues:
+        raise ValueError(f"{d.kind} descriptor {d.id!r} has no residues")
     if d.kind == "cluster" and d.instances is None:
         raise ValueError(f"cluster descriptor {d.id!r} has no instances")
     results = _check_dim_lower(d, k_range) if d.kind == "dim-lower" else []

@@ -83,22 +83,17 @@ class DimResult:
     exhausted_sizes: tuple[int, ...] = field(compare=False, default=())
 
 
-def _counting_lower_bound(g: CirculantGraph) -> int:
-    """Least k with (diameter + 1)^k >= n: k landmarks admit at most
+def _search_lower_bound(g: CirculantGraph) -> int:
+    """The larger of ``known_bounds``' lower bound, where it applies, and
+    the least k with (diameter + 1)^k >= n: k landmarks admit at most
     (diameter + 1)^k distinct representations."""
     base = g.diameter + 1
     k, reach = 1, base
     while reach < g.n:
         k += 1
         reach *= base
-    return k
-
-
-def _search_lower_bound(g: CirculantGraph) -> int:
-    lb = _counting_lower_bound(g)
-    if g.n >= 2 * g.t + 2 and g.t >= 2:
-        lb = max(lb, known_bounds(g.n, g.t).lower)
-    return lb
+    bounds = known_bounds(g.n, g.t)
+    return k if bounds is None else max(k, bounds.lower)
 
 
 class _Kernel:
@@ -414,6 +409,8 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     at size 1: so a budget below |allowed| refuses such a cluster even
     when no vertex of ``allowed`` resolves it.
     """
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
     if budget is None:
         budget = default_budget()
     pool = sorted(set(allowed))

@@ -100,6 +100,20 @@ def test_huge_t_folds_without_building_every_step(capsys):
     assert payload["result"]["dim"] == 9
 
 
+def test_dim_prints_null_bounds_where_no_rule_applies(capsys):
+    # t = 1 and n < 2t + 2 are outside known_bounds' rules; the search then
+    # starts at the counting bound alone
+    code, payload = run_json(capsys, "dim", "--n", "12", "--t", "1")
+    assert code == 0
+    result = payload["result"]
+    assert (result["dim"], result["basis"]) == (2, [0, 1])
+    assert (result["lower_bound_used"], result["bounds"]) == (2, None)
+    code, payload = run_json(capsys, "dim", "--n", "11", "--t", "5")
+    assert code == 0
+    result = payload["result"]
+    assert (result["dim"], result["lower_bound_used"], result["bounds"]) == (10, 4, None)
+
+
 def test_verify_failure_exits_1_with_witness(capsys):
     code, payload = run_json(capsys, "verify", "--n", "10", "--t", "4",
                              "--set", "0,1,2,3")

@@ -72,11 +72,14 @@ def test_known_bounds_examples():
     assert "lb-residue" in known_bounds(14, 4).provenance
 
 
-def test_known_bounds_rejects_complete_range():
-    with pytest.raises(ValueError):
-        known_bounds(9, 4)
-    with pytest.raises(ValueError):
-        known_bounds(12, 1)
+def test_known_bounds_is_none_outside_its_rules():
+    # no rule holds for t = 1 or below n = 2t + 2, where the graph is complete
+    # or nearly so; everywhere else lb-general at least applies
+    for n in range(3, 61):
+        for t in range(1, n // 2 + 1):
+            b = known_bounds(n, t)
+            assert (b is None) == (t < 2 or n < 2 * t + 2), (n, t)
+            assert b is None or b.provenance[0] == "lb-general", (n, t)
 
 
 @given(st.integers(min_value=10, max_value=200))

@@ -106,6 +106,17 @@ def test_check_lemma_refuses_a_descriptor_it_cannot_check(monkeypatch):
                            claimed_min=2, residues=(5,))
     with pytest.raises(ValueError, match="'bare' has no instances"):
         check_lemma(bare, (1,))
+    # a misspelt kind is not read as a cluster claim
+    typo = LemmaDescriptor(id="typo", kind="clustr", claim="misspelt", claimed_min=2,
+                           residues=(5,), instances=lambda n, k: [({}, [[0, 1]], ())])
+    with pytest.raises(ValueError, match="'typo' has unknown kind 'clustr'"):
+        check_lemma(typo, (1,))
+    # with no residues there is no order to check, which is not a pass
+    for kind, template in (("cluster", typo.instances), ("basis-gap", None)):
+        empty = LemmaDescriptor(id="z", kind=kind, claim="...", claimed_min=5,
+                                instances=template)
+        with pytest.raises(ValueError, match=f"{kind} descriptor 'z' has no residues"):
+            check_lemma(empty, (1,))
 
 
 def test_wraparound_collision_is_degenerate():

@@ -754,3 +754,6 @@ def test_min_resolvers_rejects_vertices_outside_the_graph():
         min_resolvers(g, Cluster([[0, 1]]), [-1, 5])
     with pytest.raises(ValueError, match="allowed set must be nonempty"):
         min_resolvers(g, Cluster([[0, 1]]), [])
+    # no search to cap: a capped result would read as a proof of nothing
+    with pytest.raises(ValueError, match="max_size must be at least 0, got -1"):
+        min_resolvers(g, Cluster([[0, 1]]), range(13), max_size=-1)
