@@ -1,8 +1,9 @@
 """Command-line surface with machine-readable output.
 
-Every command prints a JSON envelope (command echo, parameters, result
-payload, timing, version) to stdout; the ``table`` command can instead
-render CSV or Markdown of the same values.  Exit codes:
+Each command's own parser reads its arguments; the full parser serves help,
+version and usage errors.  Every command prints a JSON envelope (command echo,
+parameters, result, timing, version) to stdout, laid out as by ``json.dumps``
+with ``indent=2``; ``table`` can instead render CSV or Markdown.  Exit codes:
 
     0  success
     1  verification failure (set or basis not resolving, lemma check failed, ...)
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .constructions import METHODS, NoFormulaError, answer, basis_t4
@@ -33,9 +33,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+_LEAVES = {int: int.__repr__, str: json.encoder.encode_basestring_ascii,  # json's text
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
-def _bounds_payload(n: int, t: int) -> Optional[dict]:
+def _bounds_payload(n: int, t: int) -> dict | None:
     b = known_bounds(n, t)
     return None if b is None else {
         "lower": b.lower, "upper": b.upper, "provenance": list(b.provenance)}
@@ -167,6 +169,16 @@ def _cmd_check_lemmas(args) -> tuple[dict, int]:
     return result, EXIT_VERIFICATION_FAILED if any_failure else EXIT_OK
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, without the pure-Python encoder json indents with."""
+    if (leaf := _LEAVES.get(type(obj))) or not isinstance(obj, (dict, list, tuple)) or not obj:
+        return (leaf or json.dumps)(obj)  # json.dumps: floats, {}, [], TypeError on others
+    inner, ends = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
+    items = ([f"{_LEAVES[str](k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+             if ends == "{}" else [_dumps(v, inner) for v in obj])
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1]
+
+
 @functools.cache  # parse_args fills a fresh namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -215,13 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem.add_argument("--k-max", type=int, default=1, dest="k_max")
     # no --budget flag: the solver reads CIRCMD_BUDGET, and main echoes it
     p_lem.set_defaults(func=_cmd_check_lemmas, budget=None)
-
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
+    args, extra = argparse.Namespace(command=argv[0] if argv else None), True
+    if args.command in parser.commands:  # the full parser makes this call on these strings
+        args, extra = parser.commands[args.command].parse_known_args(argv[1:], args)
+    args = parser.parse_args(argv) if extra else args
     started = time.perf_counter()
     try:
         if "budget" in vars(args) and args.budget is None:
@@ -236,14 +251,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoFormulaError as exc:
         result, code = {"error": str(exc)}, EXIT_VERIFICATION_FAILED
     if not isinstance(result, str):
-        result = json.dumps({
+        result = _dumps({
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items()
                            if k not in ("command", "func")},
             "result": result,
             "timing_seconds": round(time.perf_counter() - started, 6),
             "version": __version__,
-        }, indent=2) + "\n"
+        }) + "\n"
     try:
         sys.stdout.write(result)
         sys.stdout.flush()

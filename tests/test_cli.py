@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -10,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circmd
 from circmd import formulas
-from circmd.cli import build_parser, main
+from circmd.cli import _dumps, build_parser, main
 from circmd.graph import make_consecutive
 from circmd.solver import DEFAULT_BUDGET, DimResult, default_budget
 
@@ -308,6 +311,76 @@ def test_envelope_text_is_two_space_json(capsys):
     code, out = run_cli(capsys, "dim", "--n", "13", "--t", "4")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # one envelope per route, with the exit code each route ends in
+    for argv, want in [
+        (("dim", "--n", "21", "--t", "4", "--method", "search"), 0),  # exhausted sizes
+        (("verify", "--n", "20", "--t", "4", "--set", "0,2,8,10"), 0),
+        (("verify", "--n", "13", "--t", "4", "--set", "0,1"), 1),  # representations
+        (("construct", "--n", "19"), 0),
+        (("table", "--t", "4", "--n-min", "8", "--n-max", "12", "--format", "json"), 0),
+        (("check-lemmas", "--id", "Obs-0123"), 0),
+        (("dim", "--n", "30", "--t", "4", "--method", "search", "--budget", "10"), 3),
+        (("dim", "--n", "8", "--t", "4", "--method", "formula"), 1),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == want, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-(2 ** 64), 10 ** 300])
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    | st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\té€\U0001f600\u2028ab'),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@given(_json_values)
+@settings(deadline=None)
+def test_envelope_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, [0, {"k": set()}], {1: 2}], ids=repr)
+def test_envelope_writer_refuses_what_it_cannot_write(value):
+    # like json.dumps, except that a key other than str is refused, not converted
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"timing_seconds": [^\n]+', '"timing_seconds": T', out), err
+
+
+DIM_ARGV = ("dim", "--n", "13", "--t", "4")
+
+
+@pytest.mark.parametrize("argv, full", [
+    ((), True), (("--version",), True), (("-h",), True), (("dim", "-h"), False),
+    (("nosuch",), True), (("--", *DIM_ARGV), True),
+    (("dim", "--n", "13"), False), (("dim", "--n", "x", "--t", "4"), False),
+    ((*DIM_ARGV, "--method", "bogus"), False),
+    ((*DIM_ARGV, "--bogus"), True), ((*DIM_ARGV, "extra"), True), ((*DIM_ARGV, "--vers"), True),
+    (DIM_ARGV, False), ((*DIM_ARGV, "--max", "5"), False),  # --max abbreviates --max-k
+    (("table", "--t", "4", "--n-min", "3", "--n-m", "3"), False),  # ambiguous
+], ids=lambda v: ("full" if v else "own") if isinstance(v, bool) else " ".join(v) or "none")
+def test_command_parser_answers_as_the_full_parser(monkeypatch, capsys, argv, full):
+    # exit code, stdout (with the parameters in order) and stderr match the
+    # full parser's, and the full parser runs only where the command's cannot answer
+    monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
+    parser, calls = build_parser(), []
+    monkeypatch.setattr(parser, "parse_args", lambda a: calls.append(a) or
+                        argparse.ArgumentParser.parse_args(parser, a))
+    got = _outcome(capsys, argv)
+    assert bool(calls) is full
+    monkeypatch.setattr(parser, "commands", {})  # every argv goes to the full parser
+    assert _outcome(capsys, argv) == got
 
 
 def test_budget_env_is_read_when_a_command_runs(monkeypatch, capsys):
