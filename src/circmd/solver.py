@@ -404,10 +404,9 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
     of ``allowed`` and of the cluster must lie in [0, n).  The budget
-    (None: ``default_budget()``, read once) is guarded before any mask is
-    built, at size 0 and, when a block holds a pair and ``max_size`` > 0,
-    at size 1: so a budget below |allowed| refuses such a cluster even
-    when no vertex of ``allowed`` resolves it.
+    (None: ``default_budget()``, read once) refuses only a size about to
+    be searched; a cluster with a pair that no vertex of ``allowed``
+    separates is answered from its masks at any budget.
     """
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
@@ -418,10 +417,6 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
         raise ValueError("allowed set must be nonempty")
     check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
     limit = len(pool) if max_size is None else min(max_size, len(pool))
-    # hit's guards up to the least size that can hit a pair
-    reach = 1 if limit > 0 and any(len(b) > 1 for b in cluster.blocks) else 0
-    for size in range(reach + 1):
-        _check_budget(len(pool), size, budget)
     kernel = _Kernel(g, pool)
     pairs = list(kernel.pair_masks(cluster.blocks))
     if not all(pairs):

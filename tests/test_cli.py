@@ -461,6 +461,18 @@ def test_table_formats_agree(capsys):
     assert out.startswith("| n |")
     assert len(out.strip().splitlines()) == len(rows) + 2
 
+    # byte for byte, with None cells written as empty fields at n = 8 and 9
+    code, out = run_cli(capsys, "table", "--t", "4", "--n-min", "8", "--n-max", "12",
+                        "--check", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,n_mod_8,formula_dim,searched_dim,agreement,note\r\n"
+        "8,0,,7,,complete graph; residue formula not applicable\r\n"
+        "9,1,,8,,complete graph; residue formula not applicable\r\n"
+        "10,2,5,5,True,\r\n"
+        "11,3,4,4,True,\r\n"
+        "12,4,4,4,True,\r\n")
+
 
 def test_table_check_marks_fringe_divergence(capsys):
     code, payload = run_json(capsys, "table", "--t", "4", "--n-min", "8",

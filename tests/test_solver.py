@@ -183,24 +183,38 @@ def test_budget_refusal_builds_no_separator_mask(monkeypatch):
         exact_dim(g)
     with pytest.raises(BudgetExceededError, match=r"C\(399, 5\)"):
         find_basis_of_size(g, 6)
-    with pytest.raises(BudgetExceededError, match=r"C\(400, 0\)"):
-        min_resolvers(g, Cluster([[0, 1]]), range(400), budget=0)
 
 
-def test_min_resolvers_guards_size_one_before_any_mask(monkeypatch):
-    # a cluster with a pair needs size 1, so a budget below |allowed| is
-    # refused before any mask, row, plane, separator or probe-twin entry is built
+def test_min_resolvers_is_refused_only_by_the_kernel_guard(monkeypatch):
+    # the budget refuses a size just before the kernel searches it: a
+    # cluster with a pair exhausts size 0 and is refused at size 1
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    lazy = {"dist_row", "planes", "separators", "probe_twins"}
     g = make_consecutive(30, 4)
+    with pytest.raises(BudgetExceededError, match=r"C\(30, 0\) candidates exceed budget"):
+        min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30), budget=0)
     for budget in range(1, 30):
         with pytest.raises(BudgetExceededError,
                            match=r"C\(30, 1\) candidates exceed budget"):
             min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30), budget=budget)
-        assert not lazy & g.__dict__.keys(), budget
     # singletons need no vertex: size 0 passes the budget of C(30, 0)
     result = min_resolvers(g, Cluster([[0], [10]]), range(30), budget=1)
     assert (result.size, result.witness) == (0, ())
+    # no vertex of {0, 1, 12} separates 6 from 7: the masks answer at any budget
+    g = make_consecutive(13, 4)
+    for budget in range(3):
+        result = min_resolvers(g, Cluster([[6, 7]]), [0, 1, 12], budget=budget)
+        assert (result.size, result.witness, result.capped) == (None, None, False)
+    # with no budget given, hit guards each size it searches with one read
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return solver.DEFAULT_BUDGET
+
+    monkeypatch.setattr(solver, "default_budget", counted)
+    g = make_consecutive(30, 4)
+    result = min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30))
+    assert (result.size, result.witness, len(reads)) == (2, (0, 2), 1)
 
 
 def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
