@@ -36,11 +36,10 @@ class CirculantGraph:
         half = [0, *sorted([*range(1, self.diameter + 1)] * self.t)][:self.n // 2 + 1]
         return tuple(half + half[(self.n - 1) // 2:0:-1])
 
-    def arc(self, d: int, e: Optional[int] = None) -> range:
-        """The y in 1..n//2 at distance d..e (None: d) from 0, for 1 <= d <=
-        e <= diameter: t(d-1)+1 .. min(te, n//2), as d(0, y) = ceil(y / t)."""
-        t, e = self.t, d if e is None else e
-        return range(t * (d - 1) + 1, min(t * e, self.n // 2) + 1)
+    def arc(self, d: int) -> range:
+        """The y in 1..n//2 at distance d from 0, for 1 <= d <= diameter:
+        t(d-1)+1 .. min(td, n//2), as d(0, y) = ceil(y / t)."""
+        return range(self.t * (d - 1) + 1, min(self.t * d, self.n // 2) + 1)
 
     def arc_mask(self, d: int) -> int:
         """Mask of the vertices at distance d from 0: ``arc(d)`` and its mirror."""

@@ -12,10 +12,10 @@ resolving set exists.
 A cluster claim's one template callable, ``instances(n, k)``, yields each
 instance as (parameters besides the anchor, blocks at anchor 0, excluded
 offsets); ``check_lemma`` probes each at every anchor in ``ANCHOR_PROBES``
-and ``instantiate`` shifts it there.  Instantiations where offsets
-collide mod n (small-n wraparound) are reported as degenerate rather than
-silently skipped.  A claim with two or more blocks presumes a cluster: it
-is reported vacuous, not failing, when no landmark set of at most 3
+and ``instantiate`` shifts it there.  One whose offsets collide mod n
+(small-n wraparound) is refused by ``Cluster`` and reported as degenerate,
+not silently skipped.  A claim with two or more blocks presumes a cluster:
+it is reported vacuous, not failing, when no landmark set of at most 3
 vertices induces one, a set the kernel searches for.
 """
 
@@ -38,10 +38,6 @@ ANCHOR_PROBES = (0, 1)
 Blocks = list[list[int]]
 # (n, k) -> each instance at n = 8k + r as (params, blocks, excluded offsets)
 Instances = Callable[[int, int], Iterable[tuple[dict, Blocks, Iterable[int]]]]
-
-
-class DegenerateInstantiationError(ValueError):
-    """Template offsets collide mod n; the claim's distinctness premise fails."""
 
 
 @dataclass(frozen=True)
@@ -83,20 +79,11 @@ def _graph(n: int) -> CirculantGraph:
 def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
                 ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
     """Concrete (graph, cluster, allowed set) in C(n, +-{1..4}): the blocks
-    and excluded offsets of a template shifted to the anchor ``a``.
-
-    Raises DegenerateInstantiationError when template offsets collide mod n.
+    and excluded offsets of a template shifted to the anchor ``a``.  It
+    only shifts: ``Cluster`` raises ``ValueError`` when offsets collide mod n.
     """
     g = _graph(n)
-    shifted = [[(a + x) % n for x in b] for b in blocks]
-    for b in shifted:
-        if len(set(b)) != len(b):
-            raise DegenerateInstantiationError(
-                f"block {sorted(b)} has duplicate vertices mod {n}")
-    try:
-        cluster = Cluster(shifted)
-    except ValueError as exc:
-        raise DegenerateInstantiationError(str(exc)) from exc
+    cluster = Cluster([(a + x) % n for x in b] for b in blocks)
     return g, cluster, frozenset(g.vertices) - {(a + x) % n for x in excluded}
 
 
@@ -124,7 +111,7 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
     key = tuple(sorted({"a": a, **params}.items()))
     try:
         g, cluster, allowed = instantiate(n, a, blocks, excluded)
-    except DegenerateInstantiationError as exc:
+    except ValueError as exc:  # offsets collide mod n
         return InstantiationResult(d.id, n, key, "degenerate", f"{d.id}: {exc}")
     required = params.get("min_required", d.claimed_min)
     result = min_resolvers(g, cluster, allowed, max_size=required - 1)

@@ -34,18 +34,21 @@ class WitnessPair(namedtuple("WitnessPair", "u v")):
 
 @dataclass(frozen=True)
 class Cluster:
-    """Ordered tuple of pairwise-disjoint nonempty vertex sets (blocks)."""
+    """Ordered tuple of pairwise-disjoint nonempty blocks, each of distinct vertices."""
 
     blocks: tuple[frozenset[int], ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        frozen = tuple(frozenset(b) for b in blocks)
+        listed = [list(b) for b in blocks]  # each block read once
+        frozen = tuple(map(frozenset, listed))
         if not frozen:
             raise ValueError("cluster needs at least one block")
         seen: set[int] = set()
-        for b in frozen:
+        for b, vertices in zip(frozen, listed):
             if not b:
                 raise ValueError("cluster blocks must be nonempty")
+            if len(b) != len(vertices):  # a repeat is refused, not merged
+                raise ValueError(f"block {sorted(vertices)} has duplicate vertices")
             if seen & b:
                 raise ValueError(f"cluster blocks overlap: {sorted(seen & b)}")
             seen |= b

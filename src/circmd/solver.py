@@ -149,6 +149,8 @@ class _Kernel:
         ``_orbit_range``."""
         ordered: Optional[list[int]] = None
         for size in sizes:
+            if budget is None:  # read once, at the first size
+                budget = default_budget()
             _check_budget(len(self.pool), size, budget)
             if ordered is None:
                 ordered = sorted(dict.fromkeys(pairs), key=int.bit_count)
@@ -313,8 +315,8 @@ def _sphere_blocks(g: CirculantGraph) -> Iterator[Sequence[int]]:
     n, t, top = g.n, g.t, g.diameter
     yield [0]
     for d in range(1, top + 1):
-        if d == 3:  # spheres 3..D - 2 fill one arc, t vertices each
-            for lo in g.arc(3, top - 2)[::t]:
+        if d == 3:  # spheres 3..D - 2 fill 2t+1..t(D-2) < n // 2, t vertices each
+            for lo in range(2 * t + 1, t * (top - 2) + 1, t):
                 yield range(lo, lo + t)
                 yield range(n + 1 - lo - t, n + 1 - lo)
         if not 3 <= d <= top - 2:
@@ -404,14 +406,12 @@ def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
     when no witness of at most that size exists (useful for verifying
     lower-bound claims without computing the true minimum).  Every vertex
     of ``allowed`` and of the cluster must lie in [0, n).  The budget
-    (None: ``default_budget()``, read once) refuses only a size about to
-    be searched; a cluster with a pair that no vertex of ``allowed``
-    separates is answered from its masks at any budget.
+    (None: ``default_budget()``, read once by ``hit``) refuses only a size
+    about to be searched; a cluster with a pair that no vertex of
+    ``allowed`` separates is answered from its masks at any budget.
     """
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
-    if budget is None:
-        budget = default_budget()
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")

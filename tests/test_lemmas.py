@@ -12,7 +12,6 @@ from circmd.graph import CirculantGraph, make_consecutive
 from circmd.lemmas import (
     ANCHOR_PROBES,
     REGISTRY,
-    DegenerateInstantiationError,
     LemmaDescriptor,
     _check_cluster_instantiation,
     _find_inducing_set,
@@ -122,14 +121,14 @@ def test_check_lemma_refuses_a_descriptor_it_cannot_check(monkeypatch):
 def test_wraparound_collision_is_degenerate():
     d = REGISTRY["L-2-22-3"]
     # at k = 1, ell = 1 the triple {a+15, a+16, a+17} wraps onto itself
-    with pytest.raises(DegenerateInstantiationError):
+    with pytest.raises(ValueError, match="overlap"):
         instantiate(15, 0, *_instance(d, 15, {"ell": 1}))
     # a block whose offsets meet mod n is degenerate, not a smaller block
     dup = LemmaDescriptor(id="dup", kind="cluster", claim="0, 1 and n", claimed_min=3,
                           residues=(5,), instances=lambda n, k: [({}, [[0, 1, n]], ())])
     result = _check_at_anchor_0(dup, 13)
     assert result.status == "degenerate"
-    assert result.detail == "dup: block [0, 0, 1] has duplicate vertices mod 13"
+    assert result.detail == "dup: block [0, 0, 1] has duplicate vertices"
 
 
 def test_fast_descriptors_pass_at_k1():

@@ -122,6 +122,11 @@ def test_cluster_rejects_overlap_and_empty():
         Cluster([[0, 1], []])
     with pytest.raises(ValueError):
         Cluster([])
+    # a repeated vertex is refused, not merged into a smaller block
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        Cluster([[0, 1, 0]])
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        Cluster([iter([2, 3, 2])])
 
 
 def test_is_cluster_for_requires_distinct_classes():

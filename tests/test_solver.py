@@ -215,6 +215,10 @@ def test_min_resolvers_is_refused_only_by_the_kernel_guard(monkeypatch):
     g = make_consecutive(30, 4)
     result = min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30))
     assert (result.size, result.witness, len(reads)) == (2, (0, 2), 1)
+    # a witness search that tries two sizes reads it once too
+    reads.clear()
+    exact_dim(make_consecutive(49, 4))
+    assert len(reads) == 1
 
 
 def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
