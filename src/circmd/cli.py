@@ -27,7 +27,7 @@ from .constructions import METHODS, NoFormulaError, answer, basis_t4
 from .formulas import formula_dim, known_bounds
 from .graph import make_consecutive
 from .resolve import is_resolving, representation
-from .solver import BudgetExceededError, default_budget
+from .solver import BudgetExceededError, NoBasisWithinError, default_budget
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         result, code = args.func(args)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, NoBasisWithinError) as exc:
         result, code = {"error": str(exc)}, EXIT_BUDGET
     except NoFormulaError as exc:
         result, code = {"error": str(exc)}, EXIT_VERIFICATION_FAILED

@@ -26,9 +26,9 @@ Two routes are provided and deliberately kept separate:
   containing 0, with no other pruning.  It shares no search code with
   the kernel and serves as the independent oracle.
 
-Both routes stop at ``max_k``: exhausting every size up to it raises
-``NoBasisWithinError``, a proof that dim > max_k; a plain
-``BudgetExceededError`` is the budget guard's refusal and proves nothing.
+Both routes stop at ``max_k``: ``NoBasisWithinError`` proves dim > max_k.
+``BudgetExceededError``, raised only by the budget guard ``_check_budget``,
+is a refusal and proves nothing; neither class subclasses the other.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class BudgetExceededError(RuntimeError):
     """Raised when a search would enumerate more candidates than allowed."""
 
 
-class NoBasisWithinError(BudgetExceededError):
-    """Raised when every size up to ``max_k`` was searched and none resolves."""
+class NoBasisWithinError(LookupError):
+    """No set of size <= ``max_k`` resolves: each size was exhausted or is below a lower bound."""
 
 
 @dataclass(frozen=True)
@@ -286,11 +286,9 @@ class _Kernel:
         return least.bit_length() - 1, (mate & -mate).bit_length() - 1
 
 
-def _check_budget(size: int, picks: int, budget: Optional[int]) -> None:
-    """Refuse a level that would enumerate more than ``budget`` (None:
-    ``default_budget()``) choices of ``picks`` vertices out of ``size``."""
-    if budget is None:
-        budget = default_budget()
+def _check_budget(size: int, picks: int, budget: int) -> None:
+    """Refuse a level that would enumerate more than ``budget`` choices of
+    ``picks`` vertices out of ``size``."""
     if comb(size, picks) > budget:
         raise BudgetExceededError(
             f"C({size}, {picks}) candidates exceed budget {budget}")
@@ -371,10 +369,11 @@ def brute_force_dim(g: CirculantGraph, max_k: Optional[int] = None,
                     budget: Optional[int] = None) -> DimResult:
     """Independent oracle: lexicographic sweep of all k-subsets containing 0,
     k = 1..``max_k`` (None: n).  Fixing 0 is the only reduction used (valid
-    by vertex-transitivity).  Refuses any level of more than ``budget`` subsets.
-    """
+    by vertex-transitivity).  Refuses any level of more than ``budget`` subsets;
+    None reads ``default_budget()`` once."""
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be at least 1")
+    budget = default_budget() if budget is None else budget
     nodes = 0
     exhausted = []
     for k in range(1, (max_k or g.n) + 1):

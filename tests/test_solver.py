@@ -156,6 +156,11 @@ def test_max_k_raises_when_exceeded():
     g = make_consecutive(10, 4)
     with pytest.raises(NoBasisWithinError, match="size <= 3"):
         exact_dim(g, max_k=3)
+    # a proof that dim > max_k is not the budget guard's refusal
+    assert not issubclass(NoBasisWithinError, BudgetExceededError)
+    with pytest.raises(NoBasisWithinError):
+        with pytest.raises(BudgetExceededError):
+            exact_dim(g, max_k=3)
     with pytest.raises(ValueError, match="max_k must be at least 1"):
         exact_dim(g, max_k=0)
 
@@ -218,6 +223,11 @@ def test_min_resolvers_is_refused_only_by_the_kernel_guard(monkeypatch):
     # a witness search that tries two sizes reads it once too
     reads.clear()
     exact_dim(make_consecutive(49, 4))
+    assert len(reads) == 1
+    # and so does an oracle sweep of three sizes, which ends in a proof
+    reads.clear()
+    with pytest.raises(NoBasisWithinError, match="size <= 3"):
+        brute_force_dim(make_consecutive(13, 4), max_k=3)
     assert len(reads) == 1
 
 
