@@ -11,19 +11,12 @@ complete-graph fringe); ``oracle`` runs ``brute_force_dim``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .formulas import SPORADIC, formula_dim, table_row
 from .graph import make_consecutive
-from .resolve import WitnessPair, is_resolving
-from .solver import (
-    DimResult,
-    NoBasisWithinError,
-    brute_force_dim,
-    exact_dim,
-    find_basis_of_size,
-)
+from .resolve import is_resolving
+from .solver import NoBasisWithinError, brute_force_dim, exact_dim, find_basis_of_size
 
 METHODS = ("auto", "formula", "search", "oracle")
 REMARK_19_PUBLISHED = (0, 2, 7, 19)
@@ -36,17 +29,14 @@ class NoFormulaError(LookupError):
     """Raised for ``method="formula"`` where no closed-form dimension applies."""
 
 
-@dataclass(frozen=True)
-class Answer:
-    n: int
-    t: int
-    dim: int
-    basis: tuple[int, ...]
-    method: str  # "formula", or the search's "search" | "oracle"
-    source: str  # remark-<n> (SPORADIC), a FAMILIES tag, or search-fallback
-    note: Optional[str] = None
-    unresolved: Optional[WitnessPair] = None  # the least pair the basis leaves
-    search: Optional[DimResult] = None  # when a search gave dim
+class Answer(namedtuple("Answer", "n t dim basis method source note unresolved search",
+                        defaults=(None, None, None))):
+    """``method`` is "formula" or the search's "search" | "oracle"; ``source``
+    is remark-<n> (SPORADIC), a FAMILIES tag or search-fallback; ``unresolved``
+    is the least pair the basis leaves, and ``search`` the DimResult when a
+    search gave dim."""
+
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -57,8 +47,8 @@ class Answer:
         return formula_dim(self.n, self.t) == len(self.basis)
 
 
-def answer(n: int, t: int, method: str = "auto", max_k: Optional[int] = None,
-           budget: Optional[int] = None) -> Answer:
+def answer(n: int, t: int, method: str = "auto", max_k: int | None = None,
+           budget: int | None = None) -> Answer:
     """dim C(n, +/-{1..t}) by ``method`` with a checked basis; a dimension
     above ``max_k`` raises ``NoBasisWithinError``."""
     g = make_consecutive(n, t)
@@ -87,7 +77,7 @@ def answer(n: int, t: int, method: str = "auto", max_k: Optional[int] = None,
                   is_resolving(g, basis), search)
 
 
-def basis_t4(n: int, budget: Optional[int] = None) -> Answer:
+def basis_t4(n: int, budget: int | None = None) -> Answer:
     """A checked metric basis of C(n, +/-{1,2,3,4}) with its provenance tag."""
     if n < 5:
         raise ValueError(f"basis_t4 needs n >= 5, got {n}")

@@ -37,8 +37,7 @@ exact search (see the divergence note in the table output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 DIMS = {2: (3, 3, 3, 4), 3: (4, 4, 4, 4, 4, 5), 4: (5, 5, 4, 5, 5, 6, 6, 6)}
 SPORADIC = {(4, 5): (0, 1, 2, 3), (4, 11): (0, 2, 3, 10), (4, 19): (0, 2, 7, 14)}
@@ -57,7 +56,7 @@ def split(n: int, t: int) -> tuple[int, int]:
     return k, n - 2 * t * k
 
 
-def table_row(n: int, t: int) -> Optional[tuple[int, Optional[tuple[tuple[int, ...], str]]]]:
+def table_row(n: int, t: int) -> tuple[int, tuple[tuple[int, ...], str] | None] | None:
     """(dim, (basis, source) or None) from the table, or None where no row
     applies: a ``SPORADIC`` witness first, then ``DIMS`` with the
     ``FAMILIES`` witness, if any, for n >= 2t + 2."""
@@ -74,26 +73,25 @@ def table_row(n: int, t: int) -> Optional[tuple[int, Optional[tuple[tuple[int, .
     return DIMS[t][s - 2], (tuple(a + b * k for a, b in rule), source)
 
 
-def formula_dim(n: int, t: int) -> Optional[int]:
+def formula_dim(n: int, t: int) -> int | None:
     """Known exact metric dimension, or None where no formula applies."""
     row = table_row(n, t)
     return None if row is None else row[0]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    lower: int
-    upper: Optional[int]
-    provenance: tuple[str, ...]
+class BoundsReport(namedtuple("BoundsReport", "lower upper provenance")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.lower < 1:
+    def __new__(cls, lower: int, upper: int | None, provenance: tuple[str, ...]):
+        if lower < 1:
             raise ValueError("lower bound must be at least 1")
-        if self.upper is not None and self.lower > self.upper:
+        if upper is not None and lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        return tuple.__new__(cls, (lower, upper, provenance))
 
 
-def known_bounds(n: int, t: int) -> Optional[BoundsReport]:
+def known_bounds(n: int, t: int) -> BoundsReport | None:
     """Best general bounds on dim C(n, +/-{1..t}), or None where no rule
     applies: t < 2, or n < 2t + 2, where the graph is complete or nearly so.
 
@@ -112,7 +110,7 @@ def known_bounds(n: int, t: int) -> Optional[BoundsReport]:
         return None
     _, s = split(n, t)
     lower, provenance = t, ["lb-general"]
-    upper: Optional[int] = None
+    upper: int | None = None
     if s >= t + 2:
         lower = t + 1
         provenance.append("lb-residue")

@@ -1,4 +1,4 @@
-"""Circulant graphs C(n, +/-{1..t}) on Z_n with precomputed distance rows.
+"""Circulant graphs C(n, +/-{1..t}) on Z_n, each distance row built on first read.
 
 C(n, +/-{1..t}) has vertices 0..n-1 and an edge between i and j whenever
 their circular gap is at most t.  Rotation i -> i + c is an automorphism,
@@ -8,26 +8,26 @@ from vertex 0, and that row is the closed form ceil(gap / t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional
 
 
-@dataclass(frozen=True)
-class CirculantGraph:
+class CirculantGraph(namedtuple("CirculantGraph", "n t")):
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
     for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``
     and each entry of ``separators`` and ``probe_twins``, are filled on
-    first use: two readers may both fill one, with the same value."""
+    first use, in the instance ``__dict__``: two readers may both fill one,
+    with the same value."""
 
-    n: int
-    t: int
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"order must be at least 3, got {self.n}")
-        if not 1 <= self.t <= self.n // 2:
-            raise ValueError(f"max step must lie in [1, {self.n // 2}], got {self.t}")
+    def __new__(cls, n: int, t: int):
+        if n < 3:
+            raise ValueError(f"order must be at least 3, got {n}")
+        if not 1 <= t <= n // 2:
+            raise ValueError(f"max step must lie in [1, {n // 2}], got {t}")
+        return tuple.__new__(cls, (n, t))
 
     @cached_property
     def dist_row(self) -> tuple[int, ...]:
@@ -48,7 +48,7 @@ class CirculantGraph:
         return ones << arc.start | ones << self.n + 1 - arc.stop
 
     @cached_property
-    def separators(self) -> list[Optional[int]]:
+    def separators(self) -> list[int | None]:
         """Entry delta, for delta <= n // 2: ``separator(delta)`` once that
         has run, else None."""
         return [None] * (self.n // 2 + 1)
@@ -84,7 +84,7 @@ class CirculantGraph:
         return planes
 
     @cached_property
-    def probe_twins(self) -> list[Optional[int]]:
+    def probe_twins(self) -> list[int | None]:
         """Entry x: None until ``is_resolving`` packs the probes' twins about x."""
         return [None] * self.n
 

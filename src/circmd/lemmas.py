@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Optional
 
 from .formulas import known_bounds, split
@@ -40,29 +40,16 @@ Blocks = list[list[int]]
 Instances = Callable[[int, int], Iterable[tuple[dict, Blocks, Iterable[int]]]]
 
 
-@dataclass(frozen=True)
-class LemmaDescriptor:
-    id: str
-    kind: str  # "cluster" | "basis-gap" | "dim-lower"
-    claim: str
-    claimed_min: Optional[int] = None
-    residues: tuple[int, ...] = ()
-    instances: Optional[Instances] = None  # the cluster template
+# kind: "cluster" | "basis-gap" | "dim-lower"; instances: the cluster template
+LemmaDescriptor = namedtuple("LemmaDescriptor", "id kind claim claimed_min residues instances",
+                             defaults=(None, (), None))
+# params: (name, value) pairs; status: "pass" | "fail" | "degenerate" | "vacuous"
+InstantiationResult = namedtuple("InstantiationResult", "descriptor_id n params status detail",
+                                 defaults=("",))
 
 
-@dataclass(frozen=True)
-class InstantiationResult:
-    descriptor_id: str
-    n: int
-    params: tuple[tuple[str, int], ...]
-    status: str  # "pass" | "fail" | "degenerate" | "vacuous"
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    descriptor_id: str
-    results: tuple[InstantiationResult, ...]
+class LemmaReport(namedtuple("LemmaReport", "descriptor_id results")):
+    __slots__ = ()
 
     @property
     def failed(self) -> tuple[InstantiationResult, ...]:

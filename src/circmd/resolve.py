@@ -14,8 +14,7 @@ call; is_resolving only when its landmarks' ``probe_twins`` leave no twin.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graph import CirculantGraph, check_vertices
 
@@ -32,13 +31,14 @@ class WitnessPair(namedtuple("WitnessPair", "u v")):
         return tuple.__new__(cls, (u, v))
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """Ordered tuple of pairwise-disjoint nonempty blocks, each of distinct vertices."""
+class Cluster(namedtuple("Cluster", "blocks")):
+    """Ordered tuple of pairwise-disjoint nonempty blocks, each of distinct
+    vertices; field ``blocks`` holds them as frozensets."""
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __init__(self, blocks: Iterable[Iterable[int]]):
+    def __new__(cls, blocks: Iterable[Iterable[int]]):
         listed = [list(b) for b in blocks]  # each block read once
         frozen = tuple(map(frozenset, listed))
         if not frozen:
@@ -52,7 +52,7 @@ class Cluster:
             if seen & b:
                 raise ValueError(f"cluster blocks overlap: {sorted(seen & b)}")
             seen |= b
-        object.__setattr__(self, "blocks", frozen)
+        return tuple.__new__(cls, (frozen,))
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -79,7 +79,7 @@ def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple
 
 
 def _least_collision(keys: Sequence[tuple[int, ...]],
-                     vertices: Sequence[int]) -> Optional[WitnessPair]:
+                     vertices: Sequence[int]) -> WitnessPair | None:
     """Lexicographically least pair of sorted vertices with equal keys, or
     None; keys[i] is the representation of vertices[i]."""
     last = dict(zip(keys, vertices))
@@ -88,7 +88,7 @@ def _least_collision(keys: Sequence[tuple[int, ...]],
             return WitnessPair(u, vertices[keys.index(key, i + 1)])
 
 
-def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> Optional[WitnessPair]:
+def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | None:
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
 
@@ -153,7 +153,7 @@ def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster
 
 
 def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
-                     cluster: Cluster) -> Optional[WitnessPair]:
+                     cluster: Cluster) -> WitnessPair | None:
     """None when every block is internally resolved, else the least stuck pair.
 
     Only collisions inside a block count; identical representations across

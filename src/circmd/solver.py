@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import known_bounds
 from .graph import CirculantGraph, check_vertices
@@ -71,16 +71,21 @@ class NoBasisWithinError(LookupError):
     """No set of size <= ``max_k`` resolves: each size was exhausted or is below a lower bound."""
 
 
-@dataclass(frozen=True)
-class DimResult:
-    dim: int
-    basis: tuple[int, ...]
-    method: str  # "search" | "oracle"
-    # search: one per size tried, per pick tried above the last two, per
-    # AND pass that reads off the last two, and per hit
-    nodes_explored: int = field(compare=False, default=0)
-    lower_bound_used: int = 1
-    exhausted_sizes: tuple[int, ...] = field(compare=False, default=())
+class DimResult(namedtuple("DimResult", "dim basis method nodes_explored lower_bound_used "
+                                        "exhausted_sizes", defaults=(0, 1, ()))):
+    """``method`` is "search" | "oracle".  Search counts a node per size tried,
+    per pick tried above the last two, per AND pass that reads off the last
+    two, and per hit.  ==, != and hash ignore that effort and the exhausted sizes."""
+
+    __slots__ = ()
+    _key = property(lambda r: r[:3] + r[4:5])  # dim, basis, method, lower_bound_used
+    __ne__ = object.__ne__  # the inverse of __eq__; tuple's compares every field
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is DimResult else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 def _search_lower_bound(g: CirculantGraph) -> int:
@@ -135,7 +140,7 @@ class _Kernel:
                 yield ((table[delta] or g.separator(delta)) >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
-            budget: Optional[int]) -> Optional[tuple[int, ...]]:
+            budget: int | None) -> tuple[int, ...] | None:
         """Least pool subset that hits every mask in ``pairs``, of the
         first size in ``sizes`` that has one, or None.  Sizes found empty
         go to ``exhausted``.  Each size passes the budget guard before it
@@ -147,7 +152,7 @@ class _Kernel:
         in ``used`` (taken, or skipped for meeting it), which the repeat
         then meets.  With ``orbit`` set, inner picks keep to
         ``_orbit_range``."""
-        ordered: Optional[list[int]] = None
+        ordered: list[int] | None = None
         for size in sizes:
             if budget is None:  # read once, at the first size
                 budget = default_budget()
@@ -184,7 +189,7 @@ class _Kernel:
         return chosen[-1] + gaps[-p], self.n - remaining * gaps[0]
 
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
-                 remaining: int, start: int = 0) -> Optional[tuple[int, ...]]:
+                 remaining: int, start: int = 0) -> tuple[int, ...] | None:
         """Extend ``chosen`` by ``remaining`` vertices from ``pool[start:]``;
         ``pairs`` holds the separator masks of the pairs still colliding,
         narrowest first.  Pick v is cut by the packing: the unhit masks,
@@ -236,7 +241,7 @@ class _Kernel:
         return None
 
     def _last_two(self, pairs: list[int], start: int, end: int
-                  ) -> Optional[tuple[int, int]]:
+                  ) -> tuple[int, int] | None:
         """Least v of ``pool[start:end]``, then least pool vertex w > v,
         such that {v, w} hits every mask of ``pairs``, or None.  One pick
         lies in each unhit mask, so the scan set is the first (narrowest)
@@ -323,8 +328,8 @@ def _sphere_blocks(g: CirculantGraph) -> Iterator[Sequence[int]]:
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
-                     budget: Optional[int]
-                     ) -> tuple[_Kernel, Optional[tuple[int, ...]]]:
+                     budget: int | None
+                     ) -> tuple[_Kernel, tuple[int, ...] | None]:
     """The kernel on the pool range(1, n) and the pairs {0} leaves
     colliding, with the orbit cut, and 0 plus its least hit set: the least
     resolving set containing 0 of 1 + p vertices, p the first of ``picks``
@@ -334,8 +339,8 @@ def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
     return kernel, None if found is None else (0,) + found
 
 
-def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
-              budget: Optional[int] = None) -> DimResult:
+def exact_dim(g: CirculantGraph, max_k: int | None = None,
+              budget: int | None = None) -> DimResult:
     """Exact metric dimension with a witness basis.
 
     Deepens k from the best available lower bound up to ``max_k`` (None:
@@ -354,7 +359,7 @@ def exact_dim(g: CirculantGraph, max_k: Optional[int] = None,
 
 
 def find_basis_of_size(g: CirculantGraph, k: int,
-                       budget: Optional[int] = None) -> Optional[tuple[int, ...]]:
+                       budget: int | None = None) -> tuple[int, ...] | None:
     """Least resolving k-set containing 0, or None if none exists.
 
     Skips the iterative deepening of ``exact_dim``; useful when the
@@ -365,8 +370,8 @@ def find_basis_of_size(g: CirculantGraph, k: int,
     return _basis_with_zero(g, (k - 1,), budget)[1]
 
 
-def brute_force_dim(g: CirculantGraph, max_k: Optional[int] = None,
-                    budget: Optional[int] = None) -> DimResult:
+def brute_force_dim(g: CirculantGraph, max_k: int | None = None,
+                    budget: int | None = None) -> DimResult:
     """Independent oracle: lexicographic sweep of all k-subsets containing 0,
     k = 1..``max_k`` (None: n).  Fixing 0 is the only reduction used (valid
     by vertex-transitivity).  Refuses any level of more than ``budget`` subsets;
@@ -388,16 +393,14 @@ def brute_force_dim(g: CirculantGraph, max_k: Optional[int] = None,
     raise NoBasisWithinError(f"no resolving set of size <= {max_k} found for {g}")
 
 
-@dataclass(frozen=True)
-class MinResolversResult:
-    size: Optional[int]  # None when even the full allowed set fails
-    witness: Optional[tuple[int, ...]]
-    capped: bool = False  # True when the search stopped at max_size
+# size and witness None: even the full allowed set fails, or, with capped,
+# the search stopped at max_size
+MinResolversResult = namedtuple("MinResolversResult", "size witness capped", defaults=(False,))
 
 
 def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
-                  max_size: Optional[int] = None,
-                  budget: Optional[int] = None) -> MinResolversResult:
+                  max_size: int | None = None,
+                  budget: int | None = None) -> MinResolversResult:
     """Smallest X inside ``allowed`` that resolves every block internally.
 
     Searches ascending sizes, so the reported size is exact.  With

@@ -283,6 +283,26 @@ def test_dim_and_verify_leave_the_lemma_battery_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+DIM_PATH_PROBE = """
+import contextlib, io, sys
+import circmd.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert circmd.cli.main(["dim", "--n", "81", "--t", "4"]) == 0
+    assert circmd.cli.main(["verify", "--n", "13", "--t", "4", "--set", "0,1"]) == 1
+loaded = {"dataclasses", "inspect", "typing", "circmd.lemmas"} & sys.modules.keys()
+assert not loaded, f"dim or verify loaded {sorted(loaded)}"
+"""
+
+
+def test_dim_and_verify_load_no_record_or_annotation_machinery():
+    # -S: site's .pth files may import typing before circmd does
+    src = Path(circmd.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", DIM_PATH_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv,code", [
     (("dim", "--n", "13", "--t", "4"), 0),

@@ -36,6 +36,8 @@ def test_exceptional_orders_get_four_element_bases():
         assert report.verified
         assert len(report.basis) == 4
         assert report.matches_formula
+        with pytest.raises(AttributeError):
+            report.dim = 3
 
 
 def test_published_19_witness_is_degenerate_and_replaced():

@@ -102,6 +102,11 @@ def test_bounds_report_validation():
         BoundsReport(0, 3, ())
     with pytest.raises(ValueError):
         BoundsReport(4, 3, ())
+    b = BoundsReport(4, 5, ())
+    with pytest.raises(AttributeError):
+        b.lower = 5
+    with pytest.raises(ValueError, match="at least 1"):
+        b._replace(lower=0)
 
 
 def _known_bounds_by_scan(n, t):

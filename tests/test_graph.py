@@ -20,6 +20,12 @@ def test_graph_refuses_t_outside_one_to_half_n():
         with pytest.raises(ValueError, match=f"order must be at least 3, got {n}"):
             CirculantGraph(n, 1)
     assert CirculantGraph(11, 5) == make_consecutive(11, 9)
+    # a record: its fields cannot be assigned, and _replace validates too
+    g = CirculantGraph(11, 5)
+    with pytest.raises(AttributeError):
+        g.t = 4
+    with pytest.raises(ValueError, match="max step must lie"):
+        g._replace(t=0)
 
 
 def test_make_consecutive_small_n_folds_to_complete():

@@ -127,6 +127,11 @@ def test_cluster_rejects_overlap_and_empty():
         Cluster([[0, 1, 0]])
     with pytest.raises(ValueError, match="duplicate vertices"):
         Cluster([iter([2, 3, 2])])
+    c = Cluster([[0, 1]])
+    with pytest.raises(AttributeError):
+        c.blocks = ()
+    with pytest.raises(ValueError, match="at least one block"):
+        c._replace(blocks=())
 
 
 def test_is_cluster_for_requires_distinct_classes():

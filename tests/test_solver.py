@@ -53,6 +53,10 @@ def test_dim_result_equality_ignores_search_effort():
     b = DimResult(4, (0, 1, 2, 3), "search", nodes_explored=99,
                   exhausted_sizes=(3,))
     assert a == b
+    assert not (a != b) and hash(a) == hash(b)
+    assert a != DimResult(4, (0, 1, 2, 3), "search", lower_bound_used=2)
+    with pytest.raises(AttributeError):
+        a.dim = 5
 
 
 def test_search_answers_are_pinned():
