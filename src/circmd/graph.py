@@ -31,8 +31,8 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
 
     @cached_property
     def dist_row(self) -> tuple[int, ...]:
-        """Entry d: dist(0, d) = ceil(d / t), for ``dist`` and ``resolve``: 0 and
-        t copies of each distance 1..diameter, cut at d = n // 2 and mirrored."""
+        """Entry d: dist(0, d) = ceil(d / t), for ``dist`` and the probes, zips and
+        packed row of ``resolve``: 0, t of each distance 1..diameter, mirrored at n // 2."""
         half = [0, *sorted([*range(1, self.diameter + 1)] * self.t)][:self.n // 2 + 1]
         return tuple(half + half[(self.n - 1) // 2:0:-1])
 

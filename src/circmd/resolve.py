@@ -7,12 +7,13 @@ arguments: the equivalence "same representation under S", blocks (subsets
 of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
-Each check zips r(v|X) for all v from rows sliced from dist_row on every
-call; is_resolving only when its landmarks' ``probe_twins`` leave no twin.
+``equivalence_classes`` and the cluster checks zip r(v|X) for all v from
+rows sliced from dist_row on every call; ``is_resolving`` zips nothing.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -59,7 +60,7 @@ class Cluster(namedtuple("Cluster", "blocks")):
         return frozenset().union(*self.blocks)
 
 
-_PROBES = 5  # vertices checked for a twin, packed per landmark, before any zip
+_PROBES = 5  # vertices checked for a twin, packed per landmark, before the packed row
 
 
 def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -88,6 +89,39 @@ def _least_collision(keys: Sequence[tuple[int, ...]],
             return WitnessPair(u, vertices[keys.index(key, i + 1)])
 
 
+def _tied_pairs(g: CirculantGraph, X: set[int]) -> Iterator[WitnessPair]:
+    """Per gap and per axis checked, the least pair v < w that no landmark in X
+    separates (built unvalidated), off the zero fields of ORs of packed rows.
+    Such a pair is close (circular gap 1..t-1), or its axis c = v + w lies in
+    2x + [1-t, t-1] (mod n) for each x in X.  Proof: d(x, v) = d(x, w) > 0 puts
+    v, w at x ± s, x ± s' with s, s' in one arc of at most t values; on one
+    side of x the gap is |s - s'| < t, on opposite sides v + w = 2x ± (s - s')."""
+    n, t, i = g.n, g.t, (g.diameter.bit_length() // 8).bit_length()  # 2^i bytes a field
+    W = 8 << i
+    H = int.from_bytes((1 << W - 1).to_bytes(1 << i, "little") * n, "little")  # top bits
+    R = int.from_bytes(struct.pack(f"<{n}{'BHIQ'[i]}", *g.dist_row) * 3, "little")  # 3 turns
+    M = (1 << (n + t) * W) - 1  # n fields, and t to shift in from past n
+    rows = {x: R >> (n - x) * W & M for x in X}  # row(x), field v: d(x, v)
+    for d in range(1, t):  # row(x) ^ row(x - d), field v: (v, v + d) or (v + d - n, v)
+        acc = 0
+        for r in rows.values():
+            acc |= r ^ r >> d * W
+        if z := H - acc & H:  # zero fields' top bits: each top bit clear, none borrows
+            u = z | z >> (n - d) * W  # (v + d - n, v) read at field v + d - n
+            u = (u & -u).bit_length() // W - 1
+            yield tuple.__new__(WitnessPair, (u, u + (d if z >> u * W + W - 1 & 1 else n - d)))
+    x0, h = next(iter(X)), t - 1
+    if all((2 * (x - x0) + 2 * h) % n <= 4 * h for x in X):  # every window meets x0's
+        for c in {(2 * x0 + j) % n for j in range(-h, h + 1)}:
+            if all((c - 2 * x + h) % n <= 2 * h for x in X):  # row(x) ^ row(c - x)
+                acc = sum(1 << v * W for v in {c // 2, (c + n) // 2} if 2 * v % n == c)
+                for x, r in rows.items():  # acc starts nonzero at the v with 2v = c
+                    acc |= r ^ R >> (n - (c - x) % n) * W
+                if z := H - acc & H:  # field v: (v, c - v)
+                    v = (z & -z).bit_length() // W - 1
+                    yield tuple.__new__(WitnessPair, (v, (c - v) % n))
+
+
 def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | None:
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
@@ -95,8 +129,7 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
     Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
     entries holds the twins above probe u: its lowest bit u * n + w gives
     the least pair (u, w), as a twin below u pairs with u at its own probe;
-    w > u, so the pair is built unvalidated.  Else one list of the zipped
-    keys decides and gives the least pair."""
+    w > u, so the pair is built unvalidated.  Else ``_tied_pairs`` decides."""
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
@@ -118,10 +151,7 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
         twins &= entry
     if twins:
         return tuple.__new__(WitnessPair, divmod((twins & -twins).bit_length() - 1, n))
-    keys = list(_reps(g, X))
-    if len(set(keys)) == n:
-        return None
-    return _least_collision(keys, g.vertices)
+    return min(_tied_pairs(g, X), default=None)
 
 
 def equivalence_classes(g: CirculantGraph, landmarks: Iterable[int]) -> list[list[int]]:

@@ -4,9 +4,9 @@ Each recomputes by a second route what the package answers by its own:
 distances one pair at a time (closed form), one vertex at a time (the
 distance row) and by a BFS that shares no code with ``CirculantGraph``,
 the layers of vertices by distance from 0 off that BFS, the probe twins
-of ``is_resolving`` one pair at a time, the far set and the R_i sets of
-the t = 4 analysis in their arithmetic form, and the whole lemma battery
-in one call.
+of ``is_resolving`` and its least unresolved pair one pair at a time, the
+far set and the R_i sets of the t = 4 analysis in their arithmetic form,
+and the whole lemma battery in one call.
 Tests import it by module name, as they import ``conftest``.
 """
 
@@ -50,6 +50,18 @@ def probe_twins_pairwise(g: CirculantGraph, x: int, probes: int) -> int:
     n = g.n
     return sum(1 << u * n + w for u in range(min(probes, n))
                for w in range(u + 1, n) if g.dist(w, x) == g.dist(u, x))
+
+
+def least_unresolved_pair_pairwise(n: int, t: int, X) -> tuple[int, int] | None:
+    """The least pair u < w with d(u, x) = d(w, x) for every landmark x, or
+    None: the distances by ``distance_closed_form``, the pairs compared one
+    at a time in lexicographic order."""
+    reps = [[distance_closed_form(n, t, v, x) for x in X] for v in range(n)]
+    for u in range(n):
+        for w in range(u + 1, n):
+            if reps[u] == reps[w]:
+                return u, w
+    return None
 
 
 def bfs_row(g: CirculantGraph, i: int) -> list[int]:

@@ -21,7 +21,11 @@ from circmd.resolve import (
     resolves_cluster,
 )
 
-from references import pair_resolvers_arithmetic, probe_twins_pairwise
+from references import (
+    least_unresolved_pair_pairwise,
+    pair_resolvers_arithmetic,
+    probe_twins_pairwise,
+)
 
 orders_t4 = st.integers(min_value=10, max_value=40)
 
@@ -173,7 +177,7 @@ def _random_case(rng):
     if draw < 0.1:
         X = rng.sample(range(n), n)  # all of V
     elif draw < 0.5:
-        X += range(_PROBES)[:n]  # every probe a landmark: the zip decides
+        X += range(_PROBES)[:n]  # every probe a landmark: the packed row decides
     return g, X
 
 
@@ -304,20 +308,20 @@ def test_probe_twins_fill_only_the_landmarks_entries():
                                      for x in g.vertices], g
 
 
-def _no_zip(g, landmarks):
+def _no_fallback(g, landmarks):
     raise AssertionError("a probe should have decided this set")
 
 
-def test_a_probe_decides_before_any_zip(monkeypatch):
-    # a least twin found by a probe zips no representation, on a fresh graph
+def test_a_probe_decides_before_the_packed_row(monkeypatch):
+    # a least twin found by a probe packs no row, on a fresh graph
     with monkeypatch.context() as m:
-        m.setattr(resolve, "_reps", _no_zip)
+        m.setattr(resolve, "_tied_pairs", _no_fallback)
         for X, u, v in (((5, 0, 1), 2, 3), ((407, 0, 4, 1), 2, 3),
                         ((0, 300), 1, 2), ((1, 2, 3, 4), 0, 5)):
             g = make_consecutive(809, 4)
             assert is_resolving(g, X) == WitnessPair(u, v)
     # a resolving set, or one whose least twin lies beyond the probes
-    # (every probe a landmark), is zipped
+    # (every probe a landmark), is decided on the packed row
     assert is_resolving(g, (407, 0, 4, 1, 406, 7)) is None
     assert is_resolving(g, range(5)) == WitnessPair(405, 406)
     # no landmarks: only singleton blocks are resolved
@@ -327,17 +331,114 @@ def test_a_probe_decides_before_any_zip(monkeypatch):
     assert not is_cluster_for(h, (), Cluster([[1], [5]]))
 
 
+def _route(n, t, X, pair):
+    """Which check of ``is_resolving`` finds the least pair: a probe, the gap
+    check (circular gap under t) or the axis check, or none (resolving)."""
+    if pair is None:
+        return "resolving"
+    if pair[0] < _PROBES and pair[0] not in X:
+        return "probe"
+    return "gap" if min((pair[1] - pair[0]) % n, (pair[0] - pair[1]) % n) < t else "axis"
+
+
+def test_least_pair_matches_the_pairwise_reference_on_random_sets():
+    # every route of is_resolving against the closed form, least pair
+    # included; with every probe a landmark, the gap and axis checks decide
+    rng = random.Random(5050)
+    routes = Counter()
+    for _ in range(4000):
+        n = rng.randint(3, 200)
+        t = rng.randint(1, min(6, n // 2)) if rng.random() < 0.8 else rng.randint(1, n // 2)
+        X = rng.sample(range(n), rng.randint(1, min(n, 6)))
+        if rng.random() < 0.2:  # every window holds the axis 2a
+            a = rng.randrange(n)
+            X = [x for x in range(n) if min((2 * x - 2 * a) % n, (2 * a - 2 * x) % n) < t]
+            X = rng.sample(X, rng.randint(1, len(X)))
+        if rng.random() < 0.5:
+            X += range(_PROBES)[:n]
+        want = least_unresolved_pair_pairwise(n, t, X)
+        assert is_resolving(CirculantGraph(n, t), X) == want, (n, t, X)
+        routes[_route(n, t, X, want)] += 1
+    assert len(routes) == 4 and min(routes.values()) >= 15, routes  # the axis route: 20
+
+
+def test_least_pair_matches_the_pairwise_reference_on_structured_sets():
+    # runs 0..k-1, antipodal pairs, landmarks whose windows share the axis
+    # 2a (so the axis check runs), cycles (t = 1) and complete graphs
+    # (t = n // 2), which every t up to n // 2 includes
+    rng = random.Random(6060)
+    routes = Counter()
+    for n in [*range(3, 41), 64, 101, 150, 200]:
+        for t in (range(1, n // 2 + 1) if n <= 40 else (1, 2, 5, n // 2)):
+            a = rng.randrange(n)
+            axis = [x for x in range(n) if min((2 * x - 2 * a) % n, (2 * a - 2 * x) % n) < t]
+            cases = [range(min(k, n)) for k in (1, 2, 3, 5, 6)]
+            cases += [(a, (a + n // 2) % n), (0, n // 2, a, (a + n // 2) % n), axis,
+                      rng.sample(axis, rng.randint(1, len(axis))), [*axis, *range(_PROBES)[:n]],
+                      [x for x in range(n) if x != a]]
+            for X in cases:
+                want = least_unresolved_pair_pairwise(n, t, X)
+                assert is_resolving(CirculantGraph(n, t), X) == want, (n, t, X)
+                routes[_route(n, t, X, want)] += 1
+    assert len(routes) == 4 and min(routes.values()) >= 30, routes
+
+
+def _least_pair_of(classes):
+    """The least pair of the first class with two members, or None."""
+    return next(((c[0], c[1]) for c in classes if len(c) > 1), None)
+
+
+def test_wide_fields_match_the_equivalence_classes():
+    # t = 1 puts the diameter n // 2 past 127 at n = 512..1400, so the packed
+    # row takes 2-byte fields; against the zipped classes of the same sets
+    rng = random.Random(7070)
+    for n in range(512, 1401, 11):
+        g = CirculantGraph(n, 1)
+        for X in (rng.sample(range(n), rng.randint(1, 4)), (5, 5 + n // 2),
+                  rng.sample(range(n), 2) + [*range(_PROBES)]):
+            assert is_resolving(g, X) == _least_pair_of(equivalence_classes(g, X)), (n, X)
+    # and past 2^15 - 1 at n = 140,000, so its fields take 4 bytes
+    g = CirculantGraph(140000, 1)
+    assert g.diameter == 70000
+    assert is_resolving(g, (0, 1)) is None
+    assert is_resolving(g, (5, 6, 70000)) is None
+    assert is_resolving(g, (0, 70000)) == WitnessPair(1, 139999)
+
+
+def _no_kernel_mask(*_):
+    raise AssertionError("is_resolving read the search kernel's masks")
+
+
+def test_is_resolving_reads_no_kernel_mask(monkeypatch):
+    # the oracle shares no mask code with the search kernel: with planes,
+    # separators and separator refused, fresh graphs still answer by the
+    # probes and by the packed row, resolving or not
+    monkeypatch.setattr(CirculantGraph, "planes", property(_no_kernel_mask))
+    monkeypatch.setattr(CirculantGraph, "separators", property(_no_kernel_mask))
+    monkeypatch.setattr(CirculantGraph, "separator", _no_kernel_mask)
+    for n, t, X, want in ((809, 4, (5, 0, 1), (2, 3)),  # a probe's twin
+                          (809, 4, (0, 1, 4, 7, 406, 407), None),
+                          (809, 4, range(5), (405, 406)),  # a tie at gap 1
+                          (42, 5, range(5), (5, 41)),  # a tie about the axis 4
+                          (10, 3, (0, 1, 2, 5), None),  # the axis 2 checked
+                          (140000, 1, (0, 1), None)):
+        g = CirculantGraph(n, t)
+        with pytest.raises(AssertionError, match="kernel's masks"):
+            g.planes
+        assert is_resolving(g, X) == want, (n, t, X)
+
+
 def test_witness_pairs_are_validated_named_tuples():
     # a plain (u, v) compares equal to WitnessPair(u, v), so the type is
-    # checked: the probe route builds its pair without the constructor, the
-    # zip route and resolves_cluster through it
+    # checked: the probe and packed-row routes build their pairs without the
+    # constructor, resolves_cluster through it
     rng = random.Random(4040)
     routes = Counter()
     for _ in range(300):
         g, X = _random_case(rng)
         w = is_resolving(g, X)
         stuck = resolves_cluster(g, X, Cluster([rng.sample(range(g.n), min(g.n, 4))]))
-        for pair, route in ((w, "probe" if w and w.u < _PROBES else "zip"),
+        for pair, route in ((w, "probe" if w and w.u < _PROBES else "packed"),
                             (stuck, "cluster")):
             if pair is not None:
                 assert type(pair) is WitnessPair and pair.u < pair.v, (g, X, pair)
