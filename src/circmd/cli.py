@@ -153,7 +153,7 @@ def _cmd_check_lemmas(args) -> tuple[dict, int]:
     reports = []
     any_failure = False
     for d in descriptors:
-        report = check_lemma(d, k_range)
+        report = check_lemma(d, k_range, args.budget)
         counts = {"pass": 0, "fail": 0, "vacuous": 0, "degenerate": 0}
         for r in report.results:
             counts[r.status] += 1
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lem = sub.add_parser("check-lemmas", help="validate the lemma registry")
     p_lem.add_argument("--id", type=str, default="all")
     p_lem.add_argument("--k-max", type=int, default=1, dest="k_max")
-    # no --budget flag: the solver reads CIRCMD_BUDGET, and main echoes it
+    # no --budget flag: main reads CIRCMD_BUDGET once and echoes it; every search runs under it
     p_lem.set_defaults(func=_cmd_check_lemmas, budget=None)
     parser.commands = sub.choices  # each command's own parser, by name
     return parser

@@ -17,6 +17,10 @@ and ``instantiate`` shifts it there.  One whose offsets collide mod n
 not silently skipped.  A claim with two or more blocks presumes a cluster:
 it is reported vacuous, not failing, when no landmark set of at most 3
 vertices induces one, a set the kernel searches for.
+
+``_graph`` builds each C(n, +-{1..t}) once per process, and every check
+reads that one graph, its lazily filled masks included; ``check_lemma``
+reads the search budget once and hands it to every search it makes.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import Callable, Iterable, Optional
 from .formulas import known_bounds, split
 from .graph import CirculantGraph, make_consecutive
 from .resolve import Cluster, equivalence_classes
-from .solver import NoBasisWithinError, brute_force_dim, find_basis_of_size, min_resolvers
+from .solver import (
+    NoBasisWithinError, brute_force_dim, default_budget, find_basis_of_size, min_resolvers)
 
 # anchors at which check_lemma instantiates each template, written at 0;
 # shift covariance is a tested invariant elsewhere, these just re-probe it
@@ -56,11 +61,14 @@ class LemmaReport(namedtuple("LemmaReport", "descriptor_id results")):
         return tuple(r for r in self.results if r.status == "fail")
 
 
-@functools.lru_cache(maxsize=1)
-def _graph(n: int) -> CirculantGraph:
-    """C(n, +-{1..4}).  ``check_lemma`` visits the orders one at a time,
-    so one graph serves every instantiation at an order."""
-    return make_consecutive(n, 4)
+@functools.lru_cache(maxsize=None)
+def _graph(n: int, t: int) -> CirculantGraph:
+    """C(n, +-{1..t}), built once per (n, t) in a process: every check, of
+    any descriptor, reads the one graph and the lazy entries it has filled,
+    which are safe to share.  The cluster claims and ``window_tightness``
+    read t = 4, the dim-lower sweeps t = 2..5.  The cache grows with the
+    orders read; ``_graph.cache_clear()`` frees it."""
+    return make_consecutive(n, t)
 
 
 def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
@@ -69,19 +77,19 @@ def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
     and excluded offsets of a template shifted to the anchor ``a``.  It
     only shifts: ``Cluster`` raises ``ValueError`` when offsets collide mod n.
     """
-    g = _graph(n)
+    g = _graph(n, 4)
     cluster = Cluster([(a + x) % n for x in b] for b in blocks)
     return g, cluster, frozenset(g.vertices) - {(a + x) % n for x in excluded}
 
 
-def _find_inducing_set(g: CirculantGraph, cluster: Cluster
+def _find_inducing_set(g: CirculantGraph, cluster: Cluster, budget: Optional[int] = None
                        ) -> Optional[tuple[int, ...]]:
     """Least landmark set of at most 3 vertices under which the two or more
     blocks form distinct representation classes, or None.
 
     Its members lie outside the cluster, each equidistant from every member
     of each block; from those the kernel picks the least set that resolves
-    one member of each block.
+    one member of each block, under ``budget`` (None: ``default_budget()``).
     """
     inside = cluster.vertices
     pool = [x for x in g.vertices if x not in inside
@@ -89,19 +97,19 @@ def _find_inducing_set(g: CirculantGraph, cluster: Cluster
     if not pool:
         return None
     members = Cluster([[min(b) for b in cluster.blocks]])
-    return min_resolvers(g, members, pool, max_size=3).witness
+    return min_resolvers(g, members, pool, max_size=3, budget=budget).witness
 
 
 def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dict,
-                                 blocks: Blocks, excluded: Iterable[int]
-                                 ) -> InstantiationResult:
+                                 blocks: Blocks, excluded: Iterable[int],
+                                 budget: Optional[int] = None) -> InstantiationResult:
     key = tuple(sorted({"a": a, **params}.items()))
     try:
         g, cluster, allowed = instantiate(n, a, blocks, excluded)
     except ValueError as exc:  # offsets collide mod n
         return InstantiationResult(d.id, n, key, "degenerate", f"{d.id}: {exc}")
     required = params.get("min_required", d.claimed_min)
-    result = min_resolvers(g, cluster, allowed, max_size=required - 1)
+    result = min_resolvers(g, cluster, allowed, max_size=required - 1, budget=budget)
     if result.capped:
         return InstantiationResult(d.id, n, key, "pass")
     if result.size is None:
@@ -109,7 +117,7 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
             d.id, n, key, "pass", "unresolvable within the allowed set")
     # a too-small witness exists; the claim only fails if its hypothesis
     # (an inducing landmark set) can actually be met
-    if len(cluster.blocks) > 1 and _find_inducing_set(g, cluster) is None:
+    if len(cluster.blocks) > 1 and _find_inducing_set(g, cluster, budget) is None:
         return InstantiationResult(
             d.id, n, key, "vacuous",
             f"witness {result.witness} of size {result.size}, but no inducing "
@@ -119,14 +127,15 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
         f"{result.witness} resolves the cluster with {result.size} < {required}")
 
 
-def _gap_witness(g: CirculantGraph, gap: int, size: int) -> Optional[tuple[int, ...]]:
+def _gap_witness(g: CirculantGraph, gap: int, size: int, budget: Optional[int] = None
+                 ) -> Optional[tuple[int, ...]]:
     """At most size - 2 more vertices that make {0, gap} a resolving set, or None."""
     classes = Cluster(equivalence_classes(g, (0, gap)))
     allowed = set(g.vertices) - {0, gap}
-    return min_resolvers(g, classes, allowed, max_size=size - 2).witness
+    return min_resolvers(g, classes, allowed, max_size=size - 2, budget=budget).witness
 
 
-def _check_basis_gap(d: LemmaDescriptor, n: int, r: int) -> InstantiationResult:
+def _check_basis_gap(d: LemmaDescriptor, n: int, r: int, budget: int) -> InstantiationResult:
     """Every resolving s-set, s = ``d.claimed_min``, of C(n, +-{1..4}), n =
     8k + r, must have pairwise circular gaps >= r - s.
 
@@ -136,14 +145,14 @@ def _check_basis_gap(d: LemmaDescriptor, n: int, r: int) -> InstantiationResult:
     that is every order the k = 1..3 battery checks (dim = 6 there, so
     no 5-set resolves): the battery never reaches the gap search.
     """
-    g = _graph(n)
+    g = _graph(n, 4)
     size = d.claimed_min
-    if find_basis_of_size(g, size) is None:
+    if find_basis_of_size(g, size, budget) is None:
         return InstantiationResult(d.id, n, (), "vacuous",
                                    f"no resolving set of size {size} exists")
     min_gap = r - size
     for gap in range(1, min_gap):
-        witness = _gap_witness(g, gap, size)
+        witness = _gap_witness(g, gap, size, budget)
         if witness is not None:
             B = tuple(sorted((0, gap) + witness))
             return InstantiationResult(
@@ -155,7 +164,7 @@ def _check_basis_gap(d: LemmaDescriptor, n: int, r: int) -> InstantiationResult:
 _DIM_LOWER_N_CAP = 28  # keeps the brute-force oracle sweep at desk scale
 
 
-def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
+def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int], budget: int
                      ) -> list[InstantiationResult]:
     if d.id not in ("thm-general-t", "thm-vetrik-lb"):
         raise ValueError(f"no dim-lower check for {d.id!r}: only "
@@ -173,7 +182,7 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
         for n, bound in cases:
             key = (("n", n), ("t", t))
             try:  # a superset of a resolving set resolves: sizes < bound decide
-                dim = brute_force_dim(make_consecutive(n, t), max_k=bound - 1).dim
+                dim = brute_force_dim(_graph(n, t), max_k=bound - 1, budget=budget).dim
             except NoBasisWithinError:
                 results.append(InstantiationResult(d.id, n, key, "pass"))
             else:
@@ -182,9 +191,10 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int]
     return results
 
 
-def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
-                ) -> LemmaReport:
-    """Validate one descriptor over all admissible orders for the given k."""
+def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3),
+                budget: Optional[int] = None) -> LemmaReport:
+    """Validate one descriptor over all admissible orders for the given k.
+    Every search runs under ``budget``; None reads ``default_budget()`` once."""
     k_range = sorted(set(k_range))
     if not k_range:
         raise ValueError("k_range must be nonempty")
@@ -196,13 +206,14 @@ def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3)
         raise ValueError(f"{d.kind} descriptor {d.id!r} has no residues")
     if d.kind == "cluster" and d.instances is None:
         raise ValueError(f"cluster descriptor {d.id!r} has no instances")
-    results = _check_dim_lower(d, k_range) if d.kind == "dim-lower" else []
+    budget = default_budget() if budget is None else budget
+    results = _check_dim_lower(d, k_range, budget) if d.kind == "dim-lower" else []
     for k, r in itertools.product(k_range, sorted(d.residues)):  # none for dim-lower
         n = 8 * k + r
         if d.kind == "basis-gap":
-            results.append(_check_basis_gap(d, n, r))
+            results.append(_check_basis_gap(d, n, r, budget))
         else:
-            results += [_check_cluster_instantiation(d, n, a, *instance)
+            results += [_check_cluster_instantiation(d, n, a, *instance, budget)
                         for instance in d.instances(n, k) for a in ANCHOR_PROBES]
     ordered = sorted(results, key=lambda x: (x.n, x.params))
     return LemmaReport(d.id, tuple(ordered))
@@ -401,10 +412,10 @@ def window_bound_counterexample(n: int) -> tuple[tuple[int, ...], tuple[int, ...
 def window_tightness(n: int) -> dict[int, dict]:
     """For each L in 2..5, a size-L subset of a 5-window whose exact minimum
     resolver count is L-1, showing the window bound is tight."""
-    g, witnesses = _graph(n), {}
+    g, witnesses, budget = _graph(n, 4), {}, default_budget()
     for params, (subset,), _ in _window(n, 0):
         if len(subset) not in witnesses:
-            result = min_resolvers(g, Cluster([subset]), g.vertices)
+            result = min_resolvers(g, Cluster([subset]), g.vertices, budget=budget)
             if result.size == params["min_required"]:
                 witnesses[len(subset)] = {"subset": subset, "resolvers": result.witness}
     return witnesses

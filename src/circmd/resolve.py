@@ -129,7 +129,9 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
     Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
     entries holds the twins above probe u: its lowest bit u * n + w gives
     the least pair (u, w), as a twin below u pairs with u at its own probe;
-    w > u, so the pair is built unvalidated.  Else ``_tied_pairs`` decides."""
+    w > u, so the pair is built unvalidated.  Else, on a complete graph, the
+    two least vertices outside X are the least pair; on any other,
+    ``_tied_pairs`` decides."""
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
@@ -151,6 +153,10 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
         twins &= entry
     if twins:
         return tuple.__new__(WitnessPair, divmod((twins & -twins).bit_length() - 1, n))
+    if g.diameter == 1:  # complete: each vertex outside X has r(v|X) = (1, ..., 1)
+        outside = (v for v in range(n) if v not in X)
+        u, w = next(outside, None), next(outside, None)
+        return None if w is None else tuple.__new__(WitnessPair, (u, w))
     return min(_tied_pairs(g, X), default=None)
 
 

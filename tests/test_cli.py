@@ -413,6 +413,22 @@ def test_budget_env_is_read_when_a_command_runs(monkeypatch, capsys):
     assert payload["parameters"]["budget"] == 10
 
 
+def test_check_lemmas_reads_the_budget_once(monkeypatch, capsys):
+    # main reads it and echoes it, and every search of the check runs under it
+    from circmd import cli, lemmas, solver
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return DEFAULT_BUDGET
+
+    for module in (cli, lemmas, solver):
+        monkeypatch.setattr(module, "default_budget", counted)
+    code, payload = run_json(capsys, "check-lemmas", "--id", "L-2-4-3-r56", "--k-max", "2")
+    assert (code, len(reads), payload["parameters"]["budget"]) == (0, 1, DEFAULT_BUDGET)
+    assert payload["result"]["descriptors"][0]["instantiations"] > 1
+
+
 @pytest.mark.parametrize("flag, env, code", [
     (("--budget", "-5"), None, 2),
     ((), "-5", 2),

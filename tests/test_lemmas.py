@@ -27,6 +27,16 @@ from circmd.resolve import (
     Cluster, is_cluster_for, is_resolving, pair_resolvers, representation)
 from circmd.solver import min_resolvers
 
+@pytest.fixture
+def fresh_graphs():
+    """An empty ``lemmas._graph`` cache for a test that patches the graph
+    builder: it reads no graph an earlier test cached, and leaves none of
+    its own to later tests."""
+    lemmas._graph.cache_clear()
+    yield
+    lemmas._graph.cache_clear()
+
+
 EXPECTED_IDS = {
     "L3.1-window", "Obs-0123", "L-2-4-3-r56", "L-8-AkBk", "L-7-Ak",
     "L-7-AkBk", "L-2-22-3", "r5-0156", "r5-025-67", "r5-lemma-01",
@@ -283,7 +293,7 @@ def test_cluster_and_basis_gap_reports_are_pinned():
     assert digest.hexdigest().startswith("06d4312c9d4e666c")
 
 
-def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch):
+def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch, fresh_graphs):
     # every cycle has dimension 2, below the bound t of thm-general-t for t >= 3
     monkeypatch.setattr(lemmas, "make_consecutive", lambda n, t: make_consecutive(n, 1))
     report = check_lemma(REGISTRY["thm-general-t"], (1,))
@@ -292,22 +302,41 @@ def test_dim_lower_failure_reports_the_exact_dimension(monkeypatch):
     assert all(r.status == "pass" for r in report.results if dict(r.params)["t"] == 2)
 
 
-def test_check_lemma_builds_one_graph_per_order(monkeypatch):
+def test_check_lemma_builds_one_graph_per_order(monkeypatch, fresh_graphs):
     built = []
 
     def counting(n, t):
-        built.append(n)
+        built.append((n, t))
         return make_consecutive(n, t)
 
     monkeypatch.setattr(lemmas, "make_consecutive", counting)
-    lemmas._graph.cache_clear()
     for did in ("L-2-4-3-r56", "min-dist-789"):
         built.clear()
         report = check_lemma(REGISTRY[did], (1, 2))
-        assert built == sorted({r.n for r in report.results}), did
+        assert built == [(n, 4) for n in sorted({r.n for r in report.results})], did
+        built.clear()  # the graphs are kept for the process: a second check builds none
+        assert check_lemma(REGISTRY[did], (1, 2)) == report and not built, did
+    # one key per (n, t): thm-general-t reads the cluster claims' t = 4 graphs
+    lemmas._graph.cache_clear()
+    built.clear()
+    check_lemma(REGISTRY["Obs-0123"], (1,))
+    assert built == [(n, 4) for n in (10, 12, 13, 14, 15, 16, 17)]
+    built.clear()
+    report = check_lemma(REGISTRY["thm-general-t"], (1,))
+    swept = [(dict(r.params)["n"], dict(r.params)["t"]) for r in report.results]
+    assert {(10, 4), (11, 4), (12, 4)} <= set(swept)
+    assert sorted(built) == [key for key in sorted(swept) if key not in ((10, 4), (12, 4))]
+    # the whole battery at k = 1..3 builds each of its 59 graphs once, and its
+    # reports are the same on a cold cache and on a warm one
+    lemmas._graph.cache_clear()
+    built.clear()
+    cold = [check_lemma(d, (1, 2, 3)) for d in REGISTRY.values()]
+    assert len(built) == len(set(built)) == 59
+    built.clear()
+    assert [check_lemma(d, (1, 2, 3)) for d in REGISTRY.values()] == cold and not built
 
 
-def test_check_lemma_builds_one_separator_table_per_order(monkeypatch):
+def test_check_lemma_builds_one_separator_table_per_order(monkeypatch, fresh_graphs):
     # every kernel at an order reads that order's one table: 96 kernels
     # (min_resolvers calls and inducing-set searches) over 9 orders, and
     # each order's table is built once
@@ -327,7 +356,6 @@ def test_check_lemma_builds_one_separator_table_per_order(monkeypatch):
     table.__set_name__(CirculantGraph, "separators")
     monkeypatch.setattr(solver, "_Kernel", Counting)
     monkeypatch.setattr(CirculantGraph, "separators", table)
-    lemmas._graph.cache_clear()
     report = check_lemma(REGISTRY["L-2-4-3-r56"], (1, 2, 3))
     orders = {r.n for r in report.results}
     assert len(orders) == 9 and len(kernels) == 96

@@ -362,7 +362,7 @@ def test_least_pair_matches_the_pairwise_reference_on_random_sets():
     assert len(routes) == 4 and min(routes.values()) >= 15, routes  # the axis route: 20
 
 
-def test_least_pair_matches_the_pairwise_reference_on_structured_sets():
+def test_least_pair_matches_the_pairwise_reference_on_structured_sets(monkeypatch):
     # runs 0..k-1, antipodal pairs, landmarks whose windows share the axis
     # 2a (so the axis check runs), cycles (t = 1) and complete graphs
     # (t = n // 2), which every t up to n // 2 includes
@@ -381,6 +381,20 @@ def test_least_pair_matches_the_pairwise_reference_on_structured_sets():
                 assert is_resolving(CirculantGraph(n, t), X) == want, (n, t, X)
                 routes[_route(n, t, X, want)] += 1
     assert len(routes) == 4 and min(routes.values()) >= 30, routes
+    # on a complete graph the vertices outside X are the twins, and once the
+    # probes find none the two least of them are read off without the packed row
+    monkeypatch.setattr(resolve, "_tied_pairs", None)
+    for n in (3, 4, 5, 6, 7, 12, 64, 200):
+        for outside in ((), (0,), (3,), (n - 1,), (0, 1), (2, n - 1), (5, 6),
+                        (n - 2, n - 1), (6, 9, n - 1)):
+            X = [v for v in range(n) if v not in outside]
+            if X:
+                want = least_unresolved_pair_pairwise(n, n // 2, X)
+                assert is_resolving(CirculantGraph(n, n // 2), X) == want, (n, outside)
+    k2000 = CirculantGraph(2000, 1000)
+    assert is_resolving(k2000, range(1999)) is None
+    assert is_resolving(k2000, range(1998)) == (1998, 1999)
+    assert is_resolving(k2000, [*range(5, 1000), *range(1001, 2000)]) == (0, 1)
 
 
 def _least_pair_of(classes):
