@@ -7,6 +7,24 @@ arguments: the equivalence "same representation under S", blocks (subsets
 of one equivalence class) and clusters (tuples of blocks that have to be
 resolved simultaneously, each block internally).
 
+The short-pair lemma: X resolves C(n, ±{1..t}) exactly when it separates
+every pair at circular gap <= G = max(2, 2t - 1); a complete graph has no
+other pair, and n >= 2t + 2 keeps each distance below in [0, n/2].
+1. A tied pair v, w (no x in X separates it) has gap < t, or its axis c = v + w
+   lies in 2x + [1-t, t-1] (mod n) for each x in X: d(x, v) = d(x, w) > 0 puts
+   v, w at x ± s, x ± s' with s, s' in one arc of at most t values; on one
+   side of x the gap is |s - s'| < t, on opposite sides v + w = 2x ± (s - s').
+2. At gap >= t, each x is p + e or p' + e, p = c/2, p' = p + n/2, |e| <= E <=
+   (t-1)/2, and the pair is p ± a, 0 < a <= n/4 (swap p, p'), so a >= t/2 > E.
+   x = p + e ties it iff [a - |e|, a + |e|) holds no multiple of t, x = p' + e
+   iff [n/2 - a - |e|, n/2 - a + |e|) holds none; a -> a - t shifts each by t,
+   so some tied a lies in (E, E + t].  If a < t, the gap 2a is below 2t.
+3. If a > t, each x = p + e has |e| < b = a - t, and p ± b is tied, of gap 2b < t:
+   at p + e the interval lies in (0, t), at p' + e in the old one shifted by t
+   (for |e| > b it is [n/2 - |e| - b, n/2 - |e| + b)).  If a = t, each x at p is
+   p, and p' ± b, b the least vertex offset above E, is tied, of gap 2b <= t + 1:
+   x = p is on its axis, and at p' + e, [b - |e|, b + |e|) lies in (0, t).
+
 ``equivalence_classes`` and the cluster checks zip r(v|X) for all v from
 rows sliced from dist_row on every call; ``is_resolving`` zips nothing.
 """
@@ -91,11 +109,8 @@ def _least_collision(keys: Sequence[tuple[int, ...]],
 
 def _tied_pairs(g: CirculantGraph, X: set[int]) -> Iterator[WitnessPair]:
     """Per gap and per axis checked, the least pair v < w that no landmark in X
-    separates (built unvalidated), off the zero fields of ORs of packed rows.
-    Such a pair is close (circular gap 1..t-1), or its axis c = v + w lies in
-    2x + [1-t, t-1] (mod n) for each x in X.  Proof: d(x, v) = d(x, w) > 0 puts
-    v, w at x ± s, x ± s' with s, s' in one arc of at most t values; on one
-    side of x the gap is |s - s'| < t, on opposite sides v + w = 2x ± (s - s')."""
+    separates (built unvalidated), off the zero fields of ORs of packed rows:
+    by step 1 of the short-pair lemma, each has gap < t or such an axis c."""
     n, t, i = g.n, g.t, (g.diameter.bit_length() // 8).bit_length()  # 2^i bytes a field
     W = 8 << i
     H = int.from_bytes((1 << W - 1).to_bytes(1 << i, "little") * n, "little")  # top bits
@@ -191,12 +206,9 @@ def is_cluster_for(g: CirculantGraph, landmarks: Iterable[int], cluster: Cluster
 def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
                      cluster: Cluster) -> WitnessPair | None:
     """None when every block is internally resolved, else the least stuck pair.
-
-    Only collisions inside a block count; identical representations across
-    blocks are permitted.  An empty landmark set resolves nothing, so it
-    succeeds exactly when all blocks are singletons.  Every landmark and
-    block vertex must lie in [0, n).
-    """
+    Only collisions inside a block count, not those across blocks.  An empty
+    landmark set resolves nothing, so it succeeds exactly when all blocks are
+    singletons.  Every landmark and block vertex must lie in [0, n)."""
     X = set(landmarks)
     check_vertices(g, (*X, *cluster.vertices))
     reps = list(_reps(g, X))
@@ -207,10 +219,8 @@ def resolves_cluster(g: CirculantGraph, landmarks: Iterable[int],
 
 def pair_resolvers(g: CirculantGraph, i: int) -> frozenset[int]:
     """Vertices x with d(x, i) != d(x, i+1), found by scanning all of V.
-
-    Every resolving set must intersect this set for every i, since some
-    landmark has to separate the adjacent pair {i, i+1}.
-    """
+    Every resolving set meets it for every i, as some landmark separates
+    the adjacent pair {i, i+1}."""
     check_vertices(g, (i,))
     j = (i + 1) % g.n
     return frozenset(x for x in g.vertices if g.dist(x, i) != g.dist(x, j))

@@ -14,11 +14,11 @@ Two routes are provided and deliberately kept separate:
   the last two picks are read off ANDs of the unhit masks in one scan of
   the narrowest or of the first pick's range, whichever is smaller
   (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
-  (rotations act transitively): the pool is 1..n-1 and the blocks are the
-  spheres around 0, the graph's arcs and mirrors, read only past the first
-  budget guard, each interior one cut in two (``_sphere_blocks``).  Both
-  also search each rotation class of sets about once (the orbit cut,
-  ``_orbit_range``).
+  (rotations act transitively): the pool is 1..n-1 and the blocks hold the
+  pairs {0} leaves tied at gap <= max(2, 2t - 1), all the short-pair lemma
+  of ``resolve`` asks, read off the sphere arcs only past the first budget
+  guard (``_sphere_blocks``).  Both also search each rotation class of sets
+  about once (the orbit cut, ``_orbit_range``).
   ``min_resolvers`` passes the cluster's blocks and the allowed set as the
   pool; it has no rotation to cut by.
 
@@ -300,31 +300,21 @@ def _check_budget(size: int, picks: int, budget: int) -> None:
 
 
 def _sphere_blocks(g: CirculantGraph) -> Iterator[Sequence[int]]:
-    """The spheres around 0, read at the first block asked for: {0}, then
-    sphere d = 1..D, D the diameter, as its ``arc`` and the mirror above it
-    (an antipode n / 2 once), cut in two for 3 <= d <= D - 2, else whole.
-    That drops only repeats: while both arcs between u and v span t or more, x
-    on one of them, p from u and L - p from v along it, has d(x, u) = d(x, v)
-    exactly when ceil(p / t) = ceil((L - p) / t) (a route through the far end
-    is a hop longer).  Moving a cross pair (a, -b) t toward 0 takes the arc
-    through 0 from a + b >= 4t + 2 down 2t and the other from n - a - b >=
-    2t + 2 (as n // 2 > t(d + 1)) up 2t: p moves by t on each, both ceilings
-    with it, and the t vertices at each end that change arcs tie neither pair
-    (ceilings <= 1 and >= 2).  So (a, -b) has the mask of (a - t, -(b - t)) in
-    sphere d - 1, and in the end of a pair in sphere 1 or 2, kept whole.  No
-    pair left spans over 4t (under t in an arc, a + b <= 4t in spheres 1 and
-    2, and n - a - b <= 4t in spheres D - 1 and D), so a witness search fills
-    at most the 4t + 1 ``separators`` entries 0..4t."""
-    n, t, top = g.n, g.t, g.diameter
-    yield [0]
+    """The pairs {0} leaves tied at gap <= G = max(2, 2t - 1), by the
+    short-pair lemma of ``resolve`` all that a set containing 0 must
+    separate, read at the first block asked for: sphere d = 1..D, D the
+    diameter, as its ``arc`` and mirror (an antipode n / 2 once), two blocks
+    for 1 < d < D - 1 (each cross pair spans over 2t both ways), else its
+    pairs at gap <= G.  So a witness search fills only ``separators`` 1..G."""
+    n, top, G = g.n, g.diameter, max(2, 2 * g.t - 1)
     for d in range(1, top + 1):
-        if d == 3:  # spheres 3..D - 2 fill 2t+1..t(D-2) < n // 2, t vertices each
-            for lo in range(2 * t + 1, t * (top - 2) + 1, t):
-                yield range(lo, lo + t)
-                yield range(n + 1 - lo - t, n + 1 - lo)
-        if not 3 <= d <= top - 2:
-            arc = g.arc(d)
-            yield [*arc, *range(max(n - arc[-1], arc.stop), n + 1 - arc.start)]
+        arc = g.arc(d)
+        mirror = range(max(n - arc[-1], arc.stop), n + 1 - arc.start)
+        if 1 < d < top - 1:
+            yield from (arc, mirror)
+        else:  # u < v: gap v - u or n - (v - u)
+            yield from [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
+                        if not G < v - u < n - G]
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from circmd.resolve import (
 )
 
 from references import (
+    bfs_row,
+    dist_row_per_vertex,
     least_unresolved_pair_pairwise,
     pair_resolvers_arithmetic,
     probe_twins_pairwise,
@@ -395,6 +398,53 @@ def test_least_pair_matches_the_pairwise_reference_on_structured_sets(monkeypatc
     assert is_resolving(k2000, range(1999)) is None
     assert is_resolving(k2000, range(1998)) == (1998, 1999)
     assert is_resolving(k2000, [*range(5, 1000), *range(1001, 2000)]) == (0, 1)
+
+
+def _least_tied_gap(n, t, X, top):
+    """The least circular gap d <= top of a pair that no landmark in X
+    separates, or None, off representations zipped from the distance row
+    computed one vertex at a time."""
+    row = dist_row_per_vertex(n, t)
+    reps = list(zip(*[row[-x:] + row[:-x] for x in X]))  # entry v: r(v|X)
+    return next((d for d in range(1, top + 1) if any(map(eq, reps, reps[d:] + reps[:d]))), None)
+
+
+def test_short_pair_lemma():
+    # a set resolves exactly when it separates every pair at circular gap
+    # <= G = max(2, 2t - 1), the short-pair lemma of circmd.resolve
+    sets = 0
+    for n in range(3, 15):  # every set containing 0, against separators by BFS
+        for t in range(1, n // 2 + 1):
+            g, G = make_consecutive(n, t), max(2, 2 * t - 1)
+            rows = [bfs_row(g, x) for x in range(n)]
+            short = [sum(1 << x for x, row in enumerate(rows) if row[u] != row[(u + d) % n])
+                     for d in range(1, min(G, n // 2) + 1) for u in range(n)]
+            for r in range(n):
+                for rest in itertools.combinations(range(1, n), r):
+                    m = sum(1 << x for x in rest) | 1
+                    resolves = is_resolving(g, (0, *rest)) is None
+                    assert resolves == all(s & m for s in short), (n, t, rest)
+                    sets += 1
+    assert sets == 103_764
+    # landmarks clustered about a point and its antipode, where step 1 of the
+    # proof leaves long tied pairs: the least of these often spans over G
+    rng = random.Random(2707)
+    long = 0
+    for _ in range(3000):
+        t = rng.randint(1, 12)
+        n, G = rng.randint(2 * t + 2, 4 * t + 302), max(2, 2 * t - 1)
+        b, w = rng.randrange(n), rng.randint(0, t // 2)
+        X = {(b + rng.choice((0, n // 2 + rng.randint(0, n % 2))) + rng.randint(-w, w)) % n
+             for _ in range(rng.randint(1, 6))}
+        pair = is_resolving(CirculantGraph(n, t), X)
+        assert (pair is None) == (_least_tied_gap(n, t, X, G) is None), (n, t, X)
+        long += pair is not None and min((pair.v - pair.u) % n, (pair.u - pair.v) % n) > G
+    assert long >= 300, long
+    # the bound is tight: each set's least tied pair has gap exactly G
+    for t, n, X, pair in [(2, 10, {0, 1}, (2, 9)), (3, 16, {0, 1, 8, 9}, (3, 14)),
+                          (1, 6, {0, 3}, (1, 5))]:
+        assert _least_tied_gap(n, t, X, n // 2) == max(2, 2 * t - 1), (n, t, X)
+        assert is_resolving(CirculantGraph(n, t), X) == pair
 
 
 def _least_pair_of(classes):

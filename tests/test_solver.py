@@ -263,47 +263,41 @@ def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
     assert "C(79, 5) candidates exceed budget" in capsys.readouterr().out
 
 
-def test_sphere_blocks_drop_only_repeated_masks():
-    # cutting the interior layers of a consecutive graph into arc and
-    # mirror leaves hit's deduplicated, width-sorted masks as the whole
-    # layers give them, and no pair more than 4t apart, so the entries
-    # past delta = 4t are still unfilled; the blocks cover each vertex once,
-    # each inside one layer of the BFS, so a lost or doubled antipode shows
-    def ordered(masks):
-        return sorted(dict.fromkeys(masks), key=int.bit_count)
-
+def test_sphere_blocks_yield_the_short_tied_pairs():
+    # the witness search's pairs are those {0} leaves tied, the same-sphere
+    # pairs of a BFS from 0, at circular gap <= G = max(2, 2t - 1), each once:
+    # by the short-pair lemma all a set containing 0 must separate; drained,
+    # the source fills the separators entries of their gaps, none past G
     for t in range(1, 9):
+        G = max(2, 2 * t - 1)
         for n in range(2 * t + 2, 201):
             g = make_consecutive(n, t)
-            kernel = _Kernel(g, range(1, n))
-            blocks = list(_sphere_blocks(g))
             depth = bfs_row(g, 0)
-            assert sorted(itertools.chain(*blocks)) == list(range(n)), (n, t)
-            assert all(len({depth[y] for y in block}) == 1 for block in blocks), (n, t)
-            split = ordered(kernel.pair_masks(blocks))
-            assert set(g.separators[4 * t + 1:]) <= {None}, (n, t)
-            assert all(min((v - u) % n, (u - v) % n) <= 4 * t
-                       for block in blocks
-                       for u, v in itertools.combinations(block, 2)), (n, t)
-            assert split == ordered(kernel.pair_masks(layers(g))), (n, t)
+            want = {tuple(sorted((u, (u + d) % n))) for u in range(1, n)
+                    for d in range(1, G + 1) if depth[u] == depth[(u + d) % n]}
+            got = [p for block in _sphere_blocks(g) for p in itertools.combinations(block, 2)]
+            assert sorted(got) == sorted(want), (n, t)
+            list(_Kernel(g, range(1, n)).pair_masks(_sphere_blocks(g)))
+            gaps = {min(v - u, n - v + u) for u, v in want}
+            assert {d for d, m in enumerate(g.separators) if m} == gaps, (n, t)
 
 
-def test_witness_search_builds_the_table_to_4t():
+def test_witness_search_builds_the_table_to_2t_minus_1():
     g = make_consecutive(492, 4)
     assert find_basis_of_size(g, 4) == (0, 2, 244, 246)
     table = g.separators
-    short = table[:17]
-    assert len(table) == 247 and set(table[17:]) == {None}
-    # a cluster pair 100 > 4t apart fills entry 100 alone: 49..51 tie on
-    # it and 52 does not
+    short = table[:8]
+    assert len(table) == 247 and None not in table[1:8] and set(table[8:]) == {None}
+    # a cluster pair 100 > 2t - 1 apart fills entry 100 alone: 49..51 tie
+    # on it and 52 does not
     pair = Cluster([[0, 100]])
     assert min_resolvers(g, pair, range(49, 52)) == MinResolversResult(None, None)
     assert min_resolvers(g, pair, range(49, 53)) == MinResolversResult(1, (52,))
     sep = sum(1 << x for x in g.vertices if g.dist(x, 0) != g.dist(x, 100))
     assert g.separators is table and table[100] == sep | sep << g.n
-    assert all(a is b for a, b in zip(table[:17], short))
-    assert {d for d in range(17, 247) if table[d] is None} == \
-        set(range(17, 247)) - {100}
+    assert all(a is b for a, b in zip(table[:8], short))
+    assert {d for d in range(8, 247) if table[d] is None} == \
+        set(range(8, 247)) - {100}
 
 
 def test_concurrent_readers_see_a_whole_separator_table():
