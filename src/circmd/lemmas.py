@@ -96,8 +96,7 @@ def _find_inducing_set(g: CirculantGraph, cluster: Cluster, budget: Optional[int
             and all(len({g.dist(x, v) for v in b}) == 1 for b in cluster.blocks)]
     if not pool:
         return None
-    members = Cluster([[min(b) for b in cluster.blocks]])
-    return min_resolvers(g, members, pool, max_size=3, budget=budget).witness
+    return min_resolvers(g, [map(min, cluster.blocks)], pool, max_size=3, budget=budget).witness
 
 
 def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dict,
@@ -109,7 +108,7 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
     except ValueError as exc:  # offsets collide mod n
         return InstantiationResult(d.id, n, key, "degenerate", f"{d.id}: {exc}")
     required = params.get("min_required", d.claimed_min)
-    result = min_resolvers(g, cluster, allowed, max_size=required - 1, budget=budget)
+    result = min_resolvers(g, cluster.blocks, allowed, max_size=required - 1, budget=budget)
     if result.capped:
         return InstantiationResult(d.id, n, key, "pass")
     if result.size is None:
@@ -130,9 +129,8 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
 def _gap_witness(g: CirculantGraph, gap: int, size: int, budget: Optional[int] = None
                  ) -> Optional[tuple[int, ...]]:
     """At most size - 2 more vertices that make {0, gap} a resolving set, or None."""
-    classes = Cluster(equivalence_classes(g, (0, gap)))
-    allowed = set(g.vertices) - {0, gap}
-    return min_resolvers(g, classes, allowed, max_size=size - 2, budget=budget).witness
+    return min_resolvers(g, equivalence_classes(g, (0, gap)), set(g.vertices) - {0, gap},
+                         max_size=size - 2, budget=budget).witness
 
 
 def _check_basis_gap(d: LemmaDescriptor, n: int, r: int, budget: int) -> InstantiationResult:
@@ -193,8 +191,9 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int], budget: int
 
 def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3),
                 budget: Optional[int] = None) -> LemmaReport:
-    """Validate one descriptor over all admissible orders for the given k.
-    Every search runs under ``budget``; None reads ``default_budget()`` once."""
+    """Validate one descriptor at the orders of each k in ``k_range``; a dim-lower
+    one checks every order up to max(k_range), so (3,) reads as (1, 2, 3).  Every
+    search runs under ``budget``; None reads ``default_budget()`` once."""
     k_range = sorted(set(k_range))
     if not k_range:
         raise ValueError("k_range must be nonempty")
@@ -415,7 +414,7 @@ def window_tightness(n: int) -> dict[int, dict]:
     g, witnesses, budget = _graph(n, 4), {}, default_budget()
     for params, (subset,), _ in _window(n, 0):
         if len(subset) not in witnesses:
-            result = min_resolvers(g, Cluster([subset]), g.vertices, budget=budget)
+            result = min_resolvers(g, [subset], g.vertices, budget=budget)
             if result.size == params["min_required"]:
                 witnesses[len(subset)] = {"subset": subset, "resolvers": result.witness}
     return witnesses

@@ -14,13 +14,13 @@ Two routes are provided and deliberately kept separate:
   the last two picks are read off ANDs of the unhit masks in one scan of
   the narrowest or of the first pick's range, whichever is smaller
   (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
-  (rotations act transitively): the pool is 1..n-1 and the blocks hold the
-  pairs {0} leaves tied at gap <= max(2, 2t - 1), all the short-pair lemma
-  of ``resolve`` asks, read off the sphere arcs only past the first budget
-  guard (``_sphere_blocks``).  Both also search each rotation class of sets
+  (rotations act transitively): the pool is 1..n-1 and the pairs are those
+  {0} leaves tied at gap <= max(2, 2t - 1), all the short-pair lemma of
+  ``resolve`` asks, read off the sphere arcs only past the first budget
+  guard (``_sphere_pairs``).  Both also search each rotation class of sets
   about once (the orbit cut, ``_orbit_range``).
-  ``min_resolvers`` passes the cluster's blocks and the allowed set as the
-  pool; it has no rotation to cut by.
+  ``min_resolvers`` passes the pairs inside its vertex groups and the
+  allowed set as the pool; it has no rotation to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -42,7 +42,7 @@ from operator import sub
 
 from .formulas import known_bounds
 from .graph import CirculantGraph, check_vertices
-from .resolve import Cluster, is_resolving
+from .resolve import is_resolving
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -123,21 +123,19 @@ class _Kernel:
         # pool range(1, n) and the pairs inside the spheres around 0
         self.orbit = orbit
 
-    def pair_masks(self, blocks: Iterable[Sequence[int]]) -> Iterator[int]:
-        """For each pair u, v inside each block, the pool vertices x with
-        d(x, u) != d(x, v): the graph's ``separators`` entry of delta = v - u
-        (``separator(delta)`` while it is None) rotated by u, one shift of
-        the doubled mask, cut by ``pool_mask``.  As sep(u, v) = sep(v, u),
-        a delta past n // 2 is read as the pair v, u, of gap n - delta.
-        Lazy: a search the budget guard refuses builds no mask."""
+    def pair_masks(self, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+        """For each pair (u, v), the pool vertices x with d(x, u) != d(x, v):
+        the graph's ``separators`` entry of delta = v - u (``separator(delta)``
+        while it is None) rotated by u, one shift of the doubled mask, cut by
+        ``pool_mask``.  As sep(u, v) = sep(v, u), a delta past n // 2 is read
+        as the pair v, u, of gap n - delta.  Lazy: a refused search builds no mask."""
         g, n, pool_mask = self.g, self.n, self.pool_mask
         table, half = g.separators, n // 2
-        for block in blocks:
-            for u, v in itertools.combinations(block, 2):
-                delta = (v - u) % n
-                if delta > half:
-                    u, delta = v, n - delta
-                yield ((table[delta] or g.separator(delta)) >> (n - u)) & pool_mask
+        for u, v in pairs:
+            delta = (v - u) % n
+            if delta > half:
+                u, delta = v, n - delta
+            yield ((table[delta] or g.separator(delta)) >> (n - u)) & pool_mask
 
     def hit(self, pairs: Iterable[int], sizes: Iterable[int],
             budget: int | None) -> tuple[int, ...] | None:
@@ -299,22 +297,23 @@ def _check_budget(size: int, picks: int, budget: int) -> None:
             f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
-def _sphere_blocks(g: CirculantGraph) -> Iterator[Sequence[int]]:
+def _sphere_pairs(g: CirculantGraph) -> Iterator[Iterable[tuple[int, int]]]:
     """The pairs {0} leaves tied at gap <= G = max(2, 2t - 1), by the
     short-pair lemma of ``resolve`` all that a set containing 0 must
-    separate, read at the first block asked for: sphere d = 1..D, D the
-    diameter, as its ``arc`` and mirror (an antipode n / 2 once), two blocks
-    for 1 < d < D - 1 (each cross pair spans over 2t both ways), else its
-    pairs at gap <= G.  So a witness search fills only ``separators`` 1..G."""
+    separate, one iterable per sphere d = 1..D, D the diameter, read at the
+    first one asked for: of its ``arc`` and mirror (an antipode n / 2 once),
+    the pairs inside each for 1 < d < D - 1 (each cross pair spans over 2t
+    both ways), else its pairs at gap <= G.  So a witness search fills only
+    ``separators`` 1..G."""
     n, top, G = g.n, g.diameter, max(2, 2 * g.t - 1)
     for d in range(1, top + 1):
         arc = g.arc(d)
         mirror = range(max(n - arc[-1], arc.stop), n + 1 - arc.start)
         if 1 < d < top - 1:
-            yield from (arc, mirror)
+            yield from (itertools.combinations(arc, 2), itertools.combinations(mirror, 2))
         else:  # u < v: gap v - u or n - (v - u)
-            yield from [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
-                        if not G < v - u < n - G]
+            yield [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
+                   if not G < v - u < n - G]
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
@@ -325,7 +324,8 @@ def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
     resolving set containing 0 of 1 + p vertices, p the first of ``picks``
     that has one."""
     kernel = _Kernel(g, range(1, g.n), orbit=True)
-    found = kernel.hit(kernel.pair_masks(_sphere_blocks(g)), picks, budget)
+    pairs = itertools.chain.from_iterable(_sphere_pairs(g))
+    found = kernel.hit(kernel.pair_masks(pairs), picks, budget)
     return kernel, None if found is None else (0,) + found
 
 
@@ -388,30 +388,33 @@ def brute_force_dim(g: CirculantGraph, max_k: int | None = None,
 MinResolversResult = namedtuple("MinResolversResult", "size witness capped", defaults=(False,))
 
 
-def min_resolvers(g: CirculantGraph, cluster: Cluster, allowed: Iterable[int],
-                  max_size: int | None = None,
+def min_resolvers(g: CirculantGraph, groups: Iterable[Iterable[int]],
+                  allowed: Iterable[int], max_size: int | None = None,
                   budget: int | None = None) -> MinResolversResult:
-    """Smallest X inside ``allowed`` that resolves every block internally.
+    """Smallest X inside ``allowed`` that separates each pair inside each group.
 
-    Searches ascending sizes, so the reported size is exact.  With
-    ``max_size`` set the search stops early and reports ``capped=True``
-    when no witness of at most that size exists (useful for verifying
-    lower-bound claims without computing the true minimum).  Every vertex
-    of ``allowed`` and of the cluster must lie in [0, n).  The budget
-    (None: ``default_budget()``, read once by ``hit``) refuses only a size
-    about to be searched; a cluster with a pair that no vertex of
-    ``allowed`` separates is answered from its masks at any budget.
+    Groups may overlap, and a pair is a two-vertex group.  Searches ascending
+    sizes, so the reported size is exact; with ``max_size`` set the search
+    stops there and reports ``capped=True`` when no witness that small
+    exists.  Every vertex of ``allowed`` and of the groups lies in [0, n),
+    and no group repeats one.  The budget (None: ``default_budget()``, read
+    once by ``hit``) refuses only a size about to be searched; a pair no
+    vertex of ``allowed`` separates is answered from its masks at any budget.
     """
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
     pool = sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
-    check_vertices(g, (pool[0], pool[-1], *cluster.vertices))
+    groups = [list(group) for group in groups]  # each group read once
+    check_vertices(g, itertools.chain((pool[0], pool[-1]), *groups))
     limit = len(pool) if max_size is None else min(max_size, len(pool))
     kernel = _Kernel(g, pool)
-    pairs = list(kernel.pair_masks(cluster.blocks))
-    if not all(pairs):
+    pairs = list(kernel.pair_masks([pair for group in groups
+                                    for pair in itertools.combinations(group, 2)]))
+    if not all(pairs):  # a pair no allowed vertex separates; v, v is always one
+        if any(len(set(group)) < len(group) for group in groups):
+            raise ValueError(f"a group repeats a vertex: {groups}")
         return MinResolversResult(size=None, witness=None)
     witness = kernel.hit(pairs, range(limit + 1), budget)
     if witness is None:

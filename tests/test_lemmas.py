@@ -242,8 +242,7 @@ def test_r56_pair_triple_bound_fails_at_ell_k_for_r2():
     for k in (1, 2, 3):
         n = 8 * k + 2
         g = make_consecutive(n, 4)
-        cluster = Cluster([[0, 1], [4 * k + 2, 4 * k + 3, 4 * k + 4]])
-        res = min_resolvers(g, cluster, g.vertices)
+        res = min_resolvers(g, [[0, 1], [4 * k + 2, 4 * k + 3, 4 * k + 4]], g.vertices)
         assert res.size == 2  # the published claim says >= 3
         grid = [p for p, _, _ in REGISTRY["L-2-4-3-r56"].instances(n, k)]
         assert all(p["ell"] <= k - 1 for p in grid)
@@ -251,8 +250,7 @@ def test_r56_pair_triple_bound_fails_at_ell_k_for_r2():
 
 def test_pair_ladder_bound_fails_at_n11():
     g = make_consecutive(11, 4)
-    cluster = Cluster([[0, 1], [7, 8]])
-    res = min_resolvers(g, cluster, g.vertices)
+    res = min_resolvers(g, [[0, 1], [7, 8]], g.vertices)
     assert res.size == 1  # the published claim says >= 2 for all 8k+3
 
 
@@ -263,8 +261,7 @@ def test_window_tightness_witnesses():
     for ell, w in witnesses.items():
         assert len(w["subset"]) == ell
         assert len(w["resolvers"]) == ell - 1
-        cluster = Cluster([list(w["subset"])])
-        exact = min_resolvers(g, cluster, g.vertices)
+        exact = min_resolvers(g, [w["subset"]], g.vertices)
         assert exact.size == ell - 1
 
 
@@ -273,6 +270,14 @@ def test_dim_lower_descriptors_pass():
         report = check_lemma(REGISTRY[did], (1,))
         assert not report.failed
         assert all(r.status == "pass" for r in report.results)
+    # a dim-lower sweep reads only max(k_range): it checks every order up
+    # to it, so (3,) reports the 28 orders of (1, 2, 3); a cluster
+    # descriptor checks the orders of each k given, 14 against 42
+    general = REGISTRY["thm-general-t"]
+    assert check_lemma(general, (3,)) == check_lemma(general, (1, 2, 3))
+    assert len(check_lemma(general, (3,)).results) == 28
+    obs = REGISTRY["Obs-0123"]
+    assert [len(check_lemma(obs, ks).results) for ks in ((3,), (1, 2, 3))] == [14, 42]
 
 
 def test_dim_lower_reports_are_pinned():

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -20,14 +21,19 @@ from circmd.solver import (
     min_resolvers,
 )
 from circmd import cli, solver
-from circmd.solver import _Kernel, _basis_with_zero, _sphere_blocks
+from circmd.solver import _Kernel, _basis_with_zero, _sphere_pairs
 
 from references import bfs_row, layers, pair_resolvers_arithmetic
 
 
 def _sep(kernel, u, v):
-    # the mask of one pair, which is a block of two vertices
+    # the mask of one pair
     return next(kernel.pair_masks([(u, v)]))
+
+
+def _layer_pairs(g):
+    # the pairs inside each sphere around 0, sphere by sphere
+    return [(u, v) for s in layers(g) for u, v in itertools.combinations(s, 2)]
 
 
 def test_exact_matches_oracle_on_small_orders():
@@ -97,7 +103,7 @@ def test_orbit_cut_matches_the_plain_kernel():
             g = make_consecutive(n, t)
             res = exact_dim(g)
             kernel = _Kernel(g, range(1, n))
-            found = kernel.hit(kernel.pair_masks(layers(g)),
+            found = kernel.hit(kernel.pair_masks(_layer_pairs(g)),
                                range(res.lower_bound_used - 1, n), None)
             basis = (0,) + found
             exhausted = tuple(p + 1 for p in kernel.exhausted)
@@ -176,7 +182,7 @@ def test_budget_guard_raises_before_enumerating():
     with pytest.raises(BudgetExceededError):
         brute_force_dim(g, budget=10)
     with pytest.raises(BudgetExceededError, match=r"C\(30, 1\)"):
-        min_resolvers(g, Cluster([[0, 1]]), g.vertices, budget=10)
+        min_resolvers(g, [[0, 1]], g.vertices, budget=10)
     with pytest.raises(BudgetExceededError, match=r"C\(29, 3\)"):
         find_basis_of_size(g, 4, budget=10)
 
@@ -200,18 +206,18 @@ def test_min_resolvers_is_refused_only_by_the_kernel_guard(monkeypatch):
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
     g = make_consecutive(30, 4)
     with pytest.raises(BudgetExceededError, match=r"C\(30, 0\) candidates exceed budget"):
-        min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30), budget=0)
+        min_resolvers(g, [[0, 1], [10, 12]], range(30), budget=0)
     for budget in range(1, 30):
         with pytest.raises(BudgetExceededError,
                            match=r"C\(30, 1\) candidates exceed budget"):
-            min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30), budget=budget)
+            min_resolvers(g, [[0, 1], [10, 12]], range(30), budget=budget)
     # singletons need no vertex: size 0 passes the budget of C(30, 0)
-    result = min_resolvers(g, Cluster([[0], [10]]), range(30), budget=1)
+    result = min_resolvers(g, [[0], [10]], range(30), budget=1)
     assert (result.size, result.witness) == (0, ())
     # no vertex of {0, 1, 12} separates 6 from 7: the masks answer at any budget
     g = make_consecutive(13, 4)
     for budget in range(3):
-        result = min_resolvers(g, Cluster([[6, 7]]), [0, 1, 12], budget=budget)
+        result = min_resolvers(g, [[6, 7]], [0, 1, 12], budget=budget)
         assert (result.size, result.witness, result.capped) == (None, None, False)
     # with no budget given, hit guards each size it searches with one read
     reads = []
@@ -222,7 +228,7 @@ def test_min_resolvers_is_refused_only_by_the_kernel_guard(monkeypatch):
 
     monkeypatch.setattr(solver, "default_budget", counted)
     g = make_consecutive(30, 4)
-    result = min_resolvers(g, Cluster([[0, 1], [10, 12]]), range(30))
+    result = min_resolvers(g, [[0, 1], [10, 12]], range(30))
     assert (result.size, result.witness, len(reads)) == (2, (0, 2), 1)
     # a witness search that tries two sizes reads it once too
     reads.clear()
@@ -263,7 +269,7 @@ def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
     assert "C(79, 5) candidates exceed budget" in capsys.readouterr().out
 
 
-def test_sphere_blocks_yield_the_short_tied_pairs():
+def test_sphere_pairs_yield_the_short_tied_pairs():
     # the witness search's pairs are those {0} leaves tied, the same-sphere
     # pairs of a BFS from 0, at circular gap <= G = max(2, 2t - 1), each once:
     # by the short-pair lemma all a set containing 0 must separate; drained,
@@ -275,9 +281,9 @@ def test_sphere_blocks_yield_the_short_tied_pairs():
             depth = bfs_row(g, 0)
             want = {tuple(sorted((u, (u + d) % n))) for u in range(1, n)
                     for d in range(1, G + 1) if depth[u] == depth[(u + d) % n]}
-            got = [p for block in _sphere_blocks(g) for p in itertools.combinations(block, 2)]
+            got = list(itertools.chain.from_iterable(_sphere_pairs(g)))
             assert sorted(got) == sorted(want), (n, t)
-            list(_Kernel(g, range(1, n)).pair_masks(_sphere_blocks(g)))
+            list(_Kernel(g, range(1, n)).pair_masks(got))
             gaps = {min(v - u, n - v + u) for u, v in want}
             assert {d for d, m in enumerate(g.separators) if m} == gaps, (n, t)
 
@@ -288,9 +294,9 @@ def test_witness_search_builds_the_table_to_2t_minus_1():
     table = g.separators
     short = table[:8]
     assert len(table) == 247 and None not in table[1:8] and set(table[8:]) == {None}
-    # a cluster pair 100 > 2t - 1 apart fills entry 100 alone: 49..51 tie
-    # on it and 52 does not
-    pair = Cluster([[0, 100]])
+    # a pair 100 > 2t - 1 apart fills entry 100 alone: 49..51 tie on it
+    # and 52 does not
+    pair = [(0, 100)]
     assert min_resolvers(g, pair, range(49, 52)) == MinResolversResult(None, None)
     assert min_resolvers(g, pair, range(49, 53)) == MinResolversResult(1, (52,))
     sep = sum(1 << x for x in g.vertices if g.dist(x, 0) != g.dist(x, 100))
@@ -465,65 +471,100 @@ def test_formula_route_bases_are_pinned(monkeypatch):
 
 def test_min_resolvers_example():
     g = make_consecutive(13, 4)
-    cluster = Cluster([[0, 1], [2, 3, 4]])
-    res = min_resolvers(g, cluster, g.vertices)
+    groups = [[0, 1], [2, 3, 4]]
+    res = min_resolvers(g, groups, g.vertices)
     assert res.size == 3
     assert res.witness == (0, 2, 3)
 
 
 def test_min_resolvers_capped_reports_no_witness():
     g = make_consecutive(13, 4)
-    cluster = Cluster([[0, 1], [2, 3, 4]])
-    res = min_resolvers(g, cluster, g.vertices, max_size=2)
+    groups = [[0, 1], [2, 3, 4]]
+    res = min_resolvers(g, groups, g.vertices, max_size=2)
     assert res.size is None and res.capped
 
 
 def test_min_resolvers_unresolvable_allowed_set():
     g = make_consecutive(13, 4)
     # no vertex in the allowed set separates 6 from 7
-    cluster = Cluster([[6, 7]])
     allowed = set(g.vertices) - set(range(2, 12))
-    res = min_resolvers(g, cluster, allowed)
+    res = min_resolvers(g, [(6, 7)], allowed)
     assert res.size is None and not res.capped
 
 
 def test_min_resolvers_monotone_in_allowed():
     g = make_consecutive(13, 4)
-    cluster = Cluster([[0, 1], [2, 3, 4]])
-    full = min_resolvers(g, cluster, g.vertices)
-    shrunk = min_resolvers(g, cluster, set(g.vertices) - {0, 2})
+    groups = [[0, 1], [2, 3, 4]]
+    full = min_resolvers(g, groups, g.vertices)
+    shrunk = min_resolvers(g, groups, set(g.vertices) - {0, 2})
     assert shrunk.size is None or shrunk.size >= full.size
 
 
-def _min_resolvers_by_sweep(g, cluster, allowed, max_size):
+def _min_resolvers_by_sweep(separates, allowed, max_size):
     pool = sorted(set(allowed))
-    if resolves_cluster(g, pool, cluster) is not None:
+    if not separates(pool):
         return MinResolversResult(size=None, witness=None)
     limit = len(pool) if max_size is None else min(max_size, len(pool))
     for m in range(limit + 1):
         for X in itertools.combinations(pool, m):
-            if resolves_cluster(g, X, cluster) is None:
+            if separates(X):
                 return MinResolversResult(size=m, witness=X)
     return MinResolversResult(size=None, witness=None, capped=True)
 
 
 def test_min_resolvers_matches_plain_sweep():
+    # disjoint groups against resolves_cluster, and groups that share
+    # vertices, which no Cluster holds, against each pair read off g.dist
     rng = random.Random(2024)
-    outcomes = set()
-    for _ in range(400):
+    outcomes = {"disjoint": Counter(), "overlapping": Counter()}
+    for kind in ("disjoint", "overlapping") * 400:
         n, t = rng.randint(8, 29), rng.randint(1, 4)
         g = make_consecutive(n, t)
         vertices = rng.sample(range(n), rng.randint(1, 8))
-        inner = rng.sample(range(1, len(vertices)), rng.randrange(len(vertices)))
-        cuts = [0, *sorted(inner), len(vertices)]
-        cluster = Cluster(vertices[i:j] for i, j in zip(cuts, cuts[1:]))
+        if kind == "disjoint":
+            inner = rng.sample(range(1, len(vertices)), rng.randrange(len(vertices)))
+            cuts = [0, *sorted(inner), len(vertices)]
+            groups = [vertices[i:j] for i, j in zip(cuts, cuts[1:])]
+            cluster = Cluster(groups)
+
+            def separates(X):
+                return resolves_cluster(g, X, cluster) is None
+        else:
+            groups = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+                      for _ in range(rng.randint(2, 5))]
+            if len(set().union(*groups)) == sum(map(len, groups)):
+                continue  # disjoint after all
+            pairs = [p for group in groups for p in itertools.combinations(group, 2)]
+
+            def separates(X):
+                return all(any(g.dist(x, u) != g.dist(x, v) for x in X) for u, v in pairs)
         allowed = rng.sample(range(n), rng.choice([1, 2, 3, n // 2, n]))
         max_size = rng.choice([None, 1, 2, 3])
-        expected = _min_resolvers_by_sweep(g, cluster, allowed, max_size)
-        assert min_resolvers(g, cluster, allowed, max_size) == expected, \
-            (n, t, cluster, allowed, max_size)
-        outcomes.add("capped" if expected.capped else expected.size)
-    assert {None, "capped", 0, 1, 2, 3} <= outcomes
+        expected = _min_resolvers_by_sweep(separates, allowed, max_size)
+        assert min_resolvers(g, groups, allowed, max_size) == expected, \
+            (n, t, groups, allowed, max_size)
+        outcomes[kind]["capped" if expected.capped else expected.size] += 1
+    for kind, seen in outcomes.items():
+        assert {None, "capped", 0, 1, 2, 3} <= seen.keys() and seen.total() > 300, kind
+
+
+def test_pairs_at_gap_t_plus_1_force_the_dimension():
+    # a lower bound from one rotation-invariant family of overlapping pairs,
+    # {v, v + d} with 1 <= d <= t + 1: a resolving set may contain 0, and
+    # then needs the least set of other vertices that separates each such
+    # pair 0 ties.  It meets formula_dim on all 159 orders here; with
+    # d <= t it falls short at n = 6, t = 2
+    def bound(g, top):
+        n = g.n
+        tied = [(v, (v + d) % n) for v in range(n) for d in range(1, top + 1)
+                if g.dist(0, v) == g.dist(0, (v + d) % n)]
+        return 1 + min_resolvers(g, tied, range(1, n)).size
+
+    orders = [(n, t) for t in (2, 3, 4) for n in range(2 * t + 2, 61)]
+    assert len(orders) == 159
+    for n, t in orders:
+        assert bound(make_consecutive(n, t), t + 1) == formula_dim(n, t), (n, t)
+    assert (bound(make_consecutive(6, 2), 2), formula_dim(6, 2)) == (2, 3)
 
 
 def _sorted_pool_searches():
@@ -536,7 +577,7 @@ def _sorted_pool_searches():
         g = make_consecutive(n, rng.randint(1, min(6, n // 2)))
         kernel = _Kernel(g, sorted(rng.sample(range(n), rng.randint(2, n))))
         vertices = rng.sample(range(n), rng.randint(2, 7))
-        pairs = list(kernel.pair_masks([vertices]))
+        pairs = list(kernel.pair_masks(itertools.combinations(vertices, 2)))
         low = rng.randint(0, 5)
         found = kernel.hit(pairs, range(low, rng.randint(low, 5) + 1), None)
         yield found, kernel.exhausted, kernel.nodes
@@ -605,7 +646,7 @@ def test_last_two_picks_match_a_per_v_loop():
             runs = []
             for cls in (Counting, _PerVKernel):
                 kernel = cls(g, pool, orbit=orbit)
-                pairs = kernel.pair_masks(layers(g) if orbit else uv)
+                pairs = kernel.pair_masks(_layer_pairs(g) if orbit else uv)
                 runs.append((kernel.hit(pairs, sizes, None), kernel.exhausted))
             assert runs[0] == runs[1], (g, pool, orbit, sizes)
     assert min(sides.values()) >= 1000, sides
@@ -680,7 +721,7 @@ def test_masks_search_the_same_in_a_fresh_kernel():
     g = make_consecutive(13, 4)
     for pool in (range(1, 13), [0, 2, 3, 5, 8, 9, 11]):
         builder = _Kernel(g, pool)
-        pairs = list(builder.pair_masks(layers(g)))
+        pairs = list(builder.pair_masks(_layer_pairs(g)))
         runs = []
         for kernel in (builder, _Kernel(g, pool)):
             found = kernel.hit(pairs, range(2, 6), None)
@@ -736,7 +777,7 @@ def test_duplicate_masks_do_not_change_the_search():
     cases = []
     for n, t in ((13, 4), (24, 4), (26, 3), (37, 2)):
         g = make_consecutive(n, t)
-        uv = [(u, v) for s in layers(g) for u, v in itertools.combinations(s, 2)]
+        uv = _layer_pairs(g)
         cases.append((g, range(1, n), uv, range(n)))
         for _ in range(5):  # pairs inside blocks, over a random allowed set
             pool = sorted(rng.sample(range(n), rng.randint(n // 3, n)))
@@ -773,13 +814,20 @@ def test_lower_bound_never_exceeds_dimension():
 def test_min_resolvers_rejects_vertices_outside_the_graph():
     g = make_consecutive(13, 4)
     with pytest.raises(ValueError, match=r"vertex must lie in \[0, 13\), got 15"):
-        min_resolvers(g, Cluster([[0, 15]]), g.vertices)
+        min_resolvers(g, [[0, 15]], g.vertices)
+    with pytest.raises(ValueError, match=r"vertex must lie in \[0, 13\), got 13"):
+        min_resolvers(g, [[2], iter([13])], g.vertices)
+    # no set separates a vertex from itself: the pair 3, 3 would read as
+    # unresolvable, so a group that repeats a vertex is refused, as a
+    # Cluster block that repeats one is; groups read once, iterators too
+    with pytest.raises(ValueError, match="a group repeats a vertex"):
+        min_resolvers(g, [[0, 1], iter([2, 3, 3])], g.vertices)
     with pytest.raises(ValueError, match=r"vertex must lie in \[0, 13\), got 20"):
-        min_resolvers(g, Cluster([[0, 1]]), [20, 21])
+        min_resolvers(g, [[0, 1]], [20, 21])
     with pytest.raises(ValueError, match="got -1"):
-        min_resolvers(g, Cluster([[0, 1]]), [-1, 5])
+        min_resolvers(g, [[0, 1]], [-1, 5])
     with pytest.raises(ValueError, match="allowed set must be nonempty"):
-        min_resolvers(g, Cluster([[0, 1]]), [])
+        min_resolvers(g, [[0, 1]], [])
     # no search to cap: a capped result would read as a proof of nothing
     with pytest.raises(ValueError, match="max_size must be at least 0, got -1"):
-        min_resolvers(g, Cluster([[0, 1]]), range(13), max_size=-1)
+        min_resolvers(g, [[0, 1]], range(13), max_size=-1)
