@@ -12,11 +12,11 @@ resolving set exists.
 A cluster claim's one template callable, ``instances(n, k)``, yields each
 instance as (parameters besides the anchor, blocks at anchor 0, excluded
 offsets); ``check_lemma`` probes each at every anchor in ``ANCHOR_PROBES``
-and ``instantiate`` shifts it there.  One whose offsets collide mod n
-(small-n wraparound) is refused by ``Cluster`` and reported as degenerate,
-not silently skipped.  A claim with two or more blocks presumes a cluster:
-it is reported vacuous, not failing, when no landmark set of at most 3
-vertices induces one, a set the kernel searches for.
+and ``instantiate`` shifts it there.  Only an instance whose offsets collide
+mod n (small-n wraparound) builds a ``Cluster``, whose refusal is reported as
+degenerate, not silently skipped.  A claim with two or more blocks presumes
+a cluster: it is reported vacuous, not failing, when no landmark set of at
+most 3 vertices induces one, a set the kernel searches for.
 
 ``_graph`` builds each C(n, +-{1..t}) once per process, and every check
 reads that one graph, its lazily filled masks included; ``check_lemma``
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .formulas import known_bounds, split
 from .graph import CirculantGraph, make_consecutive
@@ -41,11 +41,10 @@ from .solver import (
 ANCHOR_PROBES = (0, 1)
 
 Blocks = list[list[int]]
+
+
+# kind: "cluster" | "basis-gap" | "dim-lower"; instances, the cluster template:
 # (n, k) -> each instance at n = 8k + r as (params, blocks, excluded offsets)
-Instances = Callable[[int, int], Iterable[tuple[dict, Blocks, Iterable[int]]]]
-
-
-# kind: "cluster" | "basis-gap" | "dim-lower"; instances: the cluster template
 LemmaDescriptor = namedtuple("LemmaDescriptor", "id kind claim claimed_min residues instances",
                              defaults=(None, (), None))
 # params: (name, value) pairs; status: "pass" | "fail" | "degenerate" | "vacuous"
@@ -72,31 +71,32 @@ def _graph(n: int, t: int) -> CirculantGraph:
 
 
 def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
-                ) -> tuple[CirculantGraph, Cluster, frozenset[int]]:
-    """Concrete (graph, cluster, allowed set) in C(n, +-{1..4}): the blocks
-    and excluded offsets of a template shifted to the anchor ``a``.  It
-    only shifts: ``Cluster`` raises ``ValueError`` when offsets collide mod n.
-    """
-    g = _graph(n, 4)
-    cluster = Cluster([(a + x) % n for x in b] for b in blocks)
-    return g, cluster, frozenset(g.vertices) - {(a + x) % n for x in excluded}
+                ) -> tuple[CirculantGraph, Blocks, Sequence[int]]:
+    """Concrete (graph, blocks as lists, allowed vertices: ``g.vertices``, or
+    a sorted list if any are excluded) in C(n, +-{1..4}): a template shifted
+    to the anchor ``a``.  Only offsets that collide mod n, found by a union
+    against the summed sizes, or an empty block build ``Cluster``, to raise."""
+    g, shifted = _graph(n, 4), [[(a + x) % n for x in b] for b in blocks]
+    if not shifted or [] in shifted or len(set().union(*shifted)) < sum(map(len, shifted)):
+        Cluster(shifted)  # raises ValueError: no block, an empty one, a repeat, an overlap
+    out = {(a + x) % n for x in excluded}
+    return g, shifted, [v for v in g.vertices if v not in out] if out else g.vertices
 
 
-def _find_inducing_set(g: CirculantGraph, cluster: Cluster, budget: Optional[int] = None
+def _find_inducing_set(g: CirculantGraph, blocks: Blocks, budget: Optional[int] = None
                        ) -> Optional[tuple[int, ...]]:
     """Least landmark set of at most 3 vertices under which the two or more
-    blocks form distinct representation classes, or None.
+    disjoint ``blocks`` form distinct representation classes, or None.
 
-    Its members lie outside the cluster, each equidistant from every member
+    Its members lie outside the blocks, each equidistant from every member
     of each block; from those the kernel picks the least set that resolves
     one member of each block, under ``budget`` (None: ``default_budget()``).
     """
-    inside = cluster.vertices
+    inside = set().union(*blocks)
     pool = [x for x in g.vertices if x not in inside
-            and all(len({g.dist(x, v) for v in b}) == 1 for b in cluster.blocks)]
-    if not pool:
-        return None
-    return min_resolvers(g, [map(min, cluster.blocks)], pool, max_size=3, budget=budget).witness
+            and all(len({g.dist(x, v) for v in b}) == 1 for b in blocks)]
+    return (min_resolvers(g, [map(min, blocks)], pool, max_size=3, budget=budget).witness
+            if pool else None)
 
 
 def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dict,
@@ -104,19 +104,17 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
                                  budget: Optional[int] = None) -> InstantiationResult:
     key = tuple(sorted({"a": a, **params}.items()))
     try:
-        g, cluster, allowed = instantiate(n, a, blocks, excluded)
+        g, blocks, allowed = instantiate(n, a, blocks, excluded)
     except ValueError as exc:  # offsets collide mod n
         return InstantiationResult(d.id, n, key, "degenerate", f"{d.id}: {exc}")
     required = params.get("min_required", d.claimed_min)
-    result = min_resolvers(g, cluster.blocks, allowed, max_size=required - 1, budget=budget)
-    if result.capped:
-        return InstantiationResult(d.id, n, key, "pass")
-    if result.size is None:
-        return InstantiationResult(
-            d.id, n, key, "pass", "unresolvable within the allowed set")
+    result = min_resolvers(g, blocks, allowed, max_size=required - 1, budget=budget)
+    if result.size is None:  # capped, or even the whole allowed set fails
+        return InstantiationResult(d.id, n, key, "pass", "" if result.capped
+                                   else "unresolvable within the allowed set")
     # a too-small witness exists; the claim only fails if its hypothesis
     # (an inducing landmark set) can actually be met
-    if len(cluster.blocks) > 1 and _find_inducing_set(g, cluster, budget) is None:
+    if len(blocks) > 1 and _find_inducing_set(g, blocks, budget) is None:
         return InstantiationResult(
             d.id, n, key, "vacuous",
             f"witness {result.witness} of size {result.size}, but no inducing "
@@ -129,7 +127,8 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
 def _gap_witness(g: CirculantGraph, gap: int, size: int, budget: Optional[int] = None
                  ) -> Optional[tuple[int, ...]]:
     """At most size - 2 more vertices that make {0, gap} a resolving set, or None."""
-    return min_resolvers(g, equivalence_classes(g, (0, gap)), set(g.vertices) - {0, gap},
+    others = [*range(1, gap), *range(gap + 1, g.n)]
+    return min_resolvers(g, equivalence_classes(g, (0, gap)), others,
                          max_size=size - 2, budget=budget).witness
 
 

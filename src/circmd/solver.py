@@ -112,11 +112,10 @@ class _Kernel:
         self.n = g.n
         self.pool = pool
         # not lazy: another kernel's masks for this graph and pool search the same;
-        # a range has its own branch, as the mask of range(1, n), which every
-        # witness search passes, takes two shifts, a sorted list one per vertex
+        # a step-1 range takes two shifts, a sorted list one per vertex, summed in C
         self.pool_mask = ((1 << pool.stop) - (1 << pool.start)
                           if isinstance(pool, range) and pool.step == 1 and pool
-                          else sum(1 << x for x in pool))
+                          else sum(map((1).__lshift__, pool)))
         self.nodes = 0
         self.exhausted: list[int] = []
         # the orbit cut; it reads pool[i] as vertex i + 1, so it needs the
@@ -397,13 +396,15 @@ def min_resolvers(g: CirculantGraph, groups: Iterable[Iterable[int]],
     sizes, so the reported size is exact; with ``max_size`` set the search
     stops there and reports ``capped=True`` when no witness that small
     exists.  Every vertex of ``allowed`` and of the groups lies in [0, n),
-    and no group repeats one.  The budget (None: ``default_budget()``, read
-    once by ``hit``) refuses only a size about to be searched; a pair no
-    vertex of ``allowed`` separates is answered from its masks at any budget.
+    and no group repeats one.  A step-1 range is the pool as it stands, any
+    other ``allowed`` is sorted and rid of repeats.  The budget (None:
+    ``default_budget()``, read once by ``hit``) refuses only a size about to
+    be searched; a pair no vertex of ``allowed`` separates is answered from
+    its masks at any budget.
     """
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
-    pool = sorted(set(allowed))
+    pool = allowed if isinstance(allowed, range) and allowed.step == 1 else sorted(set(allowed))
     if not pool:
         raise ValueError("allowed set must be nonempty")
     groups = [list(group) for group in groups]  # each group read once

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -72,9 +73,48 @@ def _check_at_anchor_0(d, n):
 
 def test_instantiate_example():
     d = REGISTRY["L-2-4-3-r56"]
-    g, cluster, allowed = instantiate(13, 0, *_instance(d, 13, {"ell": 0, "sign": 1}))
-    assert cluster.blocks == (frozenset({0, 1}), frozenset({2, 3, 4}))
-    assert allowed == frozenset(range(13))
+    g, blocks, allowed = instantiate(13, 0, *_instance(d, 13, {"ell": 0, "sign": 1}))
+    assert blocks == [[0, 1], [2, 3, 4]]
+    assert type(allowed) is range and allowed == g.vertices == range(13)
+    # the mirrored instance wraps mod n; excluded offsets leave a sorted list
+    mirrored = instantiate(13, 1, *_instance(d, 13, {"ell": 0, "sign": -1}))
+    assert mirrored[1] == [[1, 0], [12, 11, 10]]
+    d = REGISTRY["L-2-22-3"]
+    g, blocks, allowed = instantiate(23, 1, *_instance(d, 23, {"ell": 1}))
+    assert blocks == [[2, 3], [11, 12], [13, 14], [20, 21, 22]]
+    assert allowed == [v for v in range(23) if v not in (3, 7)]
+
+
+def test_collision_test_agrees_with_cluster():
+    # instantiate builds a Cluster only when the shifted offsets collide or
+    # a block is empty: over every template instance for k = 1..6 at both
+    # anchors it raises exactly when Cluster of the shifted blocks does, with
+    # its message, and otherwise returns the blocks Cluster would hold and
+    # the vertices less the excluded ones
+    count, refusals = 0, Counter()
+    for d in REGISTRY.values():
+        if d.kind != "cluster":
+            continue
+        for k, r in itertools.product(range(1, 7), sorted(d.residues)):
+            n = 8 * k + r
+            for _, blocks, excluded in d.instances(n, k):
+                count += 1
+                for a in ANCHOR_PROBES:
+                    shifted = [[(a + x) % n for x in b] for b in blocks]
+                    try:
+                        cluster = Cluster(shifted)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as info:
+                            instantiate(n, a, blocks, excluded)
+                        assert str(info.value) == str(exc), (d.id, n, a)
+                        refusals[str(exc).split(":")[0]] += 1
+                        continue
+                    g, got, allowed = instantiate(n, a, blocks, excluded)
+                    assert tuple(map(frozenset, got)) == cluster.blocks, (d.id, n, a)
+                    out = {(a + x) % n for x in excluded}
+                    assert list(allowed) == sorted(set(range(n)) - out), (d.id, n, a)
+    assert count == 1336
+    assert refusals == {"cluster blocks overlap": 12}
 
 
 def test_cluster_orders_lie_in_the_descriptor_residues():
@@ -139,6 +179,12 @@ def test_wraparound_collision_is_degenerate():
     result = _check_at_anchor_0(dup, 13)
     assert result.status == "degenerate"
     assert result.detail == "dup: block [0, 0, 1] has duplicate vertices"
+    # the refusals no registered template meets: an empty block, and no block
+    for blocks, message in (([[0, 1], []], "cluster blocks must be nonempty"),
+                            ([], "cluster needs at least one block")):
+        hollow = _simple_cluster("hollow", "an empty block or none", (5,), 2, blocks)
+        result = _check_at_anchor_0(hollow, 13)
+        assert (result.status, result.detail) == ("degenerate", f"hollow: {message}")
 
 
 def test_fast_descriptors_pass_at_k1():
@@ -161,16 +207,16 @@ def test_cluster_check_reports_vacuous_and_fail():
                               [list(range(5)), [5, 6, 7, 8]])
     result = _check_at_anchor_0(vacuous, 13)
     assert result.status == "vacuous"
-    g, cluster, _ = instantiate(13, 0, *_instance(vacuous, 13, {}))
-    assert _find_inducing_set(g, cluster) is None
+    g, blocks, _ = instantiate(13, 0, *_instance(vacuous, 13, {}))
+    assert _find_inducing_set(g, blocks) is None
 
     false = _simple_cluster("two-pairs", "two pairs", (5,), 3, [[0, 1], [2, 3]])
     result = _check_at_anchor_0(false, 13)
     assert result.status == "fail"
     assert result.detail == "(0, 2) resolves the cluster with 2 < 3"
-    g, cluster, _ = instantiate(13, 0, *_instance(false, 13, {}))
-    assert _find_inducing_set(g, cluster) == (6,)
-    assert is_cluster_for(g, (6,), cluster)
+    g, blocks, _ = instantiate(13, 0, *_instance(false, 13, {}))
+    assert _find_inducing_set(g, blocks) == (6,)
+    assert is_cluster_for(g, (6,), Cluster(blocks))
 
     pair = _simple_cluster("pair", "one pair", (5,), 3, [[0, 1]])
     result = _check_at_anchor_0(pair, 13)
@@ -208,7 +254,7 @@ def test_inducing_set_matches_sweep():
         vs = rng.sample(range(n), rng.randrange(2, 8))
         cuts = sorted(rng.sample(range(1, len(vs)), rng.randrange(1, min(4, len(vs)))))
         cluster = Cluster(vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)]))
-        found = _find_inducing_set(g, cluster)
+        found = _find_inducing_set(g, cluster.blocks)
         assert found == _sweep_inducing_set(g, cluster), (n, t, cluster)
         outcomes.add(found is None)
     assert outcomes == {True, False}

@@ -552,19 +552,48 @@ def test_pairs_at_gap_t_plus_1_force_the_dimension():
     # a lower bound from one rotation-invariant family of overlapping pairs,
     # {v, v + d} with 1 <= d <= t + 1: a resolving set may contain 0, and
     # then needs the least set of other vertices that separates each such
-    # pair 0 ties.  It meets formula_dim on all 159 orders here; with
-    # d <= t it falls short at n = 6, t = 2
+    # pair 0 ties.  It meets formula_dim on all 279 orders here; with
+    # d <= t it falls short at n = 6, t = 2.  The budget is explicit: the
+    # default guard refuses C(78, 5) at n = 79, t = 4 before any search
     def bound(g, top):
         n = g.n
         tied = [(v, (v + d) % n) for v in range(n) for d in range(1, top + 1)
                 if g.dist(0, v) == g.dist(0, (v + d) % n)]
-        return 1 + min_resolvers(g, tied, range(1, n)).size
+        return 1 + min_resolvers(g, tied, range(1, n), budget=10**9).size
 
-    orders = [(n, t) for t in (2, 3, 4) for n in range(2 * t + 2, 61)]
-    assert len(orders) == 159
+    orders = [(n, t) for t in (2, 3, 4) for n in range(2 * t + 2, 101)]
+    assert len(orders) == 279
     for n, t in orders:
         assert bound(make_consecutive(n, t), t + 1) == formula_dim(n, t), (n, t)
     assert (bound(make_consecutive(6, 2), 2), formula_dim(6, 2)) == (2, 3)
+
+
+def test_min_resolvers_searches_a_range_as_its_list(monkeypatch):
+    # a step-1 range reaches the kernel as it stands, the list of its
+    # members sorted; both mask the same pool and give the same answer
+    pools = []
+
+    class Recording(_Kernel):
+        def __init__(self, g, pool, orbit=False):
+            pools.append(pool)
+            super().__init__(g, pool, orbit)
+
+    monkeypatch.setattr(solver, "_Kernel", Recording)
+    rng = random.Random(54)
+    outcomes = Counter()
+    for _ in range(600):
+        n, t = rng.randint(7, 30), rng.randint(1, 5)
+        g = make_consecutive(n, t)
+        a = rng.randrange(n)
+        allowed = range(a, rng.randint(a + 1, n))
+        groups = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        max_size = rng.choice([None, 1, 2, 3])
+        results = [min_resolvers(g, groups, pool, max_size) for pool in (allowed, list(allowed))]
+        assert results[0] == results[1], (n, t, allowed, groups, max_size)
+        assert pools[-2] is allowed and pools[-1] == list(allowed)
+        assert _Kernel(g, allowed).pool_mask == _Kernel(g, list(allowed)).pool_mask
+        outcomes["capped" if results[0].capped else results[0].size] += 1
+    assert {None, "capped", 0, 1, 2, 3} <= outcomes.keys()
 
 
 def _sorted_pool_searches():
