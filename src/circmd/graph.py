@@ -1,4 +1,4 @@
-"""Circulant graphs C(n, +/-{1..t}) on Z_n, each distance row built on first read.
+"""Circulant graphs C(n, +/-{1..t}) on Z_n, each distance row built once, on first read.
 
 C(n, +/-{1..t}) has vertices 0..n-1 and an edge between i and j whenever
 their circular gap is at most t.  Rotation i -> i + c is an automorphism,
@@ -8,6 +8,8 @@ from vertex 0, and that row is the closed form ceil(gap / t).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
@@ -15,8 +17,8 @@ from functools import cached_property
 
 class CirculantGraph(namedtuple("CirculantGraph", "n t")):
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
-    for concurrent read access.  Its lazy entries, ``dist_row``, ``planes``
-    and each entry of ``separators`` and ``probe_twins``, are filled on
+    for concurrent read access.  Its lazy entries, ``dist_row``, ``packed_row``,
+    ``planes`` and each entry of ``separators`` and ``probe_twins``, are filled on
     first use, in the instance ``__dict__``: two readers may both fill one,
     with the same value."""
 
@@ -30,11 +32,34 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
         return tuple.__new__(cls, (n, t))
 
     @cached_property
-    def dist_row(self) -> tuple[int, ...]:
-        """Entry d: dist(0, d) = ceil(d / t), for ``dist`` and the probes, zips and
-        packed row of ``resolve``: 0, t of each distance 1..diameter, mirrored at n // 2."""
-        half = [0, *sorted([*range(1, self.diameter + 1)] * self.t)][:self.n // 2 + 1]
-        return tuple(half + half[(self.n - 1) // 2:0:-1])
+    def dist_row(self) -> array:
+        """Entry d: dist(0, d) = ceil(min(d, n - d) / t), in 2^i-byte fields, top bits
+        clear.  Entries 0..n//2 are one int's fields, laid down by doubling: if fields
+        1..tm hold 1..m, they and their copy plus m, tm fields up, hold 1..2m."""
+        n, t, i = self.n, self.t, (self.diameter.bit_length() // 8).bit_length()
+        W, width = 8 << i, (n // 2 + 1) * (8 << i)
+        ones = run = int.from_bytes((1).to_bytes(1 << i, "little") * t, "little") << W
+        m = 1  # run: fields 1..tm; ones: 1 in each of them
+        while t * m * W < width:
+            run |= run + m * ones << t * m * W
+            ones |= ones << t * m * W
+            m *= 2
+        row = array("BHIQ"[i], (run & (1 << width) - 1).to_bytes(width >> 3, "little"))
+        row += row[(n - 1) // 2:0:-1]
+        if sys.byteorder == "big":
+            row.byteswap()
+        return row
+
+    @cached_property
+    def packed_row(self) -> tuple[int, int, int]:
+        """(R, H, W): ``dist_row`` three times over as one int, field v at bit v * W,
+        little-endian; and the mask of its first n fields' top bits."""
+        row, W = self.dist_row, 8 * self.dist_row.itemsize
+        if sys.byteorder == "big":
+            row = array(row.typecode, row)
+            row.byteswap()
+        return (int.from_bytes(row.tobytes() * 3, "little"),
+                int.from_bytes((1 << W - 1).to_bytes(W >> 3, "little") * self.n, "little"), W)
 
     def arc(self, d: int) -> range:
         """The y in 1..n//2 at distance d from 0, for 1 <= d <= diameter:
@@ -85,7 +110,7 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
 
     @cached_property
     def probe_twins(self) -> list[int | None]:
-        """Entry x: None until ``is_resolving`` packs the probes' twins about x."""
+        """Entry x: None until a second ``is_resolving`` packs the probes' twins about x."""
         return [None] * self.n
 
     def dist(self, i: int, j: int) -> int:

@@ -26,12 +26,12 @@ other pair, and n >= 2t + 2 keeps each distance below in [0, n/2].
    x = p is on its axis, and at p' + e, [b - |e|, b + |e|) lies in (0, t).
 
 ``equivalence_classes`` and the cluster checks zip r(v|X) for all v from
-rows sliced from dist_row on every call; ``is_resolving`` zips nothing.
+rows sliced from dist_row on every call; ``is_resolving`` zips nothing: it
+reads the graph's packed row, and probe twins only from its second check.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -111,10 +111,7 @@ def _tied_pairs(g: CirculantGraph, X: set[int]) -> Iterator[WitnessPair]:
     """Per gap and per axis checked, the least pair v < w that no landmark in X
     separates (built unvalidated), off the zero fields of ORs of packed rows:
     by step 1 of the short-pair lemma, each has gap < t or such an axis c."""
-    n, t, i = g.n, g.t, (g.diameter.bit_length() // 8).bit_length()  # 2^i bytes a field
-    W = 8 << i
-    H = int.from_bytes((1 << W - 1).to_bytes(1 << i, "little") * n, "little")  # top bits
-    R = int.from_bytes(struct.pack(f"<{n}{'BHIQ'[i]}", *g.dist_row) * 3, "little")  # 3 turns
+    (R, H, W), n, t = g.packed_row, g.n, g.t  # three turns, top bits, field width
     M = (1 << (n + t) * W) - 1  # n fields, and t to shift in from past n
     rows = {x: R >> (n - x) * W & M for x in X}  # row(x), field v: d(x, v)
     for d in range(1, t):  # row(x) ^ row(x - d), field v: (v, v + d) or (v + d - n, v)
@@ -141,20 +138,22 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
 
-    Field u (at bit u * n) of the AND of the landmarks' ``probe_twins``
-    entries holds the twins above probe u: its lowest bit u * n + w gives
-    the least pair (u, w), as a twin below u pairs with u at its own probe;
-    w > u, so the pair is built unvalidated.  Else, on a complete graph, the
-    two least vertices outside X are the least pair; on any other,
-    ``_tied_pairs`` decides."""
+    From a graph's second check on, field u (at bit u * n) of the AND of the
+    landmarks' ``probe_twins`` entries holds the twins above probe u: its lowest
+    bit u * n + w gives the least pair (u, w), as a twin below u pairs with u
+    at its own probe; w > u, so the pair is built unvalidated.  Else, as on a
+    first check, on a complete graph the two least vertices outside X are the
+    least pair; on any other, ``_tied_pairs`` decides."""
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
-    n, table, twins = g.n, g.probe_twins, -1
+    n, table, twins = g.n, g.__dict__.get("probe_twins"), -1
     for x in X:  # every landmark checked before any entry is filled
         if not 0 <= x < n:
             raise ValueError(f"vertex must lie in [0, {n}), got {x}")
-    for x in X:
+    if table is None:  # a first check, with no table yet, reads no probe: they pay off on repeats
+        table, twins = g.probe_twins, 0
+    for x in (X if twins else ()):
         entry = table[x]
         if entry is None:  # field u: u's sphere about x above u, empty if x = u
             row, top, packed, last = g.dist_row, 1 << n, 0, -1

@@ -74,15 +74,15 @@ def test_dist_row_equals_the_per_pair_closed_form():
     for n in [*range(3, 81), 299, 300, 809]:
         for t in range(1, n // 2 + 1):
             expected = tuple(distance_closed_form(n, t, 0, j) for j in range(n))
-            assert make_consecutive(n, t).dist_row == expected, (n, t)
+            assert tuple(make_consecutive(n, t).dist_row) == expected, (n, t)
 
 
 def test_dist_row_equals_the_per_vertex_closed_form():
-    # t copies of each distance, sorted and cut, against ceil(d / t) for
-    # each d in turn, on every t <= n // 2 of every order up to 259
+    # the runs of t equal fields laid down by doubling, against ceil(d / t)
+    # for each d in turn, on every t <= n // 2 of every order up to 259
     for n in range(3, 260):
         for t in range(1, n // 2 + 1):
-            assert make_consecutive(n, t).dist_row == dist_row_per_vertex(n, t), (n, t)
+            assert tuple(make_consecutive(n, t).dist_row) == dist_row_per_vertex(n, t), (n, t)
 
 
 def test_sphere_masks_match_the_definition():

@@ -286,10 +286,12 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
 
 
 def test_probe_twins_fill_only_the_landmarks_entries():
-    # a fresh graph has no entry; each call fills exactly the entries of
-    # its landmarks not yet filled, each the pairwise packing, and a call
-    # that rejects a landmark fills none
+    # a graph's first check fills no entry, and leaves the table empty; each
+    # later call fills exactly the entries of its landmarks not yet filled,
+    # each the pairwise packing, and a call that rejects a landmark fills none
     g = make_consecutive(809, 4)
+    assert "probe_twins" not in g.__dict__
+    is_resolving(g, (0, 1, 4, 7, 406, 407))
     assert g.probe_twins == [None] * 809
     filled = set()
     for X in ((0, 1, 4, 7, 406, 407), (5, 0, 1), (0, 300), range(5), (808, 404, 405)):
@@ -306,9 +308,31 @@ def test_probe_twins_fill_only_the_landmarks_entries():
     for n in range(3, 13):
         for t in range(1, n // 2 + 1):
             g = make_consecutive(n, t)
-            is_resolving(g, g.vertices)
+            for _ in range(2):
+                is_resolving(g, g.vertices)
             assert g.probe_twins == [probe_twins_pairwise(g, x, _PROBES)
                                      for x in g.vertices], g
+
+
+def test_the_answer_does_not_depend_on_the_route():
+    # a graph's first check reads no probe and decides on the packed row; a
+    # second check, and a check on a graph warmed by other landmark sets,
+    # read the probes first: all three give the pairwise reference's pair
+    rng = random.Random(5555)
+    probed = 0
+    for _ in range(600):
+        g, X = _random_case(rng)
+        pairs = _reference_pairs(g, X, g.vertices)
+        want = pairs[0] if pairs else None
+        assert is_resolving(g, X) == want, (g, X)
+        assert set(g.probe_twins) == {None}, (g, X)
+        assert is_resolving(g, X) == want, (g, X)
+        warm = CirculantGraph(*g)
+        for _ in range(3):
+            is_resolving(warm, rng.sample(range(g.n), rng.randint(1, g.n)))
+        assert is_resolving(warm, X) == want, (g, X)
+        probed += want is not None and want[0] < _PROBES and want[0] not in X
+    assert probed >= 100, probed
 
 
 def _no_fallback(g, landmarks):
@@ -316,12 +340,13 @@ def _no_fallback(g, landmarks):
 
 
 def test_a_probe_decides_before_the_packed_row(monkeypatch):
-    # a least twin found by a probe packs no row, on a fresh graph
-    with monkeypatch.context() as m:
-        m.setattr(resolve, "_tied_pairs", _no_fallback)
-        for X, u, v in (((5, 0, 1), 2, 3), ((407, 0, 4, 1), 2, 3),
-                        ((0, 300), 1, 2), ((1, 2, 3, 4), 0, 5)):
-            g = make_consecutive(809, 4)
+    # a least twin found by a probe reads no packed row, on a graph checked once
+    for X, u, v in (((5, 0, 1), 2, 3), ((407, 0, 4, 1), 2, 3),
+                    ((0, 300), 1, 2), ((1, 2, 3, 4), 0, 5)):
+        g = make_consecutive(809, 4)
+        assert is_resolving(g, X) == WitnessPair(u, v)
+        with monkeypatch.context() as m:
+            m.setattr(resolve, "_tied_pairs", _no_fallback)
             assert is_resolving(g, X) == WitnessPair(u, v)
     # a resolving set, or one whose least twin lies beyond the probes
     # (every probe a landmark), is decided on the packed row
@@ -469,6 +494,17 @@ def test_wide_fields_match_the_equivalence_classes():
     assert is_resolving(g, (0, 70000)) == WitnessPair(1, 139999)
 
 
+def test_fields_widen_to_four_bytes_at_diameter_2_to_the_15():
+    # t = 1 puts the diameter at 32,767 for n = 65,534 and 65,535, the widest
+    # 2-byte field with its top bit clear, and at 32,768 one order later
+    for n in range(65534, 65538):
+        g = CirculantGraph(n, 1)
+        assert tuple(g.dist_row) == dist_row_per_vertex(n, 1), n
+        assert g.dist_row.itemsize == (2 if n < 65536 else 4), n
+        assert is_resolving(CirculantGraph(n, 1), {0}) == WitnessPair(1, n - 1), n
+        assert is_resolving(CirculantGraph(n, 1), {0, 1}) is None, n
+
+
 def _no_kernel_mask(*_):
     raise AssertionError("is_resolving read the search kernel's masks")
 
@@ -476,7 +512,7 @@ def _no_kernel_mask(*_):
 def test_is_resolving_reads_no_kernel_mask(monkeypatch):
     # the oracle shares no mask code with the search kernel: with planes,
     # separators and separator refused, fresh graphs still answer by the
-    # probes and by the packed row, resolving or not
+    # packed row, and then by the probes, resolving or not
     monkeypatch.setattr(CirculantGraph, "planes", property(_no_kernel_mask))
     monkeypatch.setattr(CirculantGraph, "separators", property(_no_kernel_mask))
     monkeypatch.setattr(CirculantGraph, "separator", _no_kernel_mask)
@@ -489,7 +525,8 @@ def test_is_resolving_reads_no_kernel_mask(monkeypatch):
         g = CirculantGraph(n, t)
         with pytest.raises(AssertionError, match="kernel's masks"):
             g.planes
-        assert is_resolving(g, X) == want, (n, t, X)
+        for _ in range(2):
+            assert is_resolving(g, X) == want, (n, t, X)
 
 
 def test_witness_pairs_are_validated_named_tuples():

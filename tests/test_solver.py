@@ -247,7 +247,7 @@ def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
     # reads only the closed-form diameter, for its counting bound, and
     # builds none either
     monkeypatch.delenv("CIRCMD_BUDGET", raising=False)
-    lazy = {"dist_row", "planes", "separators", "probe_twins"}
+    lazy = {"dist_row", "packed_row", "planes", "separators", "probe_twins"}
 
     def no_read(*args):
         raise AssertionError("graph read before the budget guard")
