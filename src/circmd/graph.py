@@ -16,11 +16,10 @@ from functools import cached_property
 
 
 class CirculantGraph(namedtuple("CirculantGraph", "n t")):
-    """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe
-    for concurrent read access.  Its lazy entries, ``dist_row``, ``packed_row``,
-    ``planes`` and each entry of ``separators`` and ``probe_twins``, are filled on
-    first use, in the instance ``__dict__``: two readers may both fill one,
-    with the same value."""
+    """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe for concurrent
+    read access.  Lazy entries ``dist_row`` and ``packed_row`` (neither reads the other),
+    ``planes`` and each entry of ``separators`` and ``probe_twins`` fill on first use in
+    the instance ``__dict__``; two readers may both fill one, with the same value."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
@@ -31,11 +30,10 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
             raise ValueError(f"max step must lie in [1, {n // 2}], got {t}")
         return tuple.__new__(cls, (n, t))
 
-    @cached_property
-    def dist_row(self) -> array:
-        """Entry d: dist(0, d) = ceil(min(d, n - d) / t), in 2^i-byte fields, top bits
-        clear.  Entries 0..n//2 are one int's fields, laid down by doubling: if fields
-        1..tm hold 1..m, they and their copy plus m, tm fields up, hold 1..2m."""
+    def _little_endian_row(self) -> tuple[array, int]:
+        """(row, W): entry d is dist(0, d) = ceil(min(d, n - d) / t) in little-endian
+        W-bit fields, top bits clear.  Entries 0..n//2 are one int's fields, laid down by
+        doubling: if fields 1..tm hold 1..m, they and their copy plus m, tm up, hold 1..2m."""
         n, t, i = self.n, self.t, (self.diameter.bit_length() // 8).bit_length()
         W, width = 8 << i, (n // 2 + 1) * (8 << i)
         ones = run = int.from_bytes((1).to_bytes(1 << i, "little") * t, "little") << W
@@ -46,18 +44,21 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
             m *= 2
         row = array("BHIQ"[i], (run & (1 << width) - 1).to_bytes(width >> 3, "little"))
         row += row[(n - 1) // 2:0:-1]
+        return row, W
+
+    @cached_property
+    def dist_row(self) -> array:
+        """Entry d: dist(0, d), in native byte order; read by ``dist`` and the zips."""
+        row = self._little_endian_row()[0]
         if sys.byteorder == "big":
             row.byteswap()
         return row
 
     @cached_property
     def packed_row(self) -> tuple[int, int, int]:
-        """(R, H, W): ``dist_row`` three times over as one int, field v at bit v * W,
-        little-endian; and the mask of its first n fields' top bits."""
-        row, W = self.dist_row, 8 * self.dist_row.itemsize
-        if sys.byteorder == "big":
-            row = array(row.typecode, row)
-            row.byteswap()
+        """(R, H, W): the distance row three times over as one int, field v at bit
+        v * W; and the mask of its first n fields' top bits.  Reads no ``dist_row``."""
+        row, W = self._little_endian_row()
         return (int.from_bytes(row.tobytes() * 3, "little"),
                 int.from_bytes((1 << W - 1).to_bytes(W >> 3, "little") * self.n, "little"), W)
 
@@ -110,7 +111,7 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
 
     @cached_property
     def probe_twins(self) -> list[int | None]:
-        """Entry x: None until a second ``is_resolving`` packs the probes' twins about x."""
+        """Entry x: None until a repeat ``is_resolving`` packs the probes' twins about x."""
         return [None] * self.n
 
     def dist(self, i: int, j: int) -> int:

@@ -27,7 +27,7 @@ other pair, and n >= 2t + 2 keeps each distance below in [0, n/2].
 
 ``equivalence_classes`` and the cluster checks zip r(v|X) for all v from
 rows sliced from dist_row on every call; ``is_resolving`` zips nothing: it
-reads the graph's packed row, and probe twins only from its second check.
+reads the graph's packed row, and probe twins only once that row is built.
 """
 
 from __future__ import annotations
@@ -138,27 +138,26 @@ def is_resolving(g: CirculantGraph, landmarks: Iterable[int]) -> WitnessPair | N
     """None when the set resolves the graph, else the least unresolved pair.
     Every landmark must lie in [0, n).
 
-    From a graph's second check on, field u (at bit u * n) of the AND of the
-    landmarks' ``probe_twins`` entries holds the twins above probe u: its lowest
-    bit u * n + w gives the least pair (u, w), as a twin below u pairs with u
-    at its own probe; w > u, so the pair is built unvalidated.  Else, as on a
-    first check, on a complete graph the two least vertices outside X are the
-    least pair; on any other, ``_tied_pairs`` decides."""
+    Once ``packed_row`` is built (a first check builds it), field u (at bit u * n) of the
+    AND of the landmarks' ``probe_twins`` entries holds the twins above probe u: its lowest
+    bit u * n + w gives the least pair (u, w), as a twin below u pairs with u at its own
+    probe, and w > u, so it is built unvalidated.  Else, on a complete graph the two
+    least vertices outside X are the least pair; on any other, ``_tied_pairs`` decides."""
     X = set(landmarks)
     if not X:
         raise ValueError("landmark set must be nonempty")
-    n, table, twins = g.n, g.__dict__.get("probe_twins"), -1
+    n, t, twins = g.n, g.t, 0
     for x in X:  # every landmark checked before any entry is filled
         if not 0 <= x < n:
             raise ValueError(f"vertex must lie in [0, {n}), got {x}")
-    if table is None:  # a first check, with no table yet, reads no probe: they pay off on repeats
-        table, twins = g.probe_twins, 0
+    if "packed_row" in g.__dict__:  # checked before: probes pay off only on repeats
+        table, twins = g.probe_twins, -1
     for x in (X if twins else ()):
         entry = table[x]
         if entry is None:  # field u: u's sphere about x above u, empty if x = u
-            row, top, packed, last = g.dist_row, 1 << n, 0, -1
+            top, packed, last = 1 << n, 0, -1
             for u in range(min(_PROBES, n)):
-                r = row[u - x]
+                r = -(-min((u - x) % n, (x - u) % n) // t)  # d(x, u), the closed form
                 if r != last:  # arc_mask(r), {0} at r = 0, doubled and rotated to x
                     last, m = r, g.arc_mask(r) if r else 1
                     sphere = (m | m << n) >> n - x

@@ -242,7 +242,11 @@ def _check_all_against_reference(g, X, rng):
 
 
 def _assert_masks_match_the_definition(g):
-    # one probe-twin entry per vertex, some filled, each filled one exact
+    # one probe-twin entry per vertex, some filled, each filled one exact; a
+    # complete graph answers every check without a probe, and has no table
+    if g.diameter == 1:
+        assert "probe_twins" not in g.__dict__, g
+        return
     assert len(g.probe_twins) == g.n and any(g.probe_twins)
     for x, packed in enumerate(g.probe_twins):
         assert packed in (None, probe_twins_pairwise(g, x, _PROBES)), (g, x)
@@ -260,8 +264,11 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
             _check_all_against_reference(g, X, rng)
         _assert_masks_match_the_definition(g)
         fresh = CirculantGraph(g.n, g.t)  # equal, with no masks yet
-        assert fresh == g and fresh.probe_twins == [None] * g.n
-        _check_all_against_reference(fresh, rng.sample(range(g.n), 4), rng)
+        assert fresh == g and "probe_twins" not in fresh.__dict__
+        X = rng.sample(range(g.n), 4)
+        _check_all_against_reference(fresh, X, rng)
+        assert "probe_twins" not in fresh.__dict__  # a first check creates no table
+        _check_all_against_reference(fresh, X, rng)
         _assert_masks_match_the_definition(fresh)
     # two graphs of one order, different t, called in turn
     a, b = make_consecutive(13, 4), make_consecutive(13, 6)
@@ -286,13 +293,12 @@ def test_warm_sphere_masks_match_the_pairwise_reference():
 
 
 def test_probe_twins_fill_only_the_landmarks_entries():
-    # a graph's first check fills no entry, and leaves the table empty; each
-    # later call fills exactly the entries of its landmarks not yet filled,
-    # each the pairwise packing, and a call that rejects a landmark fills none
+    # a graph's first check creates no table; each later call fills exactly
+    # the entries of its landmarks not yet filled, each the pairwise packing,
+    # and a call that rejects a landmark fills none
     g = make_consecutive(809, 4)
-    assert "probe_twins" not in g.__dict__
     is_resolving(g, (0, 1, 4, 7, 406, 407))
-    assert g.probe_twins == [None] * 809
+    assert "probe_twins" not in g.__dict__
     filled = set()
     for X in ((0, 1, 4, 7, 406, 407), (5, 0, 1), (0, 300), range(5), (808, 404, 405)):
         is_resolving(g, X)
@@ -304,14 +310,45 @@ def test_probe_twins_fill_only_the_landmarks_entries():
     assert {x for x, e in enumerate(g.probe_twins) if e is not None} == filled
     for x in filled:
         assert g.probe_twins[x] == probe_twins_pairwise(g, x, _PROBES), x
-    # every entry of the small orders, where n < _PROBES cuts the fields
+    # every entry of the small orders, where n < _PROBES cuts the fields; a
+    # complete graph (t = n // 2) reads no probe on any check
     for n in range(3, 13):
         for t in range(1, n // 2 + 1):
             g = make_consecutive(n, t)
             for _ in range(2):
                 is_resolving(g, g.vertices)
-            assert g.probe_twins == [probe_twins_pairwise(g, x, _PROBES)
-                                     for x in g.vertices], g
+            if t == n // 2:
+                assert "probe_twins" not in g.__dict__, g
+            else:
+                assert g.probe_twins == [probe_twins_pairwise(g, x, _PROBES)
+                                         for x in g.vertices], g
+
+
+def test_a_first_check_builds_only_the_packed_row():
+    # one check on a fresh graph leaves the packed row as its only lazy entry,
+    # and none on a complete graph; a repeat reads the probes off the closed
+    # form, not the distance row; and a distance-row read, which the benchmark
+    # tracer makes on every graph, builds no packed row and leaves the next
+    # call a first check
+    lazy = {"dist_row", "packed_row", "planes", "separators", "probe_twins"}
+    rng = random.Random(5657)
+    complete = 0
+    for _ in range(400):
+        g, X = _random_case(rng)
+        pairs = _reference_pairs(CirculantGraph(*g), X, g.vertices)  # off a copy of g
+        want = pairs[0] if pairs else None
+        assert is_resolving(g, X) == want, (g, X)
+        built = {"packed_row"} if g.diameter > 1 else set()
+        assert lazy & g.__dict__.keys() == built, (g, X)
+        assert is_resolving(g, X) == want and "dist_row" not in g.__dict__, (g, X)
+        for read in (lambda h: h.dist_row, lambda h: h.dist(0, 1)):
+            h = CirculantGraph(*g)
+            read(h)
+            assert lazy & h.__dict__.keys() == {"dist_row"}, (g, X)
+            assert is_resolving(h, X) == want, (g, X)
+            assert lazy & h.__dict__.keys() == {"dist_row", *built}, (g, X)
+        complete += g.diameter == 1
+    assert complete >= 20, complete
 
 
 def test_the_answer_does_not_depend_on_the_route():
@@ -495,12 +532,19 @@ def test_wide_fields_match_the_equivalence_classes():
 
 
 def test_fields_widen_to_four_bytes_at_diameter_2_to_the_15():
-    # t = 1 puts the diameter at 32,767 for n = 65,534 and 65,535, the widest
-    # 2-byte field with its top bit clear, and at 32,768 one order later
-    for n in range(65534, 65538):
-        g = CirculantGraph(n, 1)
+    # t = 1 puts the diameter at 127 for n = 254 and 255, the widest 1-byte
+    # field with its top bit clear, and at 128 one order later; likewise at
+    # 32,767 for n = 65,534 and 65,535, and 32,768 one order later.  The packed
+    # row, filled apart from the distance row, holds the same first n fields
+    for n in (*range(254, 258), *range(65534, 65538)):
+        g, width = CirculantGraph(n, 1), 1 if n < 256 else 2 if n < 65536 else 4
+        R, _, W = g.packed_row
+        assert "dist_row" not in g.__dict__ and W == 8 * width, n
+        fields = (R & (1 << n * W) - 1).to_bytes(n * width, "little")
+        assert tuple(int.from_bytes(fields[i:i + width], "little")
+                     for i in range(0, n * width, width)) == dist_row_per_vertex(n, 1), n
         assert tuple(g.dist_row) == dist_row_per_vertex(n, 1), n
-        assert g.dist_row.itemsize == (2 if n < 65536 else 4), n
+        assert g.dist_row.itemsize == width, n
         assert is_resolving(CirculantGraph(n, 1), {0}) == WitnessPair(1, n - 1), n
         assert is_resolving(CirculantGraph(n, 1), {0, 1}) is None, n
 
