@@ -17,10 +17,10 @@ Two routes are provided and deliberately kept separate:
   (rotations act transitively): the pool is 1..n-1 and the pairs are those
   {0} leaves tied at gap <= max(2, 2t - 1), all the short-pair lemma of
   ``resolve`` asks, read off the sphere arcs only past the first budget
-  guard (``_sphere_pairs``).  Both also search each rotation class of sets
-  about once (the orbit cut, ``_orbit_range``).
-  ``min_resolvers`` passes the pairs inside its vertex groups and the
-  allowed set as the pool; it has no rotation to cut by.
+  guard (``_sphere_pairs``).  Both also search each dihedral class of sets,
+  its rotations and mirror images, about once (the orbit cut,
+  ``_orbit_range``).  ``min_resolvers`` passes the pairs inside its vertex
+  groups and the allowed set as the pool; it has no symmetry to cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -147,7 +147,7 @@ class _Kernel:
         when its first copy is, and the packing reaches that copy first and
         either stops there (it is empty above the last pick) or leaves it
         in ``used`` (taken, or skipped for meeting it), which the repeat
-        then meets.  With ``orbit`` set, inner picks keep to
+        then meets.  With ``orbit`` set, every pick keeps to
         ``_orbit_range``."""
         ordered: list[int] | None = None
         for size in sizes:
@@ -164,26 +164,43 @@ class _Kernel:
         return None
 
     def _orbit_range(self, chosen: tuple[int, ...], remaining: int
-                     ) -> tuple[int, int]:
+                     ) -> tuple[int, int, int]:
         """Least and greatest next pick v after ``chosen``, ``remaining``
-        picks still to place, that keep the gaps of {0} + chosen + (v,) a
-        prenecklace: no gap below the first (v <= n - remaining * g1, or
-        v <= n // (remaining + 1) at the root), and each gap at least the
-        one p places back, p the period of the gaps so far.  Read a set
-        0 < c1 < ... < cj as its cyclic gaps (c1, c2 - c1, ..., n - cj):
-        set order is gap order, and turning the set to another member
-        containing 0 rotates the gaps.  So the gaps of the least resolving
-        set are their own least rotation (a necklace) and each prefix of
-        them is a prenecklace: the search still finds the least set first,
-        and a size it exhausts has no resolving set at all."""
+        picks still to place, and the greatest last pick, for a set whose
+        gaps are the least of their dihedral class.  Read a set
+        0 < c1 < ... < cj as its cyclic gaps g1, ..., gL (c1, c2 - c1, ...,
+        n - cj): set order is gap order, turning the set to another member
+        containing 0 rotates the gaps, and mirroring it (x -> -x) reverses
+        them.  Both maps keep a set resolving, so the gaps of the least
+        resolving set are no greater than any rotation of themselves or of
+        their reversal, and the search still finds the least set first and
+        a size it exhausts has no resolving set at all.
+
+        - Rotations (the prenecklace cut): each prefix of a necklace is a
+          prenecklace, so each gap is at least the one p places back, p the
+          period of the gaps so far, and none is below g1: v <= n -
+          remaining * g1, or v <= n // (remaining + 1) at the root.
+        - Reflections (the bracelet cut): the gaps are no greater than the
+          mirror turned to start at g1, (g1, gL, ..., g2), so the last gap
+          n - c_last is at least g2 as well as g1.  The last pick is thus at
+          most n - g2 once two picks are chosen, and v at most
+          n - g2 - (remaining - 1) * g1.  With one pick c1 = g1 chosen, v
+          sets g2 = v - c1, so v <= (n + c1 - (remaining - 1) * g1) // 2,
+          and the last pick is at most n - g1 (g2 >= g1 is all that is
+          known before v)."""
+        n = self.n
         if not chosen:
-            return 1, self.n // (remaining + 1)
+            return 1, n // (remaining + 1), n - 1
         gaps = list(map(sub, chosen, (0,) + chosen))
         p = 1
         for i in range(1, len(gaps)):
             if gaps[i] > gaps[i - p]:
                 p = i + 1
-        return chosen[-1] + gaps[-p], self.n - remaining * gaps[0]
+        low, g1 = chosen[-1] + gaps[-p], gaps[0]
+        if len(gaps) == 1:
+            return low, min(n - remaining * g1, (n - (remaining - 2) * g1) // 2), n - g1
+        last = n - gaps[1]
+        return low, last - (remaining - 1) * g1, last
 
     def _descend(self, pairs: list[int], chosen: tuple[int, ...],
                  remaining: int, start: int = 0) -> tuple[int, ...] | None:
@@ -208,12 +225,12 @@ class _Kernel:
             return chosen + ((mask & -mask).bit_length() - 1,)
         pool = self.pool
         # leave room for the remaining - 1 vertices above the next pick
-        end = len(pool) - remaining + 1
+        end, top = len(pool) - remaining + 1, self.n - 1
         if self.orbit:  # pool[i] is vertex i + 1
-            low, high = self._orbit_range(chosen, remaining)
+            low, high, top = self._orbit_range(chosen, remaining)
             start, end = max(start, low - 1), min(end, high)
         if remaining == 2:
-            found = self._last_two(pairs, start, end)
+            found = self._last_two(pairs, start, end, top)
             return None if found is None else chosen + found
         for i, v in enumerate(pool[start:end], start):
             self.nodes += 1
@@ -237,10 +254,11 @@ class _Kernel:
                     return found
         return None
 
-    def _last_two(self, pairs: list[int], start: int, end: int
+    def _last_two(self, pairs: list[int], start: int, end: int, top: int
                   ) -> tuple[int, int] | None:
         """Least v of ``pool[start:end]``, then least pool vertex w > v,
-        such that {v, w} hits every mask of ``pairs``, or None.  One pick
+        w <= ``top``, such that {v, w} hits every mask of ``pairs``, or
+        None.  Both picks are read off the pool cut to ``top``.  One pick
         lies in each unhit mask, so the scan set is the first (narrowest)
         one cut to the pool from pool[start] up, or the v range when that
         is no smaller.  Each scanned w, rising, gets one AND pass over that
@@ -258,11 +276,11 @@ class _Kernel:
         if start >= end:
             return None
         pool, pool_mask = self.pool, self.pool_mask
-        above = pool_mask & -(1 << pool[start])
+        above = pool_mask & -(1 << pool[start]) & ((2 << top) - 1)
         allowed = above & ((2 << pool[end - 1]) - 1)
         narrow = pairs[0] & above if pairs else allowed
         scan = narrow if narrow.bit_count() < allowed.bit_count() else allowed
-        least, mate, free = 0, 0, above  # free: the pool from pool[start] up, unscanned
+        least, mate, free = 0, 0, above  # free: the pool in pool[start]..top, unscanned
         while scan:
             w = scan & -scan
             scan ^= w

@@ -93,6 +93,23 @@ def test_orbit_cut_agrees_with_oracle_on_small_orders():
             assert (res.dim, res.basis) == (oracle.dim, oracle.basis), g
 
 
+def test_search_bases_are_dihedral_least():
+    # a rotation or a mirror image of a resolving set resolves, so the least
+    # one containing 0 has cyclic gaps no greater than any rotation of
+    # themselves or of their reversal; the orbit cut must keep that set.  The
+    # budget is explicit: the default guard refuses C(35, 8) at n = 36, t = 6
+    for t in range(1, 7):
+        for n in range(2 * t + 2, 41):
+            g = make_consecutive(n, t)
+            r = exact_dim(g, budget=10**9)
+            bases = {r.basis, *(find_basis_of_size(g, k, 10**9) for k in (r.dim, r.dim + 1))}
+            for basis in bases:
+                gaps = [b - a for a, b in zip(basis, basis[1:] + (n,))]
+                for seq in (gaps, gaps[::-1]):
+                    for i in range(len(seq)):
+                        assert gaps <= seq[i:] + seq[:i], (n, t, basis)
+
+
 def test_orbit_cut_matches_the_plain_kernel():
     # same basis and exhausted sizes as the kernel without the cut, on
     # t = 2..6 (150 orders); the node totals are pinned, so a bound that
@@ -634,11 +651,11 @@ def test_kernel_answers_on_sorted_pools_are_pinned():
 class _PerVKernel(_Kernel):
     """The kernel with its last two picks found the plain way: each first
     pick v in turn, its least partner read off one AND of the masks v
-    misses over the pool above v."""
+    misses over the pool above v, up to top."""
 
-    def _last_two(self, pairs, start, end):
+    def _last_two(self, pairs, start, end, top):
         for v in self.pool[start:end]:
-            partners = self.pool_mask & -(2 << v)
+            partners = self.pool_mask & -(2 << v) & ((2 << top) - 1)
             for m in pairs:
                 if not m >> v & 1:
                     partners &= m
@@ -658,10 +675,10 @@ def test_last_two_picks_match_a_per_v_loop():
     sides = {True: 0, False: 0}
 
     class Counting(_Kernel):
-        def _last_two(self, pairs, start, end):
+        def _last_two(self, pairs, start, end, top):
             if pairs and start < end:
                 sides[(pairs[0] >> self.pool[start]).bit_count() < end - start] += 1
-            return super()._last_two(pairs, start, end)
+            return super()._last_two(pairs, start, end, top)
 
     for _ in range(1000):
         n = rng.randint(7, 36)
@@ -685,8 +702,9 @@ def _last_two_calls():
     # direct _last_two calls on fresh kernels: C(n, +/-{1..t}), t <= 6,
     # range pools and sorted pools with gaps, the masks of a random subset
     # of the pairs inside a few vertices, or none, in random order half the
-    # time (so pairs[0] is often not the narrowest), and v ranges from one
-    # vertex to the whole pool
+    # time (so pairs[0] is often not the narrowest), v ranges from one
+    # vertex to the whole pool, and a cap on both picks at n - 1 or, half
+    # the time, anywhere from pool[start] to the pool's top
     rng = random.Random(27)
     for _ in range(3000):
         n = rng.randint(7, 36)
@@ -700,47 +718,58 @@ def _last_two_calls():
             pairs.sort(key=int.bit_count)
         start = rng.randrange(len(pool))
         end = rng.choice([start + 1, rng.randint(start + 1, len(pool))])
-        yield kernel, pairs, start, end
+        top = n - 1 if rng.random() < 0.5 else rng.randint(pool[start], pool[-1])
+        yield kernel, pairs, start, end, top
 
 
 def test_last_two_picks_are_the_least_hitting_pair():
     # the contract against brute force: the least v of pool[start:end],
-    # then the least pool vertex w > v, with {v, w} hitting every mask
+    # then the least pool vertex w > v, w <= top, with {v, w} hitting
+    # every mask
     cases = dict.fromkeys(["found", "none", "no pairs", "one v",
-                           "w above the v range", "pairs[0] not narrowest"], 0)
-    for kernel, pairs, start, end in _last_two_calls():
+                           "w above the v range", "pairs[0] not narrowest",
+                           "top below the pool's", "top cuts the pair"], 0)
+    for kernel, pairs, start, end, top in _last_two_calls():
         pool = kernel.pool
-        expected = next(((v, w) for i, v in enumerate(pool[start:end], start)
+
+        def least(top):
+            return next(((v, w) for i, v in enumerate(pool[start:end], start)
                          for w in pool[i + 1:]
-                         if all(m >> v & 1 or m >> w & 1 for m in pairs)), None)
-        assert kernel._last_two(pairs, start, end) == expected, \
-            (kernel.g, pool, pairs, start, end)
+                         if w <= top and all(m >> v & 1 or m >> w & 1 for m in pairs)),
+                        None)
+
+        expected = least(top)
+        assert kernel._last_two(pairs, start, end, top) == expected, \
+            (kernel.g, pool, pairs, start, end, top)
         cases["none" if expected is None else "found"] += 1
         cases["no pairs"] += not pairs
         cases["one v"] += end == start + 1
         cases["w above the v range"] += expected is not None and expected[1] > pool[end - 1]
         cases["pairs[0] not narrowest"] += bool(pairs) and \
             pairs[0].bit_count() > min(map(int.bit_count, pairs))
+        cases["top below the pool's"] += top < pool[-1]
+        cases["top cuts the pair"] += top < pool[-1] and expected != least(pool[-1])
     assert min(cases.values()) >= 100, cases
     # on K7 each mask is its own pair, so {5, 6} alone hits these: the
     # scan of the narrowest mask meets it, but 5 lies above the v range
     kernel = _Kernel(make_consecutive(7, 3), range(7))
     pairs = list(kernel.pair_masks([(5, 6), (4, 6), (2, 6), (2, 5), (4, 5)]))
     assert pairs[0] == 1 << 5 | 1 << 6
-    assert kernel._last_two(pairs, 0, 4) is None
-    assert kernel._last_two(pairs, 0, 6) == (5, 6)
+    assert kernel._last_two(pairs, 0, 4, 6) is None
+    assert kernel._last_two(pairs, 0, 6, 6) == (5, 6)
+    assert kernel._last_two(pairs, 0, 6, 5) is None  # 6 is above the cap
 
 
 def test_last_two_picks_scan_the_smaller_set():
     # the size rule: one call adds at most one node per vertex of the
     # smaller of the first mask (from pool[start] up) and the v range, and
     # one for the hit; scanning either set alone breaks this bound
-    for kernel, pairs, start, end in _last_two_calls():
+    for kernel, pairs, start, end, top in _last_two_calls():
         width = end - start
         if pairs:
             width = min(width, (pairs[0] >> kernel.pool[start]).bit_count())
-        kernel._last_two(pairs, start, end)
-        assert kernel.nodes <= width + 1, (kernel.g, kernel.pool, pairs, start, end)
+        kernel._last_two(pairs, start, end, top)
+        assert kernel.nodes <= width + 1, (kernel.g, kernel.pool, pairs, start, end, top)
 
 
 def test_masks_search_the_same_in_a_fresh_kernel():
