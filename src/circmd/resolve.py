@@ -89,12 +89,15 @@ def _reps(g: CirculantGraph, landmarks: Iterable[int]) -> Iterator[tuple[int, ..
 
 
 def representation(g: CirculantGraph, v: int, landmarks: Sequence[int]) -> tuple[int, ...]:
-    """r(v|X): the distances from v to the landmarks, in their order."""
+    """r(v|X): the distances from v to the landmarks, in their order, each
+    the closed form ceil(min(d, n - d) / t) of its gap d: no distance row
+    is built, however large n."""
     landmarks = tuple(landmarks)
     if not landmarks:
         raise ValueError("landmark list must be nonempty")
     check_vertices(g, (v, *landmarks))
-    return tuple(g.dist(x, v) for x in landmarks)
+    n, t = g.n, g.t
+    return tuple(-(-min(d, n - d) // t) for d in ((v - x) % n for x in landmarks))
 
 
 def _least_collision(keys: Sequence[tuple[int, ...]],

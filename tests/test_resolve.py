@@ -44,6 +44,23 @@ def test_representation_example():
     assert representation(g, 6, (0, 1, 4)) == (2, 2, 1)
 
 
+def test_representation_builds_no_distance_row():
+    # verify prints the witnesses' representations: on C(4000007, +/-{1..4})
+    # the basis 0..4 ties 2000005 and 2000006 at distance 500001 from each
+    # landmark, and reading that must not build the 16 MB distance row
+    rng = random.Random(57)
+    for _ in range(500):
+        n = rng.randint(3, 60)
+        g = CirculantGraph(n, rng.randint(1, n // 2))
+        v, X = rng.randrange(n), rng.sample(range(n), rng.randint(1, min(n, 6)))
+        rep = representation(g, v, X)
+        assert "dist_row" not in g.__dict__ and rep == tuple(g.dist(x, v) for x in X), (g, v, X)
+    g = make_consecutive(4_000_007, 4)
+    for v in (2_000_005, 2_000_006):
+        assert representation(g, v, range(5)) == (500_001,) * 5
+    assert "dist_row" not in g.__dict__
+
+
 def test_witness_pair_rejects_equal_vertices():
     with pytest.raises(ValueError):
         WitnessPair(3, 3)
