@@ -15,6 +15,20 @@ from collections.abc import Iterable
 from functools import cached_property
 
 
+def _byte_reversal() -> bytes:
+    """Entry i: the byte i with its bits in reverse order, laid down by doubling, as
+    ``_little_endian_row`` lays down the row: if entries 0..2^k - 1 reverse k bits, each
+    doubled reverses the k + 1 bits of i and each doubled plus one those of i + 2^k."""
+    table, ones = 0, 1
+    for k in range(8):
+        table = table << 1 | (table << 1 | ones) << (8 << k)
+        ones |= ones << (8 << k)
+    return table.to_bytes(256, "little")
+
+
+_BYTE_REVERSED = _byte_reversal()
+
+
 class CirculantGraph(namedtuple("CirculantGraph", "n t")):
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe for concurrent
     read access.  Lazy entries ``dist_row`` and ``packed_row`` (neither reads the other),
@@ -98,14 +112,19 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
         """Plane b, alone and doubled: the y whose d(0, y) has bit b set.  On
         1..n//2 these are runs of t * 2^b ones at period t * 2^(b+1) from
         y = t(2^b - 1) + 1, laid down by one repunit multiply and cut at
-        n // 2; the other half is that half reversed, bit y to bit n - y."""
+        n // 2; the other half is that half reversed, bit y to bit n - y:
+        its bytes, little-endian, each bit-reversed through ``_BYTE_REVERSED``
+        and read big-endian, reverse all 8 * size bits, and a shift aligns
+        bit 0 with bit n."""
         n, t, half, planes = self.n, self.t, self.n // 2, []
+        size = (n + 8) >> 3  # bytes to hold bits 0..n
         for b in range(self.diameter.bit_length()):
             run, period = t << b, t << b + 1
             start = run - t + 1
             repunit = ((1 << period * ((half - start) // period + 1)) - 1) // ((1 << period) - 1)
             m = ((1 << run) - 1) * repunit << start & (2 << half) - 1
-            plane = m | int(f"{m:0{n + 1}b}"[::-1], 2)
+            plane = m | int.from_bytes(m.to_bytes(size, "little").translate(_BYTE_REVERSED),
+                                       "big") >> 8 * size - 1 - n
             planes.append((plane, plane | plane << n))
         return planes
 

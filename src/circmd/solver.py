@@ -16,11 +16,13 @@ Two routes are provided and deliberately kept separate:
   (``_last_two``).  ``exact_dim`` and ``find_basis_of_size`` fix vertex 0
   (rotations act transitively): the pool is 1..n-1 and the pairs are those
   {0} leaves tied at gap <= max(2, 2t - 1), all the short-pair lemma of
-  ``resolve`` asks, read off the sphere arcs only past the first budget
-  guard (``_sphere_pairs``).  Both also search each dihedral class of sets,
-  its rotations and mirror images, about once (the orbit cut,
-  ``_orbit_range``).  ``min_resolvers`` passes the pairs inside its vertex
-  groups and the allowed set as the pool; it has no symmetry to cut by.
+  ``resolve`` asks, their masks built off the sphere arcs only past the
+  first budget guard, the middle spheres' in one pass of rotations of
+  ``separators`` 1..t-1 (``_sphere_masks``).  Both also search each
+  dihedral class of sets, its rotations and mirror images, about once (the
+  orbit cut, ``_orbit_range``).  ``min_resolvers`` passes the pairs inside
+  its vertex groups and the allowed set as the pool; it has no symmetry to
+  cut by.
 
 - ``brute_force_dim``: plain lexicographic enumeration of k-subsets
   containing 0, with no other pruning.  It shares no search code with
@@ -127,7 +129,10 @@ class _Kernel:
         the graph's ``separators`` entry of delta = v - u (``separator(delta)``
         while it is None) rotated by u, one shift of the doubled mask, cut by
         ``pool_mask``.  As sep(u, v) = sep(v, u), a delta past n // 2 is read
-        as the pair v, u, of gap n - delta.  Lazy: a refused search builds no mask."""
+        as the pair v, u, of gap n - delta.  The route for any pairs:
+        ``min_resolvers``' groups and the witness search's end spheres; the
+        middle spheres' masks, of known gaps, skip the fold.  Lazy: a refused
+        search builds no mask."""
         g, n, pool_mask = self.g, self.n, self.pool_mask
         table, half = g.separators, n // 2
         for u, v in pairs:
@@ -314,23 +319,40 @@ def _check_budget(size: int, picks: int, budget: int) -> None:
             f"C({size}, {picks}) candidates exceed budget {budget}")
 
 
-def _sphere_pairs(g: CirculantGraph) -> Iterator[Iterable[tuple[int, int]]]:
-    """The pairs {0} leaves tied at gap <= G = max(2, 2t - 1), by the
-    short-pair lemma of ``resolve`` all that a set containing 0 must
-    separate, one iterable per sphere d = 1..D, D the diameter, read at the
-    first one asked for: of its ``arc`` and mirror (an antipode n / 2 once),
-    the pairs inside each for 1 < d < D - 1 (each cross pair spans over 2t
-    both ways), else its pairs at gap <= G.  So a witness search fills only
-    ``separators`` 1..G."""
-    n, top, G = g.n, g.diameter, max(2, 2 * g.t - 1)
-    for d in range(1, top + 1):
-        arc = g.arc(d)
-        mirror = range(max(n - arc[-1], arc.stop), n + 1 - arc.start)
-        if 1 < d < top - 1:
-            yield from (itertools.combinations(arc, 2), itertools.combinations(mirror, 2))
-        else:  # u < v: gap v - u or n - (v - u)
-            yield [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
-                   if not G < v - u < n - G]
+def _sphere_masks(kernel: _Kernel) -> Iterator[Iterable[int]]:
+    """The masks of the pairs {0} leaves tied at gap <= G = max(2, 2t - 1),
+    all a set containing 0 must separate by the short-pair lemma of
+    ``resolve``, for ``kernel`` on the pool range(1, n), in three blocks
+    built as asked for: sphere 1, the middle spheres 1 < d < D - 1 and
+    spheres D - 1 and D, D the diameter.  An end sphere, its ``arc`` and
+    mirror (an antipode n / 2 once), passes its pairs at gap <= G through
+    ``pair_masks``.  A middle sphere's are the pairs inside its arc and
+    inside its mirror (each cross pair spans over 2t both ways), t vertices
+    from a = t(d - 1) + 1 or a = n - td: the pair (a + i, a + j) has mask
+    ``separators[j - i]`` shifted by n - a - i, with no fold.  The masks
+    come in the order of the pairs sphere by sphere, arc before mirror, and
+    a witness search fills only ``separators`` 1..G."""
+    g = kernel.g
+    n, t, top, G = g.n, g.t, g.diameter, max(2, 2 * g.t - 1)
+
+    def short_pairs(spheres: range) -> list[tuple[int, int]]:
+        pairs = []
+        for d in spheres:
+            arc = g.arc(d)
+            mirror = range(max(n - arc[-1], arc.stop), n + 1 - arc.start)
+            # u < v: gap v - u or n - (v - u)
+            pairs += [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
+                      if not G < v - u < n - G]
+        return pairs
+
+    yield kernel.pair_masks(short_pairs(range(1, 2)))
+    if top > 3:  # the middle spheres are 2..D - 2
+        table, pool_mask = g.separators, kernel.pool_mask
+        sides = [(table[j - i] or g.separator(j - i), n - i)
+                 for i, j in itertools.combinations(range(t), 2)]
+        yield [m >> shift - a & pool_mask for d in range(2, top - 1)
+               for a in (t * (d - 1) + 1, n - t * d) for m, shift in sides]
+    yield kernel.pair_masks(short_pairs(range(max(2, top - 1), top + 1)))
 
 
 def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
@@ -341,8 +363,8 @@ def _basis_with_zero(g: CirculantGraph, picks: Iterable[int],
     resolving set containing 0 of 1 + p vertices, p the first of ``picks``
     that has one."""
     kernel = _Kernel(g, range(1, g.n), orbit=True)
-    pairs = itertools.chain.from_iterable(_sphere_pairs(g))
-    found = kernel.hit(kernel.pair_masks(pairs), picks, budget)
+    masks = itertools.chain.from_iterable(_sphere_masks(kernel))
+    found = kernel.hit(masks, picks, budget)
     return kernel, None if found is None else (0,) + found
 
 

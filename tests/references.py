@@ -3,12 +3,15 @@
 Each recomputes by a second route what the package answers by its own:
 distances one pair at a time (closed form), one vertex at a time (the
 distance row) and by a BFS that shares no code with ``CirculantGraph``,
-the layers of vertices by distance from 0 off that BFS, the probe twins
+the layers of vertices by distance from 0 off that BFS, the witness
+search's pairs sphere by sphere, for its masks pair by pair, the probe twins
 of ``is_resolving`` and its least unresolved pair one pair at a time, the
 far set and the R_i sets of the t = 4 analysis in their arithmetic form,
 and the whole lemma battery in one call.
 Tests import it by module name, as they import ``conftest``.
 """
+
+import itertools
 
 from circmd.formulas import split
 from circmd.graph import CirculantGraph, check_vertices
@@ -87,6 +90,23 @@ def layers(g: CirculantGraph) -> list[list[int]]:
     for y, d in enumerate(row):
         by_distance[d].append(y)
     return by_distance
+
+
+def sphere_pairs(g: CirculantGraph):
+    """The pairs {0} leaves tied at gap <= G = max(2, 2t - 1), one iterable
+    per sphere d = 1..D, D the diameter: of its ``arc`` and mirror (an
+    antipode n / 2 once), the pairs inside each for 1 < d < D - 1, else its
+    pairs at gap <= G; passed through ``pair_masks``, the witness search's
+    masks in its order, pair by pair."""
+    n, top, G = g.n, g.diameter, max(2, 2 * g.t - 1)
+    for d in range(1, top + 1):
+        arc = g.arc(d)
+        mirror = range(max(n - arc[-1], arc.stop), n + 1 - arc.start)
+        if 1 < d < top - 1:
+            yield from (itertools.combinations(arc, 2), itertools.combinations(mirror, 2))
+        else:  # u < v: gap v - u or n - (v - u)
+            yield [(u, v) for u, v in itertools.combinations([*arc, *mirror], 2)
+                   if not G < v - u < n - G]
 
 
 def distance_bfs(g: CirculantGraph, i: int, j: int) -> int:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmd.formulas import split
-from circmd.graph import CirculantGraph, make_consecutive
+from circmd.graph import _BYTE_REVERSED, CirculantGraph, make_consecutive
 
 from references import diameter_set, distance_bfs, distance_closed_form, dist_row_per_vertex
 
@@ -89,18 +89,24 @@ def test_sphere_masks_match_the_definition():
     # arc_mask(r) is {y : d(0, y) = r} for every r = 1..D on n <= 60: the
     # closed-form arcs on odd and even n (the antipode) up to the complete
     # graph; and on every order up to 120, the diameter and each plane
-    # {y : bit b of d(0, y) is set}, alone and doubled
-    for n in range(3, 121):
-        for t in range(1, n // 2 + 1):
-            g = make_consecutive(n, t)
-            d = [distance_closed_form(n, t, 0, y) for y in g.vertices]
-            if n <= 60:
-                for r in range(1, max(d) + 1):
-                    assert g.arc_mask(r) == sum(1 << y for y in g.vertices if d[y] == r), (g, r)
-            assert g.diameter == max(d) and len(g.planes) == max(d).bit_length(), g
-            for b, plane in enumerate(g.planes):
-                m = sum(1 << y for y in g.vertices if d[y] >> b & 1)
-                assert plane == (m, m | m << n), (g, b)
+    # {y : bit b of d(0, y) is set}, alone and doubled, and so at t = 1..4
+    # on the orders about the byte boundaries of the plane's mirror (bits
+    # 0..n fill 32, 64 and 101 bytes whole at n = 255, 511 and 807), whose
+    # byte table is checked entry by entry
+    assert _BYTE_REVERSED == bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+    orders = [(n, t) for n in range(3, 121) for t in range(1, n // 2 + 1)]
+    orders += [(n, t) for n in (255, 256, 257, 511, 512, 513, 807, 808, 809)
+               for t in range(1, 5)]
+    for n, t in orders:
+        g = make_consecutive(n, t)
+        d = [distance_closed_form(n, t, 0, y) for y in g.vertices]
+        if n <= 60:
+            for r in range(1, max(d) + 1):
+                assert g.arc_mask(r) == sum(1 << y for y in g.vertices if d[y] == r), (g, r)
+        assert g.diameter == max(d) and len(g.planes) == max(d).bit_length(), g
+        for b, plane in enumerate(g.planes):
+            m = sum(1 << y for y in g.vertices if d[y] >> b & 1)
+            assert plane == (m, m | m << n), (g, b)
 
 
 def test_closed_form_validates_t():

@@ -21,9 +21,9 @@ from circmd.solver import (
     min_resolvers,
 )
 from circmd import cli, solver
-from circmd.solver import _Kernel, _basis_with_zero, _sphere_pairs
+from circmd.solver import _Kernel, _basis_with_zero, _sphere_masks
 
-from references import bfs_row, layers, pair_resolvers_arithmetic
+from references import bfs_row, layers, pair_resolvers_arithmetic, sphere_pairs
 
 
 def _sep(kernel, u, v):
@@ -287,21 +287,29 @@ def test_budget_refusal_reads_no_graph_state(monkeypatch, capsys):
     assert "C(79, 5) candidates exceed budget" in capsys.readouterr().out
 
 
-def test_sphere_pairs_yield_the_short_tied_pairs():
-    # the witness search's pairs are those {0} leaves tied, the same-sphere
-    # pairs of a BFS from 0, at circular gap <= G = max(2, 2t - 1), each once:
-    # by the short-pair lemma all a set containing 0 must separate; drained,
-    # the source fills the separators entries of their gaps, none past G
+def test_sphere_masks_are_those_of_the_short_tied_pairs():
+    # the witness search's masks are those pair_masks gives the pairs {0}
+    # leaves tied, the same-sphere pairs of a BFS from 0, at circular gap
+    # <= G = max(2, 2t - 1), one per pair: by the short-pair lemma all a set
+    # containing 0 must separate; drained, the source fills the separators
+    # entries of their gaps, none past G.  On every n < 300 it gives them in
+    # the order of the pair-by-pair reference, mask for mask, and fills the
+    # same entries
     for t in range(1, 9):
         G = max(2, 2 * t - 1)
-        for n in range(2 * t + 2, 201):
-            g = make_consecutive(n, t)
+        for n in range(2 * t + 2, 300):
+            g, h = make_consecutive(n, t), make_consecutive(n, t)
+            got = list(itertools.chain.from_iterable(_sphere_masks(_Kernel(g, range(1, n)))))
+            pairs = itertools.chain.from_iterable(sphere_pairs(h))
+            assert got == list(_Kernel(h, range(1, n)).pair_masks(pairs)), (n, t)
+            assert g.separators == h.separators, (n, t)
+            if n > 200:
+                continue
             depth = bfs_row(g, 0)
             want = {tuple(sorted((u, (u + d) % n))) for u in range(1, n)
                     for d in range(1, G + 1) if depth[u] == depth[(u + d) % n]}
-            got = list(itertools.chain.from_iterable(_sphere_pairs(g)))
-            assert sorted(got) == sorted(want), (n, t)
-            list(_Kernel(g, range(1, n)).pair_masks(got))
+            masks = _Kernel(make_consecutive(n, t), range(1, n)).pair_masks(want)
+            assert sorted(got) == sorted(masks), (n, t)
             gaps = {min(v - u, n - v + u) for u, v in want}
             assert {d for d, m in enumerate(g.separators) if m} == gaps, (n, t)
 
