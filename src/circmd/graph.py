@@ -15,25 +15,11 @@ from collections.abc import Iterable
 from functools import cached_property
 
 
-def _byte_reversal() -> bytes:
-    """Entry i: the byte i with its bits in reverse order, laid down by doubling, as
-    ``_little_endian_row`` lays down the row: if entries 0..2^k - 1 reverse k bits, each
-    doubled reverses the k + 1 bits of i and each doubled plus one those of i + 2^k."""
-    table, ones = 0, 1
-    for k in range(8):
-        table = table << 1 | (table << 1 | ones) << (8 << k)
-        ones |= ones << (8 << k)
-    return table.to_bytes(256, "little")
-
-
-_BYTE_REVERSED = _byte_reversal()
-
-
 class CirculantGraph(namedtuple("CirculantGraph", "n t")):
     """C(n, +/-{1..t}) for n >= 3 and 1 <= t <= n // 2; immutable and safe for concurrent
-    read access.  Lazy entries ``dist_row`` and ``packed_row`` (neither reads the other),
-    ``planes`` and each entry of ``separators`` and ``probe_twins`` fill on first use in
-    the instance ``__dict__``; two readers may both fill one, with the same value."""
+    read access.  Lazy entries ``dist_row``, ``packed_row`` and ``planes`` (none reads
+    another; a plane is one doubled int) and each entry of ``separators`` and ``probe_twins``
+    fill on first use in ``__dict__``; two readers may both fill one, with the same value."""
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
@@ -97,35 +83,36 @@ class CirculantGraph(namedtuple("CirculantGraph", "n t")):
         """The doubled mask m | m << n of m = sep(0, delta), the y with
         d(0, y) != d(0, y - delta), for delta <= n // 2, stored in
         ``separators``.  Two distances differ exactly when some plane
-        differs at y, so m = OR over ``planes`` P of P ^ rot(P, delta), one
-        shift of P doubled."""
+        differs at y, so m is the low n bits of the OR over the doubled
+        ``planes`` D of D ^ D >> n - delta, each plane against its rotation."""
         n, mask = self.n, 0
-        for plane, twice in self.planes:
-            mask |= plane ^ (twice >> (n - delta))
+        for twice in self.planes:
+            mask |= twice ^ twice >> n - delta
         mask &= (1 << n) - 1
         mask |= mask << n
         self.separators[delta] = mask
         return mask
 
     @cached_property
-    def planes(self) -> list[tuple[int, int]]:
-        """Plane b, alone and doubled: the y whose d(0, y) has bit b set.  On
-        1..n//2 these are runs of t * 2^b ones at period t * 2^(b+1) from
-        y = t(2^b - 1) + 1, laid down by one repunit multiply and cut at
-        n // 2; the other half is that half reversed, bit y to bit n - y:
-        its bytes, little-endian, each bit-reversed through ``_BYTE_REVERSED``
-        and read big-endian, reverse all 8 * size bits, and a shift aligns
-        bit 0 with bit n."""
+    def planes(self) -> list[int]:
+        """Plane b doubled, P | P << n of P the y whose d(0, y) has bit b set.
+        On 1..n//2, P is runs of t * 2^b ones at period t * 2^(b+1) from
+        y = t(2^b - 1) + 1 to the last that starts by n // 2; mirrored, bit y
+        to bit n - y, it is the same train ending at n - t(2^b - 1).  So one
+        train laid down by doubling, placed twice, once through the doubled
+        width, gives both halves; its runs past the last fall outside each."""
         n, t, half, planes = self.n, self.t, self.n // 2, []
-        size = (n + 8) >> 3  # bytes to hold bits 0..n
+        low, high = (2 << half) - 1, ((1 << half) - 1) << n - half
         for b in range(self.diameter.bit_length()):
             run, period = t << b, t << b + 1
-            start = run - t + 1
-            repunit = ((1 << period * ((half - start) // period + 1)) - 1) // ((1 << period) - 1)
-            m = ((1 << run) - 1) * repunit << start & (2 << half) - 1
-            plane = m | int.from_bytes(m.to_bytes(size, "little").translate(_BYTE_REVERSED),
-                                       "big") >> 8 * size - 1 - n
-            planes.append((plane, plane | plane << n))
+            first = run - t + 1
+            last = first + (half - first) // period * period
+            train, span = (1 << run) - 1, period  # span // period runs
+            while span <= last - first:
+                train |= train << span
+                span *= 2
+            plane = (train << first & low) | (train << 2 * n + 1 - last - run >> n & high)
+            planes.append(plane | plane << n)
         return planes
 
     @cached_property

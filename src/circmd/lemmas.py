@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .formulas import known_bounds, split
 from .graph import CirculantGraph, make_consecutive
@@ -83,8 +83,8 @@ def instantiate(n: int, a: int, blocks: Blocks, excluded: Iterable[int] = ()
     return g, shifted, [v for v in g.vertices if v not in out] if out else g.vertices
 
 
-def _find_inducing_set(g: CirculantGraph, blocks: Blocks, budget: Optional[int] = None
-                       ) -> Optional[tuple[int, ...]]:
+def _find_inducing_set(g: CirculantGraph, blocks: Blocks, budget: int | None = None
+                       ) -> tuple[int, ...] | None:
     """Least landmark set of at most 3 vertices under which the two or more
     disjoint ``blocks`` form distinct representation classes, or None.
 
@@ -101,7 +101,7 @@ def _find_inducing_set(g: CirculantGraph, blocks: Blocks, budget: Optional[int] 
 
 def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dict,
                                  blocks: Blocks, excluded: Iterable[int],
-                                 budget: Optional[int] = None) -> InstantiationResult:
+                                 budget: int | None = None) -> InstantiationResult:
     key = tuple(sorted({"a": a, **params}.items()))
     try:
         g, blocks, allowed = instantiate(n, a, blocks, excluded)
@@ -124,8 +124,8 @@ def _check_cluster_instantiation(d: LemmaDescriptor, n: int, a: int, params: dic
         f"{result.witness} resolves the cluster with {result.size} < {required}")
 
 
-def _gap_witness(g: CirculantGraph, gap: int, size: int, budget: Optional[int] = None
-                 ) -> Optional[tuple[int, ...]]:
+def _gap_witness(g: CirculantGraph, gap: int, size: int, budget: int | None = None
+                 ) -> tuple[int, ...] | None:
     """At most size - 2 more vertices that make {0, gap} a resolving set, or None."""
     others = [*range(1, gap), *range(gap + 1, g.n)]
     return min_resolvers(g, equivalence_classes(g, (0, gap)), others,
@@ -189,7 +189,7 @@ def _check_dim_lower(d: LemmaDescriptor, k_range: Iterable[int], budget: int
 
 
 def check_lemma(d: LemmaDescriptor, k_range: Iterable[int] = (1, 2, 3),
-                budget: Optional[int] = None) -> LemmaReport:
+                budget: int | None = None) -> LemmaReport:
     """Validate one descriptor at the orders of each k in ``k_range``; a dim-lower
     one checks every order up to max(k_range), so (3,) reads as (1, 2, 3).  Every
     search runs under ``budget``; None reads ``default_budget()`` once."""

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmd.formulas import split
-from circmd.graph import _BYTE_REVERSED, CirculantGraph, make_consecutive
+from circmd.graph import CirculantGraph, make_consecutive
 
 from references import diameter_set, distance_bfs, distance_closed_form, dist_row_per_vertex
 
@@ -89,14 +91,13 @@ def test_sphere_masks_match_the_definition():
     # arc_mask(r) is {y : d(0, y) = r} for every r = 1..D on n <= 60: the
     # closed-form arcs on odd and even n (the antipode) up to the complete
     # graph; and on every order up to 120, the diameter and each plane
-    # {y : bit b of d(0, y) is set}, alone and doubled, and so at t = 1..4
-    # on the orders about the byte boundaries of the plane's mirror (bits
-    # 0..n fill 32, 64 and 101 bytes whole at n = 255, 511 and 807), whose
-    # byte table is checked entry by entry
-    assert _BYTE_REVERSED == bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+    # {y : bit b of d(0, y) is set}, doubled, and so at t = 1..4 on the orders
+    # about the doubling's boundaries: plane 0 has (n // 2 - 1) // 2t + 1 runs
+    # on 1..n//2, here 2^j - 1, 2^j and 2^j + 1 of them, its last run cut to
+    # one bit or whole, at odd and even n
     orders = [(n, t) for n in range(3, 121) for t in range(1, n // 2 + 1)]
-    orders += [(n, t) for n in (255, 256, 257, 511, 512, 513, 807, 808, 809)
-               for t in range(1, 5)]
+    orders += [(2 * half + odd, t) for t in range(1, 5) for runs in (127, 128, 129)
+               for half in (1 + (runs - 1) * 2 * t, runs * 2 * t) for odd in (0, 1)]
     for n, t in orders:
         g = make_consecutive(n, t)
         d = [distance_closed_form(n, t, 0, y) for y in g.vertices]
@@ -106,7 +107,32 @@ def test_sphere_masks_match_the_definition():
         assert g.diameter == max(d) and len(g.planes) == max(d).bit_length(), g
         for b, plane in enumerate(g.planes):
             m = sum(1 << y for y in g.vertices if d[y] >> b & 1)
-            assert plane == (m, m | m << n), (g, b)
+            assert plane == m | m << n, (g, b)
+
+
+def test_planes_of_orders_in_the_millions():
+    # C(4,000,007, ±{1..4}) and C(4,000,008, ±{1..4}), diameter 500,001 and
+    # 19 planes: each plane's bits y and y + n against the closed form at
+    # 0, 1, the antipodes, n - 1, both edges of each plane's first and last
+    # run on 1..n//2 and their mirrors n - y, and a seeded random draw
+    t, rng = 4, random.Random(4000007)
+    for n in (4000007, 4000008):
+        g, half = make_consecutive(n, t), n // 2
+        assert len(g.planes) == g.diameter.bit_length() == 19, g
+        for b, plane in enumerate(g.planes):
+            bits = plane.to_bytes((2 * n + 7) // 8, "little")
+            run, period = t << b, t << b + 1
+            first = run - t + 1
+            last = first + (half - first) // period * period
+            ys = {0, 1, half, half + 1, n - 1, *rng.sample(range(n), 200)}
+            for edge in (first, last):
+                for y in (edge - 1, edge, edge + run - 1, edge + run):
+                    if 0 <= y <= half:
+                        ys |= {y, (n - y) % n}
+            for y in ys:
+                want = distance_closed_form(n, t, 0, y) >> b & 1
+                assert bits[y >> 3] >> (y & 7) & 1 == want, (n, b, y)
+                assert bits[y + n >> 3] >> (y + n & 7) & 1 == want, (n, b, y + n)
 
 
 def test_closed_form_validates_t():
